@@ -11,6 +11,11 @@ Expected shape (paper, Section III):
   * PyTorch slower than Orpheus everywhere, catastrophically so on
     MobileNetV1 (depthwise convolution pathology);
   * DarkNet seconds-scale on the ResNets.
+
+``TestQualitativeClaims`` asserts that shape on configurations cheap
+enough to run often. Its verdicts compare measured times, so it lives
+here and not in the tier-1 suite: on a host that drifts between speed
+states a failure is a reason to re-run and look, not a broken build.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import bench_rounds, scaled_image_size
+from repro.bench.figure2 import run_figure2
 from repro.bench.workloads import model_input
 from repro.errors import FrameworkUnavailableError
 from repro.frameworks import get_adapter
@@ -73,3 +79,63 @@ def test_outputs_agree_across_frameworks():
         np.testing.assert_allclose(
             out, outputs["orpheus"], rtol=1e-3, atol=1e-5,
             err_msg=f"{framework} diverges from orpheus")
+
+
+@pytest.fixture(scope="module")
+def small_grid():
+    """Orpheus/TVM/PyTorch on the two small models."""
+    return run_figure2(
+        models=("wrn-40-2", "mobilenet-v1"),
+        frameworks=("orpheus", "tvm", "pytorch"),
+        repeats=5, warmup=1,
+    )
+
+
+class TestQualitativeClaims:
+    """The paper's Section III observations."""
+
+    def test_pytorch_never_beats_orpheus(self, small_grid):
+        # Min-of-N comparison: robust to scheduler noise on a loaded box.
+        for model in small_grid.models:
+            orpheus = small_grid.best_ms("orpheus", model)
+            pytorch = small_grid.best_ms("pytorch", model)
+            assert orpheus < pytorch, model
+
+    def test_pytorch_depthwise_pathology_on_mobilenet(self, small_grid):
+        """PyTorch's MobileNet penalty is disproportionate (>1.5x Orpheus)."""
+        ratio = small_grid.speedup("mobilenet-v1", "orpheus", "pytorch")
+        assert ratio > 1.5
+
+    def test_pytorch_gap_larger_on_mobilenet_than_wrn(self, small_grid):
+        mobilenet_gap = small_grid.speedup("mobilenet-v1", "orpheus", "pytorch")
+        wrn_gap = small_grid.speedup("wrn-40-2", "orpheus", "pytorch")
+        assert mobilenet_gap > wrn_gap
+
+    def test_tvm_competitive_on_small_models(self, small_grid):
+        """TVM wins (or ties within noise) on the small models."""
+        for model in small_grid.models:
+            tvm = small_grid.best_ms("tvm", model)
+            orpheus = small_grid.best_ms("orpheus", model)
+            assert tvm < orpheus * 1.15, (
+                f"TVM uncompetitive on {model}: {tvm:.1f} vs {orpheus:.1f} ms")
+
+    def test_orpheus_wins_big_model(self):
+        """Orpheus (GEMM conv) beats TVM (spatial pack) on a big model.
+
+        Inception-v3 is used because its margin (~15%) is the widest; on
+        ResNet-18 the two are within a few percent on this substrate (see
+        EXPERIMENTS.md).
+        """
+        grid = run_figure2(
+            models=("inception-v3",), frameworks=("orpheus", "tvm"),
+            repeats=5, warmup=1)
+        orpheus = grid.median_ms("orpheus", "inception-v3")
+        tvm = grid.median_ms("tvm", "inception-v3")
+        # ~1.17x margin in the recorded run, with a 5% tie-band.
+        assert orpheus < tvm * 1.05, (orpheus, tvm)
+
+    def test_darknet_seconds_scale_on_resnet18(self):
+        """Paper: DarkNet ResNet-18 inference "measured in seconds" (~3 s)."""
+        measurement = get_adapter("darknet").measure(
+            "resnet18", repeats=1, warmup=0)
+        assert measurement.median > 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import bench_rounds
+from repro.bench.sweeps import batch_sweep, resolution_sweep
 from repro.bench.workloads import model_input
 from repro.models import zoo
 from repro.runtime.session import InferenceSession
@@ -40,8 +41,27 @@ def test_resolution_scaling(benchmark, size):
 
 
 def test_batching_amortises_per_item_cost():
-    from repro.bench.sweeps import batch_sweep
     result = batch_sweep("wrn-40-2", batches=(1, 8), repeats=3)
     print(f"\n  per-item: batch 1 = {result.points[0].per_item_ms:.2f} ms, "
           f"batch 8 = {result.points[1].per_item_ms:.2f} ms")
     assert result.points[1].per_item_ms < result.points[0].per_item_ms * 1.05
+
+
+@pytest.fixture(scope="module")
+def wrn_batch():
+    return batch_sweep("wrn-40-2", batches=(1, 2), image_size=16,
+                       repeats=2, warmup=1)
+
+
+def test_larger_batch_takes_longer_total(wrn_batch):
+    assert wrn_batch.points[1].median > wrn_batch.points[0].median * 1.2
+
+
+def test_scaling_factor(wrn_batch):
+    assert 0.2 < wrn_batch.scaling_factor() < 2.0
+
+
+def test_latency_grows_with_resolution():
+    result = resolution_sweep("wrn-40-2", image_sizes=(16, 32),
+                              repeats=2, warmup=1)
+    assert result.points[1].median > result.points[0].median

@@ -15,12 +15,6 @@ from repro.bench.layerwise import (
     LayerRaceResult,
     race_conv_impls,
 )
-from repro.bench.regression import (
-    RegressionReport,
-    check_baseline,
-    measure_baseline,
-    save_baseline,
-)
 from repro.bench.quant import (
     format_quant_bench,
     measure_quant_crossover,
@@ -46,12 +40,8 @@ __all__ = [
     "open_journal",
     "run_guarded",
     "LayerRaceResult",
-    "RegressionReport",
     "RunStats",
     "STANDARD_CONV_CASES",
-    "check_baseline",
-    "measure_baseline",
-    "save_baseline",
     "SweepPoint",
     "SweepResult",
     "batch_sweep",

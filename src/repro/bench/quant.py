@@ -16,8 +16,7 @@ activation plans. Admission control degrades the fp32 session to batch 1
 (the label gains ``/degraded-batch-1``) while int8's ~4x-smaller uint8
 activations still fit at full batch, so the *per-image* crossover is
 structural, not a kernel micro-win. Per-image speedup ratios are
-meaningful across machines even though absolute times are not — the same
-caveat as ``BENCH_engine_startup.json``.
+meaningful across machines even though absolute times are not.
 """
 
 from __future__ import annotations

@@ -13,13 +13,15 @@ Subcommands::
     orpheus lint PATH...            # static analysis over Python sources
     orpheus verify TARGET...        # validate model graphs / .oeng engines
     orpheus serve MODEL             # inference service under generated load
-    orpheus serve-bench MODEL       # serving scenarios -> BENCH_serve.json
-    orpheus serve-chaos MODEL       # kill/poison/hang chaos -> BENCH_chaos.json
+    orpheus serve-chaos MODEL       # kill/poison/hang acceptance battery
     orpheus bench figure2           # regenerate the paper's Figure 2
     orpheus bench table1            # regenerate the paper's Table I
     orpheus bench layers            # per-layer conv algorithm race
-    orpheus bench engine-startup    # cold vs warm session startup
     orpheus bench sweep             # latency vs batch size / resolution
+    orpheus bench quant             # fp32 vs int8 crossover
+
+Performance claims are measured by ``perfbench/`` (see BENCHMARK.json),
+not by a verb here.
 """
 
 from __future__ import annotations
@@ -166,24 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print a JSON document (errors included) "
                             "instead of text")
 
-    serve_bench = sub.add_parser(
-        "serve-bench", help="serving scenario family: baseline, 2x "
-                            "overload, breaker trip/recovery")
-    _serve_pool_flags(serve_bench)
-    serve_bench.add_argument("--rps", type=float, default=None,
-                             help="override the calibrated saturation rate")
-    serve_bench.add_argument("--clients", type=int, default=4)
-    serve_bench.add_argument("--duration", type=float, default=4.0,
-                             help="seconds of load per scenario")
-    serve_bench.add_argument("--deadline-ms", type=float, default=2000.0,
-                             help="per-request deadline used by the "
-                                  "baseline and overload scenarios")
-    serve_bench.add_argument("--save", metavar="PATH", default=None,
-                             help="also write the JSON document to PATH")
-    serve_bench.add_argument("--json", action="store_true",
-                             help="print the JSON document (errors "
-                                  "included) instead of text")
-
     serve_chaos = sub.add_parser(
         "serve-chaos", help="chaos scenario family for process workers: "
                             "kill K of N mid-load, poison-request "
@@ -264,31 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="warm-start each configuration's prepare from "
                             "this directory of compiled engines")
     _journal_flags(sweep)
-    startup = bench_sub.add_parser(
-        "engine-startup", help="cold vs warm session startup per model")
-    startup.add_argument("--save", metavar="PATH", default=None,
-                         help="also write the JSON document to PATH")
-    startup.add_argument("--models", nargs="*", default=None)
-    startup.add_argument("--backend", default="orpheus")
-    startup.add_argument("--threads", type=int, default=1)
-    startup.add_argument("--repeats", type=int, default=3)
-    baseline = bench_sub.add_parser(
-        "baseline", help="save or check a performance baseline")
-    group = baseline.add_mutually_exclusive_group(required=True)
-    group.add_argument("--save", metavar="PATH")
-    group.add_argument("--check", metavar="PATH")
-    baseline.add_argument("--repeats", type=int, default=7)
-    baseline.add_argument("--tolerance", type=float, default=0.25)
-    kernels = bench_sub.add_parser(
-        "kernels", help="kernel-level model timings; --compare gates on a "
-                        "committed baseline (exit 2 on regression)")
-    kernels.add_argument("--compare", metavar="PATH", default=None,
-                         help="re-measure PATH's configurations and exit 2 "
-                              "if any median regressed beyond tolerance")
-    kernels.add_argument("--save", metavar="PATH", default=None,
-                         help="write the measured baseline to PATH")
-    kernels.add_argument("--repeats", type=int, default=7)
-    kernels.add_argument("--tolerance", type=float, default=0.25)
     quant = bench_sub.add_parser(
         "quant", help="fp32 vs int8 crossover with accuracy proxy")
     quant.add_argument("--save", metavar="PATH", default=None,
@@ -303,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by ``serve`` and ``serve-bench``: the pool shape."""
+    """The pool-shape flags of ``serve``."""
     parser.add_argument("model", nargs="?", default="wrn-40-2",
                         help="zoo model name (default: wrn-40-2)")
     parser.add_argument("--backends", nargs="+",
@@ -436,6 +395,14 @@ def _session_kwargs(args: argparse.Namespace) -> dict:
     if getattr(args, "engine", None):
         kwargs["engine"] = args.engine
     return kwargs
+
+
+def _write_json(path: str, document: dict) -> None:
+    """What every ``--save PATH`` flag writes."""
+    import json
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
 
 
 def _print_robustness(session) -> None:
@@ -721,7 +688,7 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-#: serve/serve-bench exit codes: 0 = healthy, 1 = structured Orpheus
+#: serve/serve-chaos exit codes: 0 = healthy, 1 = structured Orpheus
 #: failure, 2 = usage (argparse), 4 = service ran but degraded below its
 #: invariants (zero successes, silent drops, or a failed scenario check).
 EXIT_DEGRADED = 4
@@ -893,9 +860,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.regression import format_chaos_bench, save_chaos_bench
     from repro.errors import OrpheusError
-    from repro.serve import run_chaos_bench
+    from repro.serve.chaos import format_chaos_bench, run_chaos_bench
 
     try:
         document = run_chaos_bench(
@@ -913,41 +879,7 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     else:
         print(format_chaos_bench(document))
     if args.save:
-        save_chaos_bench(args.save, document)
-        if not args.json:
-            print(f"wrote {args.save}")
-    return 0 if document["passed"] else EXIT_DEGRADED
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.regression import format_serve_bench, save_serve_bench
-    from repro.errors import OrpheusError
-    from repro.serve import run_serve_bench
-
-    if args.worker_mode == "process":
-        print("error: serve-bench measures the threaded pool; use "
-              "serve-chaos for the process-worker battery", file=sys.stderr)
-        return 2
-    try:
-        document = run_serve_bench(
-            model=args.model, backends=tuple(args.backends),
-            workers=args.workers, batch=args.batch,
-            image_size=args.image_size, duration_s=args.duration,
-            clients=args.clients, deadline_ms=args.deadline_ms,
-            rps=args.rps, engine_cache=args.engine_cache,
-            autotune_cache=_serve_pool_kwargs(args)["autotune_cache"],
-            seed=args.seed,
-            progress=None if args.json else lambda m: print(f"  .. {m}"))
-    except OrpheusError as exc:
-        return _serve_error(exc, args.json)
-    if args.json:
-        print(json.dumps(document, sort_keys=True))
-    else:
-        print(format_serve_bench(document))
-    if args.save:
-        save_serve_bench(args.save, document)
+        _write_json(args.save, document)
         if not args.json:
             print(f"wrote {args.save}")
     return 0 if document["passed"] else EXIT_DEGRADED
@@ -965,21 +897,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.experiment == "layers":
         from repro.bench.layerwise import race_conv_impls
         print(race_conv_impls(repeats=args.repeats).table())
-        return 0
-    if args.experiment == "engine-startup":
-        from repro.bench.regression import (
-            format_engine_startup, measure_engine_startup)
-        document = measure_engine_startup(
-            models=tuple(args.models) if args.models else None,
-            backend=args.backend, threads=args.threads,
-            repeats=args.repeats)
-        print(format_engine_startup(document))
-        if args.save:
-            import json
-            with open(args.save, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-            print(f"wrote {args.save}")
         return 0
     if args.experiment == "sweep":
         from repro.bench.sweeps import batch_sweep, resolution_sweep
@@ -1008,35 +925,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 handle.write(result.csv() + "\n")
             print(f"wrote {args.csv}")
         return 0 if result.complete else 1
-    if args.experiment == "baseline":
-        from repro.bench.regression import check_baseline, save_baseline
-        if args.save:
-            document = save_baseline(args.save, repeats=args.repeats)
-            for key, entry in document["entries"].items():
-                print(f"  {key:32s} {entry['median_ms']:8.2f} ms")
-            print(f"wrote {args.save}")
-            return 0
-        report = check_baseline(args.check, tolerance=args.tolerance,
-                                repeats=args.repeats)
-        print(report.summary())
-        return 0 if report.ok else 1
-    if args.experiment == "kernels":
-        from repro.bench.regression import (
-            check_baseline, measure_baseline, save_baseline)
-        if args.compare:
-            report = check_baseline(args.compare, tolerance=args.tolerance,
-                                    repeats=args.repeats)
-            print(report.summary())
-            # exit 2: a perf gate distinct from measurement failures (1)
-            return 0 if report.ok else 2
-        document = (save_baseline(args.save, repeats=args.repeats)
-                    if args.save
-                    else measure_baseline(repeats=args.repeats))
-        for key, entry in document["entries"].items():
-            print(f"  {key:32s} {entry['median_ms']:8.2f} ms")
-        if args.save:
-            print(f"wrote {args.save}")
-        return 0
     if args.experiment == "quant":
         from repro.bench.quant import (
             STEADY_STATE_CONFIGS,
@@ -1058,10 +946,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats)
         print(format_quant_bench(document))
         if args.save:
-            import json
-            with open(args.save, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
+            _write_json(args.save, document)
             print(f"wrote {args.save}")
         return 0
     from repro.bench.figure2 import run_figure2
@@ -1112,7 +997,6 @@ _COMMANDS = {
     "quantize": _cmd_quantize,
     "analyze": _cmd_analyze,
     "serve": _cmd_serve,
-    "serve-bench": _cmd_serve_bench,
     "serve-chaos": _cmd_serve_chaos,
     "bench": _cmd_bench,
 }

@@ -15,9 +15,8 @@ service that degrades gracefully under load and under backend failure:
   ``worker_mode="process"`` serving path: each pool slot is a separate
   OS process with heartbeats, restart backoff, and poison-request
   quarantine (crash containment).
-* :func:`run_load` / :func:`run_serve_bench` / :func:`run_chaos_bench`
-  — the open-loop load harness and the scenario families behind
-  ``BENCH_serve.json`` and ``BENCH_chaos.json``.
+* :func:`run_load` / :func:`run_chaos_bench` — the open-loop load
+  harness and the process-worker chaos acceptance battery.
 """
 
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker
@@ -25,7 +24,6 @@ from repro.serve.chaos import run_chaos_bench
 from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.pool import PoolRobustnessReport, SessionPool
 from repro.serve.queue import AdmissionQueue
-from repro.serve.scenarios import run_serve_bench
 from repro.serve.service import (
     InferenceService,
     ServeRobustnessReport,
@@ -66,5 +64,4 @@ __all__ = [
     "WorkerSupervisor",
     "run_chaos_bench",
     "run_load",
-    "run_serve_bench",
 ]

@@ -1,7 +1,8 @@
 """Serve-chaos scenario family: kill workers mid-load and close the books.
 
-Produces the ``BENCH_chaos.json`` document. Three scenarios, each
-checking one acceptance criterion of process-isolated serving
+An acceptance battery, not a benchmark: its verdicts are robustness
+checks, so no snapshot of the document is committed. Three scenarios,
+each checking one acceptance criterion of process-isolated serving
 (``worker_mode="process"``, see :mod:`repro.serve.supervisor`):
 
 * **worker-kill** — drive open-loop load at a sub-saturation rate, then
@@ -21,9 +22,9 @@ checking one acceptance criterion of process-isolated serving
   silence (heartbeat loss or request deadline), kill the worker, fail
   the in-flight request structurally, and restart the slot.
 
-Like the serve-bench family, rates are calibrated from warm batch times
-when a real model is used; the ``@loopback`` diagnostic model runs the
-same scenarios in well under a second for tests and smoke jobs.
+The offered rate is calibrated from warm batch times when a real model
+is used; the ``@loopback`` diagnostic model runs the same scenarios in
+well under a second for tests and smoke jobs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Any
 import numpy as np
 
 from repro.serve.loadgen import run_load
-from repro.serve.scenarios import calibrate_saturation_rps
 from repro.serve.service import InferenceService
 from repro.serve.types import Completed, Failed, Rejected
 
@@ -48,6 +48,26 @@ DEFAULT_RECOVERY_WINDOW_S = 10.0
 #: Offered rate for the loopback model (calibration is meaningless at
 #: microsecond service times; the point is concurrency, not throughput).
 _LOOPBACK_RPS = 150.0
+
+
+def calibrate_saturation_rps(
+    service: InferenceService, warm_requests: int = 8,
+) -> float:
+    """Measure the pool's sustainable request rate from warm batch times.
+
+    Runs a few sequential requests to settle the service-time EWMA, then
+    returns ``workers * batch / ewma_batch_s`` — the rate at which every
+    dispatcher is busy all the time.
+    """
+    shape = service._sample_shape or (4,)
+    sample = np.zeros(shape, dtype=np.float32)
+    for _ in range(warm_requests):
+        pending = service.submit(sample)
+        if hasattr(pending, "result"):
+            pending.result(timeout=30.0)
+    ewma = service.queue.ewma_batch_s
+    pool = service.pool
+    return max(0.5, (pool.workers * pool.batch) / max(ewma, 1e-4))
 
 
 def _scenario_doc(name: str, service: InferenceService,
@@ -102,7 +122,7 @@ def run_chaos_bench(
     recovery_window_s: float = DEFAULT_RECOVERY_WINDOW_S,
     progress: Any = None,
 ) -> dict:
-    """Run the chaos scenario family and return the BENCH_chaos document."""
+    """Run the chaos scenario family and return its document."""
     if not 1 <= kill <= workers:
         raise ValueError(
             f"kill must be in [1, workers={workers}], got {kill}")
@@ -291,3 +311,44 @@ def run_chaos_bench(
         "scenarios": scenarios,
         "passed": all(s["passed"] for s in scenarios),
     }
+
+
+def format_chaos_bench(document: dict) -> str:
+    """The serve-chaos document as an aligned text report."""
+    lines = [
+        f"serve chaos: {document['model']} "
+        f"workers={document['workers']} killed={document['killed']} "
+        f"max_batch={document['max_batch']} "
+        f"(recovery window {document['recovery_window_s']:g}s)",
+    ]
+    for scenario in document["scenarios"]:
+        supervision = scenario["supervision"]
+        deaths = ", ".join(
+            f"{reason} x{count}"
+            for reason, count in sorted(supervision["deaths"].items()))
+        status = "pass" if scenario["passed"] else "FAIL"
+        lines.append(
+            f"  {scenario['scenario']:18s} {status:>4s}  "
+            f"alive {supervision['alive']}/{supervision['workers']}, "
+            f"{supervision['restarts']} restart(s)"
+            + (f", deaths: {deaths}" if deaths else ""))
+        if scenario.get("recovery_s") is not None:
+            lines.append(
+                f"    recovered in {scenario['recovery_s']:.2f}s")
+        if supervision["quarantined"]:
+            lines.append(
+                f"    quarantined: "
+                f"{', '.join(supervision['quarantined'])}")
+        load = scenario.get("load")
+        if load:
+            lines.append(
+                f"    load: {load['completed']}/{load['offered']} "
+                f"completed, {sum(load['rejected'].values())} shed, "
+                f"{load['failed']} failed, "
+                f"{load['silent_drops']} silent drop(s)")
+        failed_checks = [name for name, ok in scenario["checks"].items()
+                         if not ok]
+        if failed_checks:
+            lines.append(f"    failed checks: {', '.join(failed_checks)}")
+    lines.append(f"overall: {'pass' if document['passed'] else 'FAIL'}")
+    return "\n".join(lines)

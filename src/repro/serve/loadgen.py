@@ -124,6 +124,11 @@ def run_load(
 
     per_client = rps / clients
     total_per_client = max(1, int(round(per_client * duration_s)))
+    spacing = 1.0 / per_client
+    # Drawn here, not in the client threads: a Generator is not
+    # thread-safe, and draws made there would follow thread start order,
+    # so ``seed`` would not fix which client gets which offset.
+    jitters = rng.uniform(0, spacing, size=clients)
     lock = threading.Lock()
     latencies: list[float] = []
     rejected: dict[str, int] = {}
@@ -132,12 +137,10 @@ def run_load(
                 "late": 0}
 
     def client(index: int) -> None:
-        spacing = 1.0 / per_client
-        jitter = rng.uniform(0, spacing)
         start = time.monotonic() + 0.01
         pendings = []
         for n in range(total_per_client):
-            due = start + n * spacing + (jitter if n == 0 else 0.0)
+            due = start + n * spacing + (jitters[index] if n == 0 else 0.0)
             delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)

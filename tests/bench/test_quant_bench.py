@@ -73,44 +73,6 @@ class TestCommittedDocument:
         assert len({row["model"] for row in at_least_2x}) >= 2
 
 
-class TestKernelsCompareCli:
-    def _baseline(self, tmp_path, median_ms):
-        path = str(tmp_path / "kernels.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({
-                "version": "test", "python": "x", "machine": "x",
-                "repeats": 1,
-                "entries": {"squeezenet/orpheus/32": {
-                    "model": "squeezenet", "backend": "orpheus",
-                    "image_size": 32, "median_ms": median_ms,
-                    "best_ms": median_ms}},
-            }, handle)
-        return path
-
-    def test_regression_exits_2(self, tmp_path, capsys):
-        # An absurdly fast baseline makes any real measurement a >25%
-        # regression — the gate must exit 2, not 1.
-        path = self._baseline(tmp_path, median_ms=1e-6)
-        assert main(["bench", "kernels", "--compare", path,
-                     "--repeats", "1"]) == 2
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_within_tolerance_exits_0(self, tmp_path, capsys):
-        path = self._baseline(tmp_path, median_ms=1e9)
-        assert main(["bench", "kernels", "--compare", path,
-                     "--repeats", "1"]) == 0
-
-    def test_measure_mode_exits_0(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.regression as regression
-        monkeypatch.setattr(regression, "DEFAULT_CONFIGS",
-                            (("squeezenet", "orpheus", 32),))
-        path = str(tmp_path / "out.json")
-        assert main(["bench", "kernels", "--save", path,
-                     "--repeats", "1"]) == 0
-        saved = json.load(open(path, encoding="utf-8"))
-        assert "squeezenet/orpheus/32" in saved["entries"]
-
-
 class TestQuantCli:
     def test_bench_quant_runs_and_saves(self, tmp_path, capsys, monkeypatch):
         import repro.bench.quant as quant_bench

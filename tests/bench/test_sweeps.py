@@ -1,4 +1,8 @@
-"""Batch and resolution sweeps."""
+"""Batch and resolution sweeps: points, tables, CSV.
+
+What the sweeps *show* (bigger batches and images take longer) compares
+measured times, so it is asserted in ``benchmarks/test_sweeps.py``.
+"""
 
 import pytest
 
@@ -16,9 +20,6 @@ class TestBatchSweep:
         assert [p.batch for p in wrn_batch.points] == [1, 2]
         assert all(len(p.times) == 2 for p in wrn_batch.points)
 
-    def test_larger_batch_takes_longer_total(self, wrn_batch):
-        assert wrn_batch.points[1].median > wrn_batch.points[0].median * 1.2
-
     def test_per_item_defined(self, wrn_batch):
         point = wrn_batch.points[1]
         assert point.per_item_ms == pytest.approx(
@@ -31,15 +32,16 @@ class TestBatchSweep:
         assert len(lines) == 3
 
     def test_scaling_factor(self, wrn_batch):
-        assert 0.2 < wrn_batch.scaling_factor() < 2.0
+        first, last = wrn_batch.points[0], wrn_batch.points[-1]
+        assert wrn_batch.scaling_factor() == pytest.approx(
+            last.per_item_ms / first.per_item_ms, rel=1e-9)
 
 
 class TestResolutionSweep:
-    def test_latency_grows_with_resolution(self):
-        result = resolution_sweep("wrn-40-2", image_sizes=(16, 32),
-                                  repeats=2, warmup=1)
-        assert [p.image_size for p in result.points] == [16, 32]
-        assert result.points[1].median > result.points[0].median
+    def test_one_point_per_image_size(self):
+        result = resolution_sweep("wrn-40-2", image_sizes=(8, 16),
+                                  repeats=1, warmup=0)
+        assert [p.image_size for p in result.points] == [8, 16]
 
     def test_backend_parameter(self):
         result = resolution_sweep("wrn-40-2", image_sizes=(16,),

@@ -1,9 +1,9 @@
-"""Figure 2 qualitative claims, checked on affordable configurations.
+"""Figure 2 harness bookkeeping, checked on affordable configurations.
 
-The full-resolution five-model grid is regenerated by
-``benchmarks/test_figure2.py`` and recorded in EXPERIMENTS.md; here we lock
-down the paper's *qualitative* claims on configurations cheap enough for
-the unit-test suite, plus the harness bookkeeping (exclusions, winners).
+The full-resolution five-model grid and the paper's *qualitative* claims
+(who is faster than whom) are checked by ``benchmarks/test_figure2.py``,
+outside tier-1, because their verdicts need a real clock; here we lock
+down what does not: exclusions, completeness, rendering.
 """
 
 import pytest
@@ -35,7 +35,9 @@ class TestHarnessBookkeeping:
     def test_measured_cells_are_complete(self, small_grid):
         for model in small_grid.models:
             for framework in ("orpheus", "tvm", "pytorch"):
-                assert small_grid.median_ms(framework, model) is not None
+                median = small_grid.median_ms(framework, model)
+                assert median is not None
+                assert 0 < small_grid.best_ms(framework, model) <= median
 
     def test_table_renders_with_exclusion_notes(self, small_grid):
         text = small_grid.table()
@@ -55,55 +57,13 @@ class TestHarnessBookkeeping:
 
 
 class TestQualitativeClaims:
-    """The paper's Section III observations."""
+    """The one Section III observation that needs no clock.
 
-    def test_pytorch_never_beats_orpheus(self, small_grid):
-        # Min-of-N comparison: robust to scheduler noise on a loaded box.
-        for model in small_grid.models:
-            orpheus = small_grid.best_ms("orpheus", model)
-            pytorch = small_grid.best_ms("pytorch", model)
-            assert orpheus < pytorch, model
-
-    def test_pytorch_depthwise_pathology_on_mobilenet(self, small_grid):
-        """PyTorch's MobileNet penalty is disproportionate (>1.5x Orpheus)."""
-        ratio = small_grid.speedup("mobilenet-v1", "orpheus", "pytorch")
-        assert ratio > 1.5
-
-    def test_pytorch_gap_larger_on_mobilenet_than_wrn(self, small_grid):
-        mobilenet_gap = small_grid.speedup("mobilenet-v1", "orpheus", "pytorch")
-        wrn_gap = small_grid.speedup("wrn-40-2", "orpheus", "pytorch")
-        assert mobilenet_gap > wrn_gap
-
-    def test_tvm_competitive_on_small_models(self, small_grid):
-        """TVM wins (or ties within noise) on the small models."""
-        for model in small_grid.models:
-            tvm = small_grid.best_ms("tvm", model)
-            orpheus = small_grid.best_ms("orpheus", model)
-            assert tvm < orpheus * 1.15, (
-                f"TVM uncompetitive on {model}: {tvm:.1f} vs {orpheus:.1f} ms")
-
-    def test_orpheus_wins_big_model(self):
-        """Orpheus (GEMM conv) beats TVM (spatial pack) on a big model.
-
-        Inception-v3 is used because its margin (~15%) is robust to machine
-        noise; the full five-model grid with all margins is regenerated by
-        benchmarks/test_figure2.py. On ResNet-18 the two are within a few
-        percent on this substrate (see EXPERIMENTS.md).
-        """
-        grid = run_figure2(
-            models=("inception-v3",), frameworks=("orpheus", "tvm"),
-            repeats=5, warmup=1)
-        orpheus = grid.median_ms("orpheus", "inception-v3")
-        tvm = grid.median_ms("tvm", "inception-v3")
-        # ~1.17x margin in the recorded run; 5% tie-band absorbs the worst
-        # scheduler bursts a loaded single-core box produces.
-        assert orpheus < tvm * 1.05, (orpheus, tvm)
-
-    def test_darknet_seconds_scale_on_resnet18(self):
-        """Paper: DarkNet ResNet-18 inference "measured in seconds" (~3 s)."""
-        measurement = get_adapter("darknet").measure(
-            "resnet18", repeats=1, warmup=0)
-        assert measurement.median > 1.0
+    The six that compare measured times live in
+    ``benchmarks/test_figure2.py``; their structural twins (which kernels
+    and graph mode each simulated framework uses) are in
+    ``tests/frameworks/test_adapters.py``.
+    """
 
     def test_tflite_excluded_from_single_thread_grid(self):
         with pytest.raises(FrameworkUnavailableError):

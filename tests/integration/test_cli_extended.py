@@ -64,20 +64,6 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert "21/21" in out
 
-    def test_bench_baseline_save_check(self, tmp_path, capsys, monkeypatch):
-        # Shrink the config set for test speed.
-        import repro.bench.regression as regression
-        monkeypatch.setattr(
-            regression, "DEFAULT_CONFIGS",
-            (("wrn-40-2", "orpheus", 16),))
-        path = str(tmp_path / "perf.json")
-        assert main(["bench", "baseline", "--save", path,
-                     "--repeats", "2"]) == 0
-        assert main(["bench", "baseline", "--check", path,
-                     "--repeats", "2", "--tolerance", "3.0"]) == 0
-        out = capsys.readouterr().out
-        assert "checked 1 configurations" in out
-
     def test_inspect_dot_output(self, tmp_path, capsys):
         path = str(tmp_path / "g.dot")
         assert main(["inspect", "wrn-40-2", "--dot", path]) == 0

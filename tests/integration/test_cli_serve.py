@@ -29,16 +29,10 @@ class TestServeProcessMode:
         assert document["health"]["supervisor"]["alive"] == 2
         assert document["load"]["silent_drops"] == 0
 
-    def test_serve_bench_refuses_process_mode(self, capsys):
-        code = main([
-            "serve-bench", "@loopback", "--worker-mode", "process"])
-        assert code == 2
-        assert "serve-chaos" in capsys.readouterr().err
-
 
 class TestServeChaosVerb:
     def test_serve_chaos_writes_the_document(self, tmp_path, capsys):
-        path = str(tmp_path / "BENCH_chaos.json")
+        path = str(tmp_path / "chaos.json")
         code = main([
             "serve-chaos", "@loopback", "--workers", "2", "--kill", "1",
             "--duration", "1.0", "--clients", "2", "--seed", "3",

@@ -1,0 +1,65 @@
+"""Every ``orpheus ...`` line the docs show must still parse.
+
+Parsing only — nothing runs. This is what keeps README/EXPERIMENTS/docs
+from citing a verb or flag the CLI no longer has.
+"""
+
+import argparse
+import pathlib
+import shlex
+
+from repro.cli import _build_parser
+
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
+_DOCUMENTS = [_ROOT / "README.md", _ROOT / "EXPERIMENTS.md",
+              *sorted((_ROOT / "docs").glob("*.md"))]
+
+
+def _documented_commands(path):
+    """(line number, argv) of each ``orpheus`` command in fenced blocks."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fenced, index = False, 0
+    while index < len(lines):
+        line = lines[index].strip()
+        index += 1
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        line = line.removeprefix("$ ")
+        if not fenced or not line.startswith("orpheus "):
+            continue
+        number = index
+        while line.endswith("\\"):
+            line = line[:-1] + " " + lines[index].strip()
+            index += 1
+        yield number, shlex.split(line, comments=True)[1:]
+
+
+def _subverbs(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_documented_command_parses(capsys):
+    parser = _build_parser()
+    commands = [(path, number, argv) for path in _DOCUMENTS
+                for number, argv in _documented_commands(path)]
+    assert len(commands) > 40       # the extraction itself still works
+    rejected = []
+    for path, number, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            message = capsys.readouterr().err.strip().splitlines()[-1]
+            rejected.append(f"{path.relative_to(_ROOT)}:{number}: "
+                            f"orpheus {' '.join(argv)}\n    {message}")
+    assert not rejected, "\n".join(rejected)
+
+
+def test_verb_set_has_no_performance_fork():
+    """perfbench is the ruler; the CLI keeps only the paper's experiments."""
+    top = _subverbs(_build_parser())
+    assert "serve-bench" not in top
+    assert set(_subverbs(top["bench"])) == {
+        "figure2", "table1", "layers", "sweep", "quant"}

@@ -1,12 +1,15 @@
 """Load generator: open-loop accounting must close the books exactly."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.serve.loadgen import LoadReport, percentile, run_load
+from repro.serve import loadgen
+from repro.serve.loadgen import percentile, run_load
 from repro.serve.pool import SessionPool
-from repro.serve.scenarios import _merge_reports
 from repro.serve.service import InferenceService
+from repro.serve.types import Rejected
 from tests.serve.helpers import make_factory
 
 
@@ -14,6 +17,39 @@ def make_service(behaviour=None, **kwargs):
     pool = SessionPool("fake", backends=("a",), workers=1, batch=2,
                        session_factory=make_factory(behaviour))
     return InferenceService(pool=pool, **kwargs)
+
+
+class _FrozenClock:
+    """Stands in for loadgen's ``time``: the clock never advances, so the
+    delay a client sleeps before a request *is* that request's due offset."""
+
+    def __init__(self):
+        self._slept = threading.local()
+
+    def monotonic(self):
+        return 0.0
+
+    def sleep(self, delay):
+        self._slept.last = delay
+
+    def last_sleep(self):
+        return self._slept.last
+
+
+class _ThreadNotingRng:
+    """A real Generator that remembers which threads drew from it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.drew_in = set()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def noting(*args, **kwargs):
+            self.drew_in.add(threading.get_ident())
+            return method(*args, **kwargs)
+        return noting
 
 
 class TestPercentile:
@@ -63,6 +99,43 @@ class TestRunLoad:
                 sample=np.ones((4,), dtype=np.float32), seed=3)
         assert report.silent_drops == 0
 
+    def test_same_seed_gives_same_first_arrival_offsets(self, monkeypatch):
+        clock = _FrozenClock()
+        monkeypatch.setattr(loadgen, "time", clock)
+        real_default_rng = np.random.default_rng
+        rngs = []
+
+        def noting_default_rng(seed):
+            rngs.append(_ThreadNotingRng(real_default_rng(seed)))
+            return rngs[-1]
+        monkeypatch.setattr(np.random, "default_rng", noting_default_rng)
+
+        class Service:
+            """Sheds everything; notes when each request was due."""
+            _sample_shape = (4,)
+
+            def __init__(self):
+                self.due = {}
+
+            def submit(self, sample, deadline_ms=None, request_id=None):
+                self.due[request_id] = clock.last_sleep()
+                return Rejected(request_id, "queue-full", None)
+
+        def first_arrivals(seed):
+            service = Service()
+            report = run_load(service, rps=6.0, duration_s=1.0, clients=3,
+                              seed=seed)
+            assert report.offered == report.total_rejected == 6
+            return [service.due[f"c{index}-0"] for index in range(3)]
+
+        offsets = first_arrivals(5)
+        assert first_arrivals(5) == offsets
+        assert first_arrivals(6) != offsets
+        assert len(set(offsets)) == 3     # each client has its own jitter
+        # A Generator is not thread-safe and thread start order is not
+        # seeded: every draw must happen before the client threads exist.
+        assert all(rng.drew_in == {threading.get_ident()} for rng in rngs)
+
     def test_to_dict_round_trips_the_invariant(self):
         with make_service() as service:
             report = run_load(service, rps=20.0, duration_s=0.3,
@@ -71,26 +144,3 @@ class TestRunLoad:
         assert document["silent_drops"] == 0
         assert document["offered"] == report.offered
         assert set(document["latency_ms"]) == {"p50", "p90", "p99", "max"}
-
-
-class TestMergeReports:
-    def test_counts_and_latencies_accumulate(self):
-        first = LoadReport(
-            offered=10, completed=8, rejected={"queue-full": 2}, failed=0,
-            timed_out=0, duration_s=1.0, target_rps=10.0,
-            latencies_ms=(1.0, 2.0), late_completions=1,
-            per_backend={"a": 8})
-        second = LoadReport(
-            offered=5, completed=3, rejected={"queue-full": 1,
-                                              "overload": 1}, failed=0,
-            timed_out=0, duration_s=0.5, target_rps=10.0,
-            latencies_ms=(3.0,), late_completions=0,
-            per_backend={"a": 2, "b": 1})
-        merged = _merge_reports(first, second)
-        assert merged.offered == 15
-        assert merged.completed == 11
-        assert merged.rejected == {"queue-full": 3, "overload": 1}
-        assert merged.latencies_ms == (1.0, 2.0, 3.0)
-        assert merged.per_backend == {"a": 10, "b": 1}
-        assert merged.silent_drops == 0
-        assert merged.duration_s == pytest.approx(1.5)
