@@ -6,7 +6,6 @@ from repro.bench.harness import (
     RunStats,
     run_guarded,
     time_model,
-    time_session,
 )
 from repro.bench.journal import JournalEntry, RunJournal, cell_key, open_journal
 from repro.bench.layerwise import (
@@ -61,5 +60,4 @@ __all__ = [
     "table1_headers",
     "table1_rows",
     "time_model",
-    "time_session",
 ]

@@ -175,14 +175,10 @@ def run_figure2(
     ``engine_cache`` (an :class:`~repro.engine.cache.EngineCache` or a
     directory path) warm-starts each cell's prepare from a compiled engine
     when one is cached, and freezes cold prepares back into the cache.
-    Only adapters whose ``prepare`` accepts the cache take part; adapters
-    with bespoke prepare paths (e.g. the TVM simulation's autotuning) keep
-    preparing cold. Timing is unaffected either way — the cache only
-    moves startup cost.
+    Adapters with bespoke prepare paths (e.g. the TVM simulation's
+    autotuning) keep preparing cold. Timing is unaffected either way —
+    the cache only moves startup cost.
     """
-    import inspect
-    import time
-
     from repro.bench.workloads import model_input
 
     if isinstance(engine_cache, str):
@@ -202,6 +198,14 @@ def run_figure2(
     measurements: list[Measurement] = []
     exclusions: list[Exclusion] = []
     failures: list[FailureRow] = []
+
+    def record_failure(framework: str, model: str, failure: FailureRow) -> None:
+        failures.append(failure)
+        if book is not None:
+            book.record_failure(key_for(framework, model), failure)
+        if verbose:
+            print(f"[figure2] {failure}")
+
     for model in models:
         prepared = {}
         for framework in frameworks:
@@ -224,15 +228,11 @@ def run_figure2(
                               f"resumed from journal ({entry.kind})")
                     continue
             adapter = get_adapter(framework)
-            prepare_kwargs: dict = {}
-            if engine_cache is not None and "engine_cache" in (
-                    inspect.signature(adapter.prepare).parameters):
-                prepare_kwargs["engine_cache"] = engine_cache
             try:
                 runnable, failure = run_guarded(
                     lambda: adapter.prepare(
                         model, batch=batch, image_size=image_size,
-                        threads=threads, **prepare_kwargs),
+                        threads=threads, engine_cache=engine_cache),
                     label=f"{framework}/{model}", stage="prepare",
                     retries=retries,
                     reraise=(FrameworkUnavailableError,))
@@ -245,56 +245,35 @@ def run_figure2(
                           f"excluded: {exc}")
                 continue
             if failure is not None:
-                failures.append(failure)
-                if book is not None:
-                    book.record_failure(key_for(framework, model), failure)
-                if verbose:
-                    print(f"[figure2] {failure}")
+                record_failure(framework, model, failure)
                 continue
             prepared[framework] = runnable
         if not prepared:
             continue
         x = model_input(model, batch=batch, image_size=image_size)
-        overheads = {
-            fw: getattr(p, "per_run_overhead_s", 0.0)
-            for fw, p in prepared.items()
-        }
         for framework, runnable in list(prepared.items()):
             _, failure = run_guarded(
                 lambda: [runnable.run(x) for _ in range(warmup)],
                 label=f"{framework}/{model}", stage="warmup",
                 retries=retries)
             if failure is not None:
-                failures.append(failure)
-                if book is not None:
-                    book.record_failure(key_for(framework, model), failure)
-                if verbose:
-                    print(f"[figure2] {failure}")
+                record_failure(framework, model, failure)
                 del prepared[framework]
         times: dict[str, list[float]] = {fw: [] for fw in prepared}
         for _round in range(repeats):
             for framework, runnable in list(prepared.items()):
-
-                def timed_run() -> float:
-                    started = time.perf_counter()
-                    runnable.run(x)
-                    return time.perf_counter() - started
-
                 elapsed, failure = run_guarded(
-                    timed_run, label=f"{framework}/{model}", stage="run",
+                    lambda: runnable.time(x, repeats=1, warmup=0)[0],
+                    label=f"{framework}/{model}", stage="run",
                     retries=retries)
                 if failure is not None:
                     # Drop the framework from the remaining rounds: its
                     # cell is reported as failed, the others keep going.
-                    failures.append(failure)
-                    if book is not None:
-                        book.record_failure(key_for(framework, model), failure)
-                    if verbose:
-                        print(f"[figure2] {failure}")
+                    record_failure(framework, model, failure)
                     del prepared[framework]
                     del times[framework]
                     continue
-                times[framework].append(elapsed + overheads[framework])
+                times[framework].append(elapsed)
         for framework, samples in times.items():
             measurement = Measurement(
                 framework=framework, model=model, times=tuple(samples))

@@ -14,9 +14,8 @@ measuring instead of aborting.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 from collections.abc import Callable
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 
@@ -24,7 +23,11 @@ from repro.backends.backend import Backend
 from repro.bench.workloads import model_input
 from repro.errors import OrpheusError
 from repro.models import zoo
+from repro.runtime.profiler import Samples
 from repro.runtime.session import InferenceSession
+
+if TYPE_CHECKING:
+    from repro.engine.cache import EngineCache
 
 T = TypeVar("T")
 
@@ -92,8 +95,8 @@ def run_guarded(
 
 
 @dataclasses.dataclass(frozen=True)
-class RunStats:
-    """Timing statistics for one experiment configuration.
+class RunStats(Samples):
+    """Timing samples for one experiment configuration.
 
     ``max_abs_err`` is the accuracy proxy: the maximum absolute difference
     of this configuration's outputs against an fp32 reference run on the
@@ -106,22 +109,6 @@ class RunStats:
     times: tuple[float, ...]
     max_abs_err: float | None = None
 
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.times)
-
-    @property
-    def best(self) -> float:
-        return min(self.times)
-
-    @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.times) if len(self.times) > 1 else 0.0
-
     def summary(self) -> str:
         text = (f"{self.label}: median {self.median * 1e3:.2f} ms, "
                 f"best {self.best * 1e3:.2f} ms, "
@@ -129,18 +116,6 @@ class RunStats:
         if self.max_abs_err is not None:
             text += f", max|err| {self.max_abs_err:.3g}"
         return text
-
-
-def time_session(
-    session: InferenceSession,
-    feeds: dict[str, np.ndarray],
-    repeats: int = 5,
-    warmup: int = 1,
-    label: str = "run",
-) -> RunStats:
-    """Warm up and time an already-prepared session."""
-    times = session.time(feeds, repeats=repeats, warmup=warmup)
-    return RunStats(label=label, times=tuple(times))
 
 
 def time_model(
@@ -157,8 +132,13 @@ def time_model(
     memory_budget_bytes: int | None = None,
     budget_mode: str = "reject",
     accuracy_vs: "str | Backend | None" = None,
+    engine_cache: "EngineCache | None" = None,
 ) -> RunStats:
     """Build, prepare, and time a zoo model end to end.
+
+    The bench stack's one cell runner: zoo graph, session (warm-started
+    from ``engine_cache`` when given, populating it on a miss),
+    :func:`~repro.bench.workloads.model_input` feed, ``session.time``.
 
     With a memory budget, admission control runs before anything executes;
     in ``budget_mode="degrade"`` an over-budget batched workload is retried
@@ -181,9 +161,17 @@ def time_model(
     def build(at_batch: int) -> "tuple[InferenceSession, np.ndarray]":
         graph = zoo.build(
             model_name, batch=at_batch, image_size=image_size, seed=seed)
-        session = InferenceSession(
-            graph, backend=backend, threads=threads, optimize=optimize,
-            memory_budget_bytes=memory_budget_bytes, budget_mode=budget_mode)
+        if engine_cache is not None:
+            session, _ = engine_cache.session(
+                graph, model=model_name, backend=backend, threads=threads,
+                optimize=optimize, batch=at_batch, image_size=image_size,
+                seed=seed, memory_budget_bytes=memory_budget_bytes,
+                budget_mode=budget_mode)
+        else:
+            session = InferenceSession(
+                graph, backend=backend, threads=threads, optimize=optimize,
+                memory_budget_bytes=memory_budget_bytes,
+                budget_mode=budget_mode)
         x = model_input(
             model_name, batch=at_batch, image_size=image_size, seed=seed)
         return session, x

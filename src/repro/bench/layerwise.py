@@ -10,7 +10,6 @@ grid — the data behind the conv-algorithm ablation benchmarks.
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from repro.bench.reporting import format_csv, format_table
 from repro.ir.node import Node
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import REGISTRY
+from repro.runtime.autotune import time_kernel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,13 +119,7 @@ def race_conv_impls(
             if not impl.supports(node, shapes):
                 times[(case.label, impl_name)] = None
                 continue
-            ctx = ExecutionContext(threads=threads)
-            impl.fn([x, w], node, ctx)  # warmup (also fills weight caches)
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                impl.fn([x, w], node, ctx)
-                best = min(best, time.perf_counter() - started)
-            times[(case.label, impl_name)] = best
+            times[(case.label, impl_name)] = time_kernel(
+                impl, [x, w], node, ExecutionContext(threads=threads), repeats)
     return LayerRaceResult(
         cases=tuple(cases), impls=tuple(impls), times=times)

@@ -10,30 +10,25 @@ protocol.
 from __future__ import annotations
 
 import dataclasses
-import statistics
-import time
 
 from repro.backends.backend import Backend
-from repro.bench.harness import FailureRow, run_guarded
+from repro.bench.harness import FailureRow, run_guarded, time_model
 from repro.bench.journal import RunJournal, open_journal
 from repro.bench.reporting import format_csv, format_table
-from repro.bench.workloads import model_input
+from repro.errors import MemoryBudgetError
 from repro.models import zoo
-from repro.runtime.session import InferenceSession, _validate_protocol
+from repro.runtime.profiler import Samples
+from repro.runtime.session import _validate_protocol
 
 
 @dataclasses.dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Samples):
     """One configuration's timing."""
 
     model: str
     batch: int
     image_size: int
     times: tuple[float, ...]
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
 
     @property
     def per_item_ms(self) -> float:
@@ -95,31 +90,22 @@ def _time_config(
     budget_mode: str = "reject",
     engine_cache=None,
 ) -> SweepPoint:
-    graph = zoo.build(model, batch=batch, image_size=image_size)
-    if engine_cache is not None:
-        # Warm-start the prepare from the cache (populating it on miss);
-        # the timing loop below is identical either way.
-        session, _ = engine_cache.session(
-            graph, model=model, backend=backend, threads=threads,
-            batch=batch, image_size=image_size,
-            memory_budget_bytes=memory_budget_bytes, budget_mode=budget_mode)
-    else:
-        session = InferenceSession(
-            graph, backend=backend, threads=threads,
-            memory_budget_bytes=memory_budget_bytes, budget_mode=budget_mode)
-    x = model_input(model, batch=batch, image_size=image_size)
-    feed = {"input": x}
-    for _ in range(warmup):
-        session.run(feed, deadline_ms=deadline_ms)
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        session.run(feed, deadline_ms=deadline_ms)
-        times.append(time.perf_counter() - started)
+    """One sweep cell through :func:`~repro.bench.harness.time_model`."""
+    stats = time_model(
+        model, backend=backend, threads=threads, repeats=repeats,
+        warmup=warmup, batch=batch, image_size=image_size,
+        deadline_ms=deadline_ms, memory_budget_bytes=memory_budget_bytes,
+        budget_mode=budget_mode, engine_cache=engine_cache)
+    if stats.label.endswith("/degraded-batch-1"):
+        # A sweep cell *is* its batch; the batch-1 fallback measured a
+        # different cell, so this one stays what it was: over budget.
+        raise MemoryBudgetError(
+            f"{model} fits {memory_budget_bytes} bytes only at batch 1, "
+            f"not at batch {batch}", budget_bytes=memory_budget_bytes or 0)
     return SweepPoint(
         model=model, batch=batch,
         image_size=image_size or zoo.get_entry(model).image_size,
-        times=tuple(times))
+        times=stats.times)
 
 
 def _run_sweep(
@@ -170,20 +156,12 @@ def _run_sweep(
                 else:
                     failures.append(entry.to_failure_row())
                 continue
-        # Guardrail kwargs are passed only when armed, so tests (and
-        # downstream code) stubbing _time_config with the historical
-        # 7-argument signature keep working.
-        guardrails: dict = {}
-        if deadline_ms is not None:
-            guardrails["deadline_ms"] = deadline_ms
-        if memory_budget_bytes is not None:
-            guardrails["memory_budget_bytes"] = memory_budget_bytes
-            guardrails["budget_mode"] = budget_mode
-        if engine_cache is not None:
-            guardrails["engine_cache"] = engine_cache
         point, failure = run_guarded(
-            lambda: _time_config(model, batch, image_size, backend, threads,
-                                 repeats, warmup, **guardrails),
+            lambda: _time_config(
+                model, batch, image_size, backend, threads, repeats, warmup,
+                deadline_ms=deadline_ms,
+                memory_budget_bytes=memory_budget_bytes,
+                budget_mode=budget_mode, engine_cache=engine_cache),
             label=label, retries=retries)
         if failure is not None:
             failures.append(failure)

@@ -224,10 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _journal_flags(figure2)
     table1 = bench_sub.add_parser("table1", help="Table I")
     table1.add_argument("--rationale", action="store_true")
-    table1.add_argument("--engine-cache", metavar="DIR", default=None,
-                        help="accepted for campaign-driver uniformity; "
-                             "Table I is qualitative and prepares no "
-                             "sessions")
     _journal_flags(table1)
     layers = bench_sub.add_parser("layers", help="conv algorithm race")
     layers.add_argument("--repeats", type=int, default=5)

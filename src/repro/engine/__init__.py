@@ -26,7 +26,6 @@ from repro.engine.compiler import (
     DEFAULT_TUNE_OPS,
     compile_graph,
     compile_to_file,
-    engine_from_session,
     tuning_candidates,
 )
 from repro.engine.fingerprint import (
@@ -55,7 +54,6 @@ __all__ = [
     "MAGIC",
     "compile_graph",
     "compile_to_file",
-    "engine_from_session",
     "fingerprint_mismatch",
     "graph_digest",
     "host_fingerprint",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.backends.backend import Backend, get_backend
 from repro.config import RuntimeConfig, get_default_config
@@ -24,9 +24,6 @@ from repro.engine.format import Engine, save_engine
 from repro.ir.graph import Graph
 from repro.runtime.autotune import autotune
 from repro.runtime.executor import Executor
-
-if TYPE_CHECKING:
-    from repro.runtime.session import InferenceSession
 
 #: Op types autotuned by default when tuning is requested without an
 #: explicit candidate map. Conv dominates edge CNN inference time;
@@ -133,45 +130,6 @@ def compile_graph(
         tuned=tuned,
         metadata=dict(metadata or {}),
         quantization=quantization,
-    )
-
-
-def engine_from_session(
-    session: "InferenceSession",
-    source_graph: Graph | None = None,
-    metadata: Mapping[str, Any] | None = None,
-) -> Engine:
-    """Freeze an already-prepared session's plans into an :class:`Engine`.
-
-    A caller that just paid for a cold prepare (an engine-cache miss in a
-    bench harness, say) should not prepare a second time to persist the
-    result; this lifts the plans straight out of the live executor.
-
-    Args:
-        session: a cold-prepared :class:`InferenceSession`.
-        source_graph: the graph that was handed to the session constructor.
-            The fingerprint digests it so that a later
-            ``InferenceSession(source_graph, engine=...)`` hint matches.
-            Defaults to the session's own (already simplified) graph, which
-            is only right when the session was built with ``optimize=False``
-            or directly from the simplified graph.
-        metadata: free-form strings stored for ``repro engine-info``.
-    """
-    executor = session._executor
-    fingerprint = make_fingerprint(
-        source_graph if source_graph is not None else session.graph,
-        session.backend, session.config.threads, session.config.optimize)
-    return Engine(
-        graph=session.graph,
-        schedule=tuple(node.name for node in executor.schedule_nodes),
-        kernel_plan=executor.kernel_plan(),
-        fallback_plan=executor.fallback_plan(),
-        value_types=dict(executor.value_types),
-        memory_plan=executor.plan,
-        fingerprint=fingerprint,
-        tuned={},
-        metadata=dict(metadata or {}),
-        quantization=session.quantization,
     )
 
 

@@ -56,8 +56,10 @@ class TVMAdapter(SessionAdapter):
         )
 
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1) -> SessionModel:
-        # Imported here: autotune sits above the backends layer.
+                image_size: int | None = None, threads: int = 1,
+                engine_cache=None) -> SessionModel:
+        # Autotuning is TVM's prepare; it stays cold whatever the cache
+        # holds. Imported here: autotune sits above the backends layer.
         from repro.passes import default_pipeline
         from repro.runtime.autotune import autotune
 

@@ -17,12 +17,16 @@ the paper reports as exclusions from Figure 2.
 from __future__ import annotations
 
 import abc
-import statistics
+import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import FrameworkUnavailableError
-from repro.models import zoo
+from repro.runtime.profiler import Samples
+
+if TYPE_CHECKING:
+    from repro.engine.cache import EngineCache
 
 
 class FrameworkAdapter(abc.ABC):
@@ -35,35 +39,18 @@ class FrameworkAdapter(abc.ABC):
 
     @abc.abstractmethod
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1) -> "PreparedModel":
+                image_size: int | None = None, threads: int = 1,
+                engine_cache: "EngineCache | None" = None) -> "PreparedModel":
         """Load + ready a zoo model for repeated inference.
+
+        ``engine_cache`` warm-starts the prepare from a compiled engine
+        (populating the cache on a miss); an adapter with a bespoke
+        prepare path may accept it and still prepare cold.
 
         Raises:
             FrameworkUnavailableError: the framework cannot run this
                 workload (missing model, unsupported thread count, ...).
         """
-
-    def measure(
-        self,
-        model_name: str,
-        batch: int = 1,
-        image_size: int | None = None,
-        threads: int = 1,
-        repeats: int = 3,
-        warmup: int = 1,
-        seed: int = 0,
-    ) -> "Measurement":
-        """Median-of-``repeats`` inference time for one model."""
-        prepared = self.prepare(
-            model_name, batch=batch, image_size=image_size, threads=threads)
-        shape = zoo.input_shape(model_name, batch=batch)
-        if image_size is not None:
-            shape = (shape[0], shape[1], image_size, image_size)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(shape).astype(np.float32)
-        times = prepared.time(x, repeats=repeats, warmup=warmup)
-        return Measurement(
-            framework=self.name, model=model_name, times=tuple(times))
 
 
 class PreparedModel(abc.ABC):
@@ -75,26 +62,17 @@ class PreparedModel(abc.ABC):
 
     @abc.abstractmethod
     def time(self, x: np.ndarray, repeats: int, warmup: int) -> list[float]:
-        """Wall-clock seconds per run."""
+        """Wall-clock seconds for each of ``repeats`` runs after ``warmup``
+        untimed ones, any modelled per-run overhead included."""
 
 
-class Measurement:
+@dataclasses.dataclass(frozen=True)
+class Measurement(Samples):
     """Timing result for one (framework, model) cell of Figure 2."""
 
-    def __init__(self, framework: str, model: str, times: tuple[float, ...]) -> None:
-        if not times:
-            raise ValueError("a measurement needs at least one sample")
-        self.framework = framework
-        self.model = model
-        self.times = times
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.times)
-
-    @property
-    def best(self) -> float:
-        return min(self.times)
+    framework: str
+    model: str
+    times: tuple[float, ...]
 
     def __repr__(self) -> str:
         return (f"Measurement({self.framework}/{self.model}: "

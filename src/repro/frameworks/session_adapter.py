@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,16 +34,8 @@ class SessionModel(PreparedModel):
         return next(iter(outputs.values()))
 
     def time(self, x: np.ndarray, repeats: int, warmup: int) -> list[float]:
-        feed = {"input": x}
-        for _ in range(warmup):
-            self.session.run(feed)
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            self.session.run(feed)
-            elapsed = time.perf_counter() - started
-            times.append(elapsed + self.per_run_overhead_s)
-        return times
+        return [t + self.per_run_overhead_s
+                for t in self.session.time({"input": x}, repeats, warmup)]
 
 
 class SessionAdapter(FrameworkAdapter):

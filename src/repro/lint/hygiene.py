@@ -1,4 +1,4 @@
-"""Hygiene rules (ORL003–ORL008): the invariants tests cannot see.
+"""Hygiene rules (ORL003–ORL008, ORL010): the invariants tests cannot see.
 
 Each rule targets a failure mode the serving and runtime layers have
 already been engineered around — the lint keeps regressions out:
@@ -16,6 +16,10 @@ already been engineered around — the lint keeps regressions out:
 * ORL007 — unbounded ``recv``/``read`` in the serving layer. All wire
   input goes through :mod:`repro.serve.protocol`'s capped frame reads.
 * ORL008 — mutable default arguments.
+* ORL010 — ``time.perf_counter()`` outside the timing path. Samples come
+  from ``runtime/`` (``InferenceSession.time``/``profile``,
+  ``autotune.time_kernel``); a bench module, adapter, or test that reads
+  the clock has grown its own timing loop or a wall-clock verdict.
 
 Rule scoping (which rules apply to which directories) is the runner's
 job; this module checks whatever set it is handed.
@@ -48,6 +52,11 @@ _SEEDABLE_CTORS = {"Random", "SystemRandom", "default_rng", "SeedSequence",
 _PICKLE_MODULES = {"pickle", "cPickle", "_pickle", "dill", "cloudpickle",
                    "shelve"}
 
+_MEASUREMENT_CLOCKS = {"perf_counter", "perf_counter_ns"}
+_ORL010_MESSAGE = ("measurement clock read outside the timing path; take "
+                   "samples from InferenceSession.time/profile or "
+                   "autotune.time_kernel")
+
 _RECV_METHODS = {"recv", "recv_into", "recvfrom", "recvfrom_into", "recvmsg"}
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
@@ -76,6 +85,7 @@ class _HygieneVisitor(ast.NodeVisitor):
         # Local names bound to modules of interest by this file's imports.
         self.time_modules: set[str] = set()
         self.time_funcs: set[str] = set()        # `from time import time [as x]`
+        self.perf_funcs: set[str] = set()        # `from time import perf_counter`
         self.random_modules: set[str] = set()
         self.numpy_modules: set[str] = set()
         self.np_random_modules: set[str] = set()  # `import numpy.random as X`
@@ -116,6 +126,8 @@ class _HygieneVisitor(ast.NodeVisitor):
             local = alias.asname or alias.name
             if module == "time" and alias.name == "time":
                 self.time_funcs.add(local)
+            if module == "time" and alias.name in _MEASUREMENT_CLOCKS:
+                self.perf_funcs.add(local)
             if module == "numpy" and alias.name == "random":
                 self.np_random_modules.add(local)
             if (module in ("random", "numpy.random")
@@ -146,6 +158,11 @@ class _HygieneVisitor(ast.NodeVisitor):
                 self._add("ORL003", node.lineno,
                           "time.time() is a wall clock; deadlines and "
                           "heartbeats must use time.monotonic()")
+            # ORL010: time.perf_counter() / perf_counter_ns()
+            if (func.attr in _MEASUREMENT_CLOCKS
+                    and isinstance(owner, ast.Name)
+                    and owner.id in self.time_modules):
+                self._add("ORL010", node.lineno, _ORL010_MESSAGE)
             # ORL006: process-global random.* functions
             if (isinstance(owner, ast.Name)
                     and owner.id in self.random_modules
@@ -188,6 +205,9 @@ class _HygieneVisitor(ast.NodeVisitor):
                 self._add("ORL003", node.lineno,
                           "time() (imported from time) is a wall clock; use "
                           "time.monotonic()")
+            # ORL010: `from time import perf_counter` then perf_counter()
+            if func.id in self.perf_funcs:
+                self._add("ORL010", node.lineno, _ORL010_MESSAGE)
             # ORL006: directly-imported seedable constructors, unseeded
             if func.id in self.seedable_ctors and not has_args:
                 ctor = self.seedable_ctors[func.id]

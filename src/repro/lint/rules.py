@@ -57,6 +57,10 @@ _CATALOG = (
          "go through repro.serve.protocol's capped frame reads"),
     Rule("ORL008", "mutable-default-arg", ERROR,
          "mutable default argument (list/dict/set) is shared across calls"),
+    Rule("ORL010", "measurement-clock-outside-timing-path", ERROR,
+         "time.perf_counter() in bench/, frameworks/ or tests/; samples "
+         "come from InferenceSession.time/profile or autotune.time_kernel, "
+         "never from a second timing loop or a wall-clock verdict"),
     # -- artifact verifier -----------------------------------------------------
     Rule("ORV100", "unreadable-artifact", ERROR,
          "the artifact cannot be parsed at all (truncation, corruption, "

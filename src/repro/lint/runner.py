@@ -6,7 +6,8 @@ Responsibilities that belong to neither analyzer:
   channels both live in comments, keyed by physical line);
 * rule scoping by path — ORL003 (monotonic clocks) only applies under
   ``serve/``, ``runtime/``, ``engine/``; ORL007 (bounded reads) only
-  under ``serve/``; everything else applies everywhere;
+  under ``serve/``; ORL010 (no measurement clock) only under ``bench/``,
+  ``frameworks/``, ``tests/``; everything else applies everywhere;
 * suppression handling — ``# lint: disable=ORL003`` on the flagged line
   silences that rule there, and a disable naming an id that is not in
   the catalog is itself a finding (ORL009), so typos cannot silently
@@ -29,10 +30,12 @@ from repro.lint.rules import RULES
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 #: All hygiene rule ids, with the directory scopes of the path-scoped ones.
-_HYGIENE_RULES = {"ORL003", "ORL004", "ORL005", "ORL006", "ORL007", "ORL008"}
+_HYGIENE_RULES = {"ORL003", "ORL004", "ORL005", "ORL006", "ORL007", "ORL008",
+                  "ORL010"}
 _RULE_SCOPES: dict[str, tuple[str, ...]] = {
     "ORL003": ("/serve/", "/runtime/", "/engine/"),
     "ORL007": ("/serve/",),
+    "ORL010": ("/bench/", "/frameworks/", "/tests/"),
 }
 
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache", ".venv",
@@ -41,7 +44,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache", ".venv",
 
 def _norm(path: str) -> str:
     """Forward-slash path with a leading slash, for substring scoping."""
-    return "/" + path.replace(os.sep, "/").lstrip("/")
+    return "/" + os.path.normpath(path).replace(os.sep, "/").lstrip("/")
 
 
 def enabled_rules(path: str) -> set[str]:

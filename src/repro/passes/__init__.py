@@ -8,7 +8,6 @@ from repro.passes.eliminate_identity import EliminateIdentity
 from repro.passes.fold_batchnorm import FoldBatchNorm
 from repro.passes.fold_pad import FoldPadIntoConv
 from repro.passes.fuse_activations import FuseConvActivation
-from repro.passes.fuse_conv_bn_act import FuseConvBnAct
 from repro.passes.pass_manager import GraphPass, PassManager, PassReport
 from repro.passes.qdq import CancelQDQ, CommuteQDQPooling
 
@@ -23,7 +22,6 @@ __all__ = [
     "FoldBatchNorm",
     "FoldPadIntoConv",
     "FuseConvActivation",
-    "FuseConvBnAct",
     "GraphPass",
     "MaterializeConstants",
     "PassManager",
@@ -47,12 +45,8 @@ def default_pipeline(fuse: bool = True) -> PassManager:
         ConstantFolding(),
         CommonSubexpressionElimination(),
         FoldPadIntoConv(),
+        FoldBatchNorm(),
     ]
-    if fuse:
-        # The triple pass claims whole Conv+BN+Act blocks first; the pair
-        # passes then pick up any Conv+BN or Conv+Act leftovers.
-        passes.append(FuseConvBnAct())
-    passes.append(FoldBatchNorm())
     if fuse:
         passes.append(FuseConvActivation())
     return PassManager(passes)

@@ -26,9 +26,14 @@ class FoldBatchNorm(GraphPass):
 
     def apply(self, graph: Graph) -> int:
         folded = 0
+        output_names = set(graph.output_names)
+        # Built once: a fold only renames the upstream node's own output,
+        # so entries for untouched values stay valid; a BN behind a
+        # just-folded one sees the removed BN as its producer and waits
+        # for the PassManager's next fixed-point iteration.
+        producers = graph.producers()
+        consumers = graph.consumers()
         for bn in graph.nodes_by_type("BatchNormalization"):
-            producers = graph.producers()
-            consumers = graph.consumers()
             if len(bn.outputs) > 1:
                 continue  # training-mode outputs requested
             upstream = producers.get(bn.inputs[0])
@@ -38,7 +43,8 @@ class FoldBatchNorm(GraphPass):
                 # A fused activation sits between the conv and this BN:
                 # BN(relu(conv(x))) cannot fold into the conv weights.
                 continue
-            if len(consumers.get(upstream.outputs[0], ())) != 1:
+            if (len(consumers.get(upstream.outputs[0], ())) != 1
+                    or upstream.outputs[0] in output_names):
                 continue  # conv output used elsewhere; cannot rewrite weights
             if upstream.op_type == "Gemm" and (
                 upstream.attrs.get_int("transB", 0) != 1

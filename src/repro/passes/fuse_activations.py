@@ -43,12 +43,15 @@ class FuseConvActivation(GraphPass):
     def apply(self, graph: Graph) -> int:
         fused = 0
         output_names = set(graph.output_names)
+        # Built once, like FoldBatchNorm's: a fusion only renames the
+        # conv's own output, and a stale entry can only name the removed
+        # activation node, which is never a Conv.
+        producers = graph.producers()
+        consumers = graph.consumers()
         for node in list(graph.nodes):
             activation = self._classify(graph, node)
             if activation is None:
                 continue
-            producers = graph.producers()
-            consumers = graph.consumers()
             upstream = producers.get(node.inputs[0])
             if upstream is None or upstream.op_type != "Conv":
                 continue

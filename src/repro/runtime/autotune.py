@@ -28,7 +28,7 @@ from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.shape_inference import infer_shapes
 from repro.kernels.context import ExecutionContext
-from repro.kernels.registry import REGISTRY, KernelRegistry
+from repro.kernels.registry import REGISTRY, KernelImpl, KernelRegistry
 from repro.tensor.dtype import DType
 
 
@@ -113,7 +113,7 @@ def autotune(
         candidates: op type -> implementation names to race. Ops not listed
             are left to the backend's static policy.
         threads: thread budget used during measurement (match deployment).
-        repeats: timed runs per candidate (min is kept).
+        repeats: timed runs per candidate (see :func:`time_kernel`).
         registry: kernel registry to resolve names against.
         seed: RNG seed for synthetic activations.
         cache: optional persistent cache
@@ -196,20 +196,36 @@ def _race(
             continue
         if not impl.supports(node, shapes):
             continue
-        # The warmup doubles as a correctness smoke test: a candidate that
-        # raises here (on warmup OR any timed run) is skipped, not allowed
-        # to take the whole tuning sweep down — `supports` is advisory and
-        # some kernels only discover incompatibility when they execute.
+        # `supports` is advisory and some kernels only discover
+        # incompatibility when they execute: a candidate that raises is
+        # skipped, not allowed to take the whole tuning sweep down.
         try:
-            impl.fn(inputs, node, ctx)  # warmup / correctness smoke
-            elapsed = float("inf")
-            for _ in range(max(repeats, 1)):
-                started = time.perf_counter()
-                impl.fn(inputs, node, ctx)
-                elapsed = min(elapsed, time.perf_counter() - started)
+            elapsed = time_kernel(impl, inputs, node, ctx, repeats)
         except Exception:
             continue
         if elapsed < best_time:
             best_time = elapsed
             best_name = name
     return best_name
+
+
+def time_kernel(
+    impl: KernelImpl,
+    inputs: Sequence[np.ndarray],
+    node: Node,
+    ctx: ExecutionContext,
+    repeats: int,
+) -> float:
+    """Best-of-``max(repeats, 1)`` seconds for one isolated kernel call.
+
+    The one isolated-kernel timer (:func:`autotune` and the bench layer
+    race share it). One untimed warm-up call comes first: it fills the
+    weight-derived ``ctx`` caches and doubles as a correctness smoke test.
+    """
+    impl.fn(inputs, node, ctx)
+    best = float("inf")
+    for _ in range(max(repeats, 1)):
+        started = time.perf_counter()
+        impl.fn(inputs, node, ctx)
+        best = min(best, time.perf_counter() - started)
+    return best

@@ -14,14 +14,20 @@ from collections.abc import Sequence
 from repro.runtime.executor import NodeTiming
 
 
-@dataclasses.dataclass(frozen=True)
-class LayerProfile:
-    """Timing statistics for one node across repeats."""
+class Samples:
+    """Statistics over a non-empty ``times`` tuple (seconds).
 
-    node_name: str
-    op_type: str
-    impl: str
+    Mixed into every timing record (:class:`LayerProfile`, the bench
+    stack's ``RunStats``/``SweepPoint``, the frameworks' ``Measurement``)
+    so a reported statistic means the same thing everywhere.
+    """
+
     times: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.times:
+            raise ValueError(
+                f"{type(self).__name__} needs at least one timing sample")
 
     @property
     def median(self) -> float:
@@ -32,12 +38,23 @@ class LayerProfile:
         return statistics.fmean(self.times)
 
     @property
-    def minimum(self) -> float:
+    def best(self) -> float:
+        """Min-of-N — the noise-robust statistic for ranking claims."""
         return min(self.times)
 
     @property
-    def total(self) -> float:
-        return sum(self.times) / max(len(self.times), 1)
+    def stdev(self) -> float:
+        return statistics.stdev(self.times) if len(self.times) > 1 else 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class LayerProfile(Samples):
+    """Timing samples for one node across repeats."""
+
+    node_name: str
+    op_type: str
+    impl: str
+    times: tuple[float, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +99,7 @@ class ProfileResult:
             lines.append(
                 f"{row.node_name:<{name_width}}  {row.op_type:<22} "
                 f"{row.impl:<18} {row.median * 1e3:>10.3f} "
-                f"{row.minimum * 1e3:>10.3f}")
+                f"{row.best * 1e3:>10.3f}")
         lines.append(f"total (sum of medians): {self.total_median * 1e3:.3f} ms "
                      f"over {self.repeats} repeats")
         return "\n".join(lines)

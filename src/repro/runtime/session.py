@@ -376,18 +376,16 @@ class InferenceSession:
     ) -> list[float]:
         """End-to-end wall times (seconds) for ``repeats`` runs after warmup.
 
+        The one whole-run timing loop; every bench and framework path
+        takes its samples from here.
         ``deadline_ms`` bounds each individual run (warmup included);
         expiry raises :class:`~repro.errors.DeadlineExceededError`.
 
         Raises:
             ValueError: ``repeats < 1`` or ``warmup < 0`` (caught up front
-                rather than surfacing later as an opaque ``statistics``
-                error on an empty sample list).
+                rather than surfacing later as an empty sample).
         """
-        _validate_protocol(repeats, warmup)
-        raw = self._unwrap(feeds)
-        for _ in range(warmup):
-            self._executor.run(raw, deadline_ms=deadline_ms)
+        raw = self._warmed(feeds, repeats, warmup, deadline_ms)
         times = []
         for _ in range(repeats):
             started = time.perf_counter()
@@ -401,18 +399,16 @@ class InferenceSession:
     ) -> ProfileResult:
         """Per-layer timing statistics over ``repeats`` instrumented runs.
 
-        ``deadline_ms`` bounds each individual run; expiry raises
-        :class:`~repro.errors.DeadlineExceededError`, whose
+        Same protocol as :meth:`time`; the clock is the executor's
+        per-node timer. ``deadline_ms`` bounds each individual run; expiry
+        raises :class:`~repro.errors.DeadlineExceededError`, whose
         ``partial_timings`` carry the layers measured before the watchdog
         fired.
 
         Raises:
             ValueError: ``repeats < 1`` or ``warmup < 0``.
         """
-        _validate_protocol(repeats, warmup)
-        raw = self._unwrap(feeds)
-        for _ in range(warmup):
-            self._executor.run(raw, deadline_ms=deadline_ms)
+        raw = self._warmed(feeds, repeats, warmup, deadline_ms)
         runs = []
         for _ in range(repeats):
             _, timings = self._executor.run(
@@ -421,6 +417,15 @@ class InferenceSession:
         return collate(runs)
 
     # -- internals -----------------------------------------------------------------------
+
+    def _warmed(self, feeds: Feed, repeats: int, warmup: int,
+                deadline_ms: float | None) -> dict[str, np.ndarray]:
+        """Validate the measurement protocol, then run the warm-up runs."""
+        _validate_protocol(repeats, warmup)
+        raw = self._unwrap(feeds)
+        for _ in range(warmup):
+            self._executor.run(raw, deadline_ms=deadline_ms)
+        return raw
 
     @staticmethod
     def _unwrap(feeds: Feed) -> dict[str, np.ndarray]:

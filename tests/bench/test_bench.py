@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import RunStats, time_model, time_session
+from repro.bench.harness import RunStats, time_model
 from repro.bench.layerwise import ConvCase, race_conv_impls
 from repro.bench.reporting import format_csv, format_table
 from repro.bench.table1 import render_table1, table1_csv, table1_rows
@@ -82,8 +82,9 @@ class TestHarness:
     def test_time_session(self, rng):
         session = InferenceSession(tiny_classifier())
         feed = {"input": rng.standard_normal((1, 3, 8, 8)).astype(np.float32)}
-        stats = time_session(session, feed, repeats=3, warmup=1)
+        stats = RunStats("run", tuple(session.time(feed, repeats=3, warmup=1)))
         assert len(stats.times) == 3
+        assert stats.best <= stats.median
 
     def test_time_model_end_to_end(self):
         stats = time_model("wrn-40-2", repeats=2, warmup=1, image_size=16)

@@ -91,7 +91,8 @@ class _PoisonedPrepare(FrameworkAdapter):
     name = "poisoned-prepare"
     display_name = "Poisoned (prepare)"
 
-    def prepare(self, model_name, batch=1, image_size=None, threads=1):
+    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+                engine_cache=None):
         raise ExecutionError("adapter exploded during prepare")
 
 
@@ -105,15 +106,18 @@ class _CrashingModel(PreparedModel):
             raise ExecutionError("kernel chain exhausted mid-benchmark")
         return x
 
-    def time(self, x, repeats, warmup):  # pragma: no cover - unused here
-        raise NotImplementedError
+    def time(self, x, repeats, warmup):
+        for _ in range(warmup + repeats):
+            self.run(x)
+        return [0.001] * repeats
 
 
 class _PoisonedRun(FrameworkAdapter):
     name = "poisoned-run"
     display_name = "Poisoned (run)"
 
-    def prepare(self, model_name, batch=1, image_size=None, threads=1):
+    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+                engine_cache=None):
         return _CrashingModel()
 
 
@@ -167,12 +171,10 @@ class TestSweepDegradation:
     def test_one_poisoned_point_yields_failure_row(self, monkeypatch):
         real = sweeps_mod._time_config
 
-        def sometimes_broken(model, batch, image_size, backend, threads,
-                             repeats, warmup):
+        def sometimes_broken(model, batch, *args, **kwargs):
             if batch == 2:
                 raise ExecutionError("poisoned configuration")
-            return real(model, batch, image_size, backend, threads,
-                        repeats, warmup)
+            return real(model, batch, *args, **kwargs)
 
         monkeypatch.setattr(sweeps_mod, "_time_config", sometimes_broken)
         result = batch_sweep("wrn-40-2", batches=(1, 2, 4), image_size=8,

@@ -147,7 +147,7 @@ class TestSweepResume:
         measured = []
 
         def stub(model, batch, image_size, backend, threads,
-                 repeats, warmup):
+                 repeats, warmup, **kwargs):
             if batch == 4:
                 raise KeyboardInterrupt  # the campaign is killed here
             measured.append(batch)
@@ -161,7 +161,7 @@ class TestSweepResume:
         assert measured == [1, 2]
 
         def healthy(model, batch, image_size, backend, threads,
-                    repeats, warmup):
+                    repeats, warmup, **kwargs):
             measured.append(batch)
             return SweepPoint(model=model, batch=batch, image_size=8,
                               times=(0.001 * batch,))
@@ -182,7 +182,7 @@ class TestSweepResume:
         from repro.errors import ExecutionError
 
         def poisoned(model, batch, image_size, backend, threads,
-                     repeats, warmup):
+                     repeats, warmup, **kwargs):
             if batch == 2:
                 raise ExecutionError("poisoned configuration")
             return SweepPoint(model=model, batch=batch, image_size=8,
@@ -193,7 +193,7 @@ class TestSweepResume:
                             repeats=1, warmup=0, retries=0, journal=str(path))
         assert len(first.failures) == 1
 
-        def exploding(*args):  # must never be called on resume
+        def exploding(*args, **kwargs):  # must never be called on resume
             raise AssertionError("cell was re-measured")
 
         monkeypatch.setattr(sweeps_mod, "_time_config", exploding)
@@ -207,7 +207,7 @@ class TestSweepResume:
         path = tmp_path / "run.jsonl"
 
         def stub(model, batch, image_size, backend, threads,
-                 repeats, warmup):
+                 repeats, warmup, **kwargs):
             return SweepPoint(model=model, batch=batch, image_size=8,
                               times=tuple([0.001] * repeats))
 
@@ -230,6 +230,22 @@ class TestSweepResume:
         (failure,) = result.failures
         assert failure.error_type == "MemoryBudgetError"
         assert "budget" in failure.message
+
+    def test_degrade_mode_never_reports_batch_1_as_the_swept_batch(self):
+        """time_model's batch-1 fallback must not leak into a sweep: a
+        cell *is* its batch, so over budget stays a failure row."""
+        from repro.models import zoo
+        from repro.runtime.session import InferenceSession
+
+        probe = InferenceSession(zoo.build("wrn-40-2", batch=1, image_size=8))
+        result = batch_sweep(
+            "wrn-40-2", batches=(1, 4), image_size=8, repeats=1, warmup=0,
+            retries=0, memory_budget_bytes=probe.memory_plan.peak_bytes,
+            budget_mode="degrade")
+        assert [p.batch for p in result.points] == [1]
+        (failure,) = result.failures
+        assert failure.label == "wrn-40-2@batch=4"
+        assert failure.error_type == "MemoryBudgetError"
 
     def test_time_model_degrades_batched_workload_to_batch_1(self):
         from repro.bench.harness import time_model

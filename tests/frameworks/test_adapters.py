@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import model_input
 from repro.errors import FrameworkUnavailableError
 from repro.frameworks import get_adapter, list_adapters
 from repro.frameworks.base import Measurement
@@ -56,8 +57,9 @@ class TestAvailabilityRules:
 
 class TestMeasurement:
     def test_measure_returns_samples(self):
-        m = get_adapter("orpheus").measure("wrn-40-2", repeats=3, warmup=1)
-        assert isinstance(m, Measurement)
+        prepared = get_adapter("orpheus").prepare("wrn-40-2")
+        m = Measurement("orpheus", "wrn-40-2", tuple(
+            prepared.time(model_input("wrn-40-2"), repeats=3, warmup=1)))
         assert len(m.times) == 3
         assert m.best <= m.median
         assert m.framework == "orpheus" and m.model == "wrn-40-2"

@@ -10,7 +10,9 @@ import pytest
 
 from repro.bench.figure2 import run_figure2
 from repro.errors import FrameworkUnavailableError
+from repro.frameworks import base as frameworks_base
 from repro.frameworks import get_adapter
+from repro.frameworks.base import FrameworkAdapter, PreparedModel, register_adapter
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,56 @@ class TestHarnessBookkeeping:
         assert small_grid.speedup("wrn-40-2", "darknet", "orpheus") is None
 
 
+class _ScriptedModel(PreparedModel):
+    """`time` hands out scripted samples and logs every call it receives."""
+
+    def __init__(self, name, samples, log):
+        self.name, self.samples, self.log = name, iter(samples), log
+
+    def run(self, x):
+        self.log.append((self.name, "warmup"))
+        return x
+
+    def time(self, x, repeats, warmup):
+        self.log.append((self.name, "time", repeats, warmup))
+        return [next(self.samples) for _ in range(repeats)]
+
+
+class _ScriptedAdapter(FrameworkAdapter):
+    def __init__(self, name, samples, log):
+        self.name = self.display_name = name
+        self.samples, self.log = samples, log
+
+    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+                engine_cache=None):
+        return _ScriptedModel(self.name, self.samples, self.log)
+
+
+class TestRoundRobin:
+    def test_grid_records_scripted_samples_in_interleaved_order(self):
+        """Each round times every framework once (repeats=1, warmup=0 per
+        call) before the next round starts, and the grid holds exactly
+        the samples `time` returned — overhead and all, nothing re-timed."""
+        log = []
+        scripts = {"scripted-a": (0.25, 0.5, 1.0), "scripted-b": (3.0, 2.0, 1.5)}
+        for name, samples in scripts.items():
+            register_adapter(_ScriptedAdapter(name, samples, log))
+        try:
+            grid = run_figure2(
+                models=("wrn-40-2",), frameworks=tuple(scripts),
+                repeats=3, warmup=1, image_size=8)
+        finally:
+            for name in scripts:
+                del frameworks_base._ADAPTERS[name]
+        assert {m.framework: m.times for m in grid.measurements} == scripts
+        assert log == [
+            ("scripted-a", "warmup"), ("scripted-b", "warmup"),
+            *[(name, "time", 1, 0) for _ in range(3) for name in scripts],
+        ]
+        assert grid.median_ms("scripted-a", "wrn-40-2") == 500.0
+        assert grid.winner("wrn-40-2") == "scripted-a"
+
+
 class TestQualitativeClaims:
     """The one Section III observation that needs no clock.
 
@@ -67,7 +119,7 @@ class TestQualitativeClaims:
 
     def test_tflite_excluded_from_single_thread_grid(self):
         with pytest.raises(FrameworkUnavailableError):
-            get_adapter("tflite").measure("mobilenet-v1", threads=1, repeats=1)
+            get_adapter("tflite").prepare("mobilenet-v1", threads=1)
 
 
 class TestChartRendering:

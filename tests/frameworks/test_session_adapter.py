@@ -6,8 +6,6 @@ import pytest
 from repro.backends import Backend
 from repro.frameworks.base import Measurement
 from repro.frameworks.session_adapter import SessionAdapter, SessionModel
-from repro.models import zoo
-from repro.runtime.session import InferenceSession
 
 
 @pytest.fixture
@@ -33,14 +31,18 @@ class TestSessionModel:
         assert len(times) == 4
         assert all(t > 0 for t in times)
 
-    def test_overhead_added_to_every_sample(self, rng):
-        session = InferenceSession(zoo.build("wrn-40-2", image_size=16))
-        plain = SessionModel(session)
-        slowed = SessionModel(session, per_run_overhead_s=0.05)
-        x = rng.standard_normal((1, 3, 16, 16)).astype(np.float32)
-        base = min(plain.time(x, repeats=3, warmup=1))
-        with_overhead = min(slowed.time(x, repeats=3, warmup=1))
-        assert with_overhead - base > 0.04
+    def test_overhead_added_to_every_sample(self):
+        class ScriptedSession:
+            def time(self, feeds, repeats, warmup):
+                assert list(feeds) == ["input"] and (repeats, warmup) == (3, 1)
+                return [0.25, 0.5, 1.0]
+
+        x = np.zeros((1, 3, 16, 16), dtype=np.float32)
+        assert SessionModel(ScriptedSession()).time(
+            x, repeats=3, warmup=1) == [0.25, 0.5, 1.0]
+        slowed = SessionModel(ScriptedSession(), per_run_overhead_s=0.05)
+        assert slowed.time(x, repeats=3, warmup=1) == \
+            [t + 0.05 for t in (0.25, 0.5, 1.0)]
 
     def test_image_size_override_flows_to_graph(self, adapter):
         prepared = adapter.prepare("wrn-40-2", image_size=16)

@@ -8,7 +8,7 @@ import pytest
 from repro.lint.runner import lint_source
 
 # Paths chosen so every scoped rule is active (ORL003 needs serve/runtime/
-# engine, ORL007 needs serve).
+# engine, ORL007 needs serve, ORL010 needs bench/frameworks/tests).
 SERVE_PATH = "src/repro/serve/fixture.py"
 LIB_PATH = "src/repro/bench/fixture.py"
 
@@ -247,6 +247,56 @@ def test_mutable_kwonly_default_flagged():
             return items
     """
     assert rules_at(src, LIB_PATH) == ["ORL008"]
+
+
+# -- ORL010: measurement clock outside the timing path --------------------------
+
+
+@pytest.mark.parametrize("path", [
+    LIB_PATH, "src/repro/frameworks/fixture.py", "tests/bench/test_fixture.py"])
+def test_measurement_clock_flagged_outside_timing_path(path):
+    src = """
+        import time
+        from time import perf_counter_ns as ticks
+
+        def timed(fn):
+            started = time.perf_counter()
+            fn()
+            return time.perf_counter() - started, ticks()
+    """
+    assert rules_at(src, path) == ["ORL010", "ORL010", "ORL010"]
+
+
+def test_measurement_clock_clean_in_runtime_and_monotonic_everywhere():
+    timed = """
+        import time
+
+        def timed(fn):
+            started = time.perf_counter()
+            fn()
+            return time.perf_counter() - started
+    """
+    assert rules_at(timed, "src/repro/runtime/session.py") == []
+    poll = """
+        import time
+
+        def wait_until(ready, timeout_s):
+            give_up = time.monotonic() + timeout_s
+            while not ready() and time.monotonic() < give_up:
+                pass
+    """
+    assert rules_at(poll, "tests/serve/test_fixture.py") == []
+
+
+def test_measurement_clock_suppressed_with_a_reason():
+    src = """
+        import time
+
+        def stamp():
+            # progress print, not a sample
+            return time.perf_counter()  # lint: disable=ORL010
+    """
+    assert rules_at(src, LIB_PATH) == []
 
 
 # -- ORL000: syntax errors -----------------------------------------------------

@@ -15,6 +15,10 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro")
 def test_repo_source_lints_clean():
     report = lint_paths([REPO_SRC])
     assert report.errors == [], "\n" + report.format_text()
+    # No test reads a measurement clock: tier-1 holds no wall-clock verdict.
+    tests = lint_paths([os.path.join(REPO_SRC, "..", "..", "tests")])
+    assert [f for f in tests.errors if f.rule == "ORL010"] == [], \
+        "\n" + tests.format_text()
 
 
 def test_cli_lint_clean_exit_zero(capsys):

@@ -100,7 +100,7 @@ class TestProfiler:
     def test_statistics_consistent(self, session, feed):
         profile = session.profile(feed, repeats=5)
         for layer in profile.layers:
-            assert layer.minimum <= layer.median <= max(layer.times)
+            assert layer.best <= layer.median <= max(layer.times)
 
     def test_by_op_type_sums_to_total(self, session, feed):
         profile = session.profile(feed, repeats=3)
@@ -133,3 +133,45 @@ class TestProfiler:
         from repro.runtime.profiler import collate
         with pytest.raises(ValueError, match="at least one"):
             collate([])
+
+
+class TestSharedStatistics:
+    """One statistics vocabulary (`repro.runtime.profiler.Samples`) for
+    every record type that carries a ``times`` tuple."""
+
+    @staticmethod
+    def _makers():
+        from repro.bench.harness import RunStats
+        from repro.bench.sweeps import SweepPoint
+        from repro.frameworks.base import Measurement
+        from repro.runtime.profiler import LayerProfile
+        return [
+            lambda times: LayerProfile("node", "Conv", "im2col", times),
+            lambda times: RunStats("label", times),
+            lambda times: SweepPoint("model", 1, 8, times),
+            lambda times: Measurement("framework", "model", times),
+        ]
+
+    def test_statistics_agree_with_stdlib_for_every_record_type(self):
+        import statistics
+
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        @given(st.lists(st.floats(min_value=0.0, max_value=1e3),
+                        min_size=1, max_size=9).map(tuple))
+        def check(times):
+            for make in self._makers():
+                record = make(times)
+                assert record.median == statistics.median(times)
+                assert record.mean == statistics.fmean(times)
+                assert record.best == min(times)
+                assert record.stdev == (
+                    statistics.stdev(times) if len(times) > 1 else 0.0)
+
+        check()
+
+    def test_empty_sample_rejected_by_every_record_type(self):
+        for make in self._makers():
+            with pytest.raises(ValueError, match="at least one"):
+                make(())
