@@ -17,7 +17,6 @@ from repro.bench.layerwise import (
 from repro.bench.quant import (
     format_quant_bench,
     measure_quant_crossover,
-    save_quant_bench,
 )
 from repro.bench.reporting import format_csv, format_table
 from repro.bench.sweeps import SweepPoint, SweepResult, batch_sweep, resolution_sweep
@@ -50,7 +49,6 @@ __all__ = [
     "format_quant_bench",
     "format_table",
     "measure_quant_crossover",
-    "save_quant_bench",
     "model_input",
     "race_conv_impls",
     "render_table1",

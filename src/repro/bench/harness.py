@@ -130,7 +130,6 @@ def time_model(
     seed: int = 0,
     deadline_ms: float | None = None,
     memory_budget_bytes: int | None = None,
-    budget_mode: str = "reject",
     accuracy_vs: "str | Backend | None" = None,
     engine_cache: "EngineCache | None" = None,
 ) -> RunStats:
@@ -140,11 +139,8 @@ def time_model(
     from ``engine_cache`` when given, populating it on a miss),
     :func:`~repro.bench.workloads.model_input` feed, ``session.time``.
 
-    With a memory budget, admission control runs before anything executes;
-    in ``budget_mode="degrade"`` an over-budget batched workload is retried
-    at batch 1 (the session itself already tried the arena-friendly
-    schedule), and the stats are labelled accordingly. A model that cannot
-    fit even degraded raises :class:`~repro.errors.MemoryBudgetError`,
+    With a memory budget, admission control runs before anything executes
+    and an over-budget model raises :class:`~repro.errors.MemoryBudgetError`,
     which the sweep-level failure boundary converts into a
     :class:`FailureRow`.
 
@@ -154,44 +150,22 @@ def time_model(
     :attr:`RunStats.max_abs_err`. The reference runs without the memory
     budget — it is a numeric yardstick, not a competitor.
     """
-    from repro.errors import MemoryBudgetError
-
     backend_name = backend if isinstance(backend, str) else backend.name
-
-    def build(at_batch: int) -> "tuple[InferenceSession, np.ndarray]":
-        graph = zoo.build(
-            model_name, batch=at_batch, image_size=image_size, seed=seed)
-        if engine_cache is not None:
-            session, _ = engine_cache.session(
-                graph, model=model_name, backend=backend, threads=threads,
-                optimize=optimize, batch=at_batch, image_size=image_size,
-                seed=seed, memory_budget_bytes=memory_budget_bytes,
-                budget_mode=budget_mode)
-        else:
-            session = InferenceSession(
-                graph, backend=backend, threads=threads, optimize=optimize,
-                memory_budget_bytes=memory_budget_bytes,
-                budget_mode=budget_mode)
-        x = model_input(
-            model_name, batch=at_batch, image_size=image_size, seed=seed)
-        return session, x
-
-    label = f"{model_name}/{backend_name}/t{threads}"
-    used_batch = batch
-    try:
-        session, x = build(batch)
-    except MemoryBudgetError:
-        if budget_mode != "degrade" or batch <= 1:
-            raise
-        session, x = build(1)
-        used_batch = 1
-        label += "/degraded-batch-1"
+    graph = zoo.build(model_name, batch=batch, image_size=image_size, seed=seed)
+    if engine_cache is not None:
+        session, _ = engine_cache.session(
+            graph, model=model_name, backend=backend, threads=threads,
+            optimize=optimize, batch=batch, image_size=image_size,
+            seed=seed, memory_budget_bytes=memory_budget_bytes)
+    else:
+        session = InferenceSession(
+            graph, backend=backend, threads=threads, optimize=optimize,
+            memory_budget_bytes=memory_budget_bytes)
+    x = model_input(model_name, batch=batch, image_size=image_size, seed=seed)
     times = session.time(
         {"input": x}, repeats=repeats, warmup=warmup, deadline_ms=deadline_ms)
     max_abs_err: float | None = None
     if accuracy_vs is not None:
-        graph = zoo.build(
-            model_name, batch=used_batch, image_size=image_size, seed=seed)
         reference = InferenceSession(
             graph, backend=accuracy_vs, threads=threads, optimize=optimize)
         got = session.run({"input": x})
@@ -201,4 +175,5 @@ def time_model(
                                  - want[name].astype(np.float64))))
              for name in want), default=0.0)
     return RunStats(
-        label=label, times=tuple(times), max_abs_err=max_abs_err)
+        label=f"{model_name}/{backend_name}/t{threads}", times=tuple(times),
+        max_abs_err=max_abs_err)

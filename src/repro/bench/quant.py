@@ -12,21 +12,22 @@ rows are committed honestly rather than cherry-picked.
 
 ``budget_scenarios`` — the deployment case quantization actually wins:
 batched inference under a memory budget sized between the int8 and fp32
-activation plans. Admission control degrades the fp32 session to batch 1
-(the label gains ``/degraded-batch-1``) while int8's ~4x-smaller uint8
-activations still fit at full batch, so the *per-image* crossover is
-structural, not a kernel micro-win. Per-image speedup ratios are
-meaningful across machines even though absolute times are not.
+activation plans. fp32 is over budget at the scenario's batch and retreats
+to batch 1 (:func:`_time_largest_fitting`; its label gains
+``/degraded-batch-1``) while int8's ~4x-smaller uint8 activations still
+fit at full batch, so the *per-image* crossover is structural, not a
+kernel micro-win. Per-image speedup ratios are meaningful across machines
+even though absolute times are not.
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import sys
 
 from repro import __version__
-from repro.bench.harness import time_model
+from repro.bench.harness import RunStats, time_model
+from repro.errors import MemoryBudgetError
 
 #: (model, image_size) steady-state configurations: every zoo model, at
 #: sizes small enough that the whole sweep runs in tens of seconds.
@@ -62,6 +63,31 @@ def _weight_bytes(model: str, image_size: int | None,
     total = sum(array.nbytes
                 for array in session.graph.initializers.values())
     return total, session.quantization
+
+
+#: Label suffix of a budget-scenario side that ran at batch 1, not the
+#: scenario's batch; part of the ``BENCH_quant.json`` format.
+_DEGRADED = "/degraded-batch-1"
+
+
+def _time_largest_fitting(
+    model: str, batch: int, **kwargs,
+) -> tuple[RunStats, int]:
+    """Time ``model`` at ``batch``, or at batch 1 when that is over budget.
+
+    Returns ``(stats, batch that ran)``. A model over budget even at
+    batch 1 raises :class:`~repro.errors.MemoryBudgetError`.
+    """
+    try:
+        return time_model(model, batch=batch, **kwargs), batch
+    except MemoryBudgetError:
+        if batch <= 1:
+            raise
+    return time_model(model, batch=1, **kwargs), 1
+
+
+def _label(stats: RunStats, ran: int, batch: int) -> str:
+    return stats.label + (_DEGRADED if ran < batch else "")
 
 
 def measure_quant_crossover(
@@ -103,27 +129,23 @@ def measure_quant_crossover(
 
     budget = {}
     for model, image_size, batch, budget_bytes in scenarios:
-        fp32 = time_model(
-            model, backend="orpheus", image_size=image_size, batch=batch,
-            repeats=repeats, warmup=warmup,
-            memory_budget_bytes=budget_bytes, budget_mode="degrade")
-        int8 = time_model(
-            model, backend="int8", image_size=image_size, batch=batch,
-            repeats=repeats, warmup=warmup,
-            memory_budget_bytes=budget_bytes, budget_mode="degrade",
+        fp32, fp32_ran = _time_largest_fitting(
+            model, batch, backend="orpheus", image_size=image_size,
+            repeats=repeats, warmup=warmup, memory_budget_bytes=budget_bytes)
+        int8, int8_ran = _time_largest_fitting(
+            model, batch, backend="int8", image_size=image_size,
+            repeats=repeats, warmup=warmup, memory_budget_bytes=budget_bytes,
             accuracy_vs="orpheus")
-        fp32_degraded = fp32.label.endswith("/degraded-batch-1")
-        int8_degraded = int8.label.endswith("/degraded-batch-1")
-        fp32_per_image = fp32.median / (1 if fp32_degraded else batch)
-        int8_per_image = int8.median / (1 if int8_degraded else batch)
+        fp32_per_image = fp32.median / fp32_ran
+        int8_per_image = int8.median / int8_ran
         key = f"{model}/{image_size}/b{batch}/{budget_bytes // 2**20}MiB"
         budget[key] = {
             "model": model,
             "image_size": image_size,
             "batch": batch,
             "budget_bytes": budget_bytes,
-            "fp32_label": fp32.label,
-            "int8_label": int8.label,
+            "fp32_label": _label(fp32, fp32_ran, batch),
+            "int8_label": _label(int8, int8_ran, batch),
             "fp32_per_image_ms": round(fp32_per_image * 1e3, 4),
             "int8_per_image_ms": round(int8_per_image * 1e3, 4),
             "per_image_speedup": round(
@@ -140,15 +162,6 @@ def measure_quant_crossover(
         "steady_state": steady,
         "budget_scenarios": budget,
     }
-
-
-def save_quant_bench(path: str, **kwargs) -> dict:
-    """:func:`measure_quant_crossover`, saved as pretty JSON."""
-    document = measure_quant_crossover(**kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return document
 
 
 def format_quant_bench(document: dict) -> str:
@@ -171,7 +184,7 @@ def format_quant_bench(document: dict) -> str:
         f"{'speedup':>8s}  note")
     for key, row in document["budget_scenarios"].items():
         note = ("fp32 degraded to batch 1"
-                if row["fp32_label"].endswith("/degraded-batch-1")
+                if row["fp32_label"].endswith(_DEGRADED)
                 else "fp32 kept the batch")
         lines.append(
             f"  {key:30s} {row['fp32_per_image_ms']:10.2f} "

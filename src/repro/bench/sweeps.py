@@ -15,7 +15,6 @@ from repro.backends.backend import Backend
 from repro.bench.harness import FailureRow, run_guarded, time_model
 from repro.bench.journal import RunJournal, open_journal
 from repro.bench.reporting import format_csv, format_table
-from repro.errors import MemoryBudgetError
 from repro.models import zoo
 from repro.runtime.profiler import Samples
 from repro.runtime.session import _validate_protocol
@@ -87,7 +86,6 @@ def _time_config(
     backend: "str | Backend", threads: int, repeats: int, warmup: int,
     deadline_ms: float | None = None,
     memory_budget_bytes: int | None = None,
-    budget_mode: str = "reject",
     engine_cache=None,
 ) -> SweepPoint:
     """One sweep cell through :func:`~repro.bench.harness.time_model`."""
@@ -95,13 +93,7 @@ def _time_config(
         model, backend=backend, threads=threads, repeats=repeats,
         warmup=warmup, batch=batch, image_size=image_size,
         deadline_ms=deadline_ms, memory_budget_bytes=memory_budget_bytes,
-        budget_mode=budget_mode, engine_cache=engine_cache)
-    if stats.label.endswith("/degraded-batch-1"):
-        # A sweep cell *is* its batch; the batch-1 fallback measured a
-        # different cell, so this one stays what it was: over budget.
-        raise MemoryBudgetError(
-            f"{model} fits {memory_budget_bytes} bytes only at batch 1, "
-            f"not at batch {batch}", budget_bytes=memory_budget_bytes or 0)
+        engine_cache=engine_cache)
     return SweepPoint(
         model=model, batch=batch,
         image_size=image_size or zoo.get_entry(model).image_size,
@@ -119,7 +111,6 @@ def _run_sweep(
     retries: int,
     deadline_ms: float | None,
     memory_budget_bytes: int | None,
-    budget_mode: str,
     journal: "RunJournal | str | None",
     engine_cache=None,
 ) -> SweepResult:
@@ -161,7 +152,7 @@ def _run_sweep(
                 model, batch, image_size, backend, threads, repeats, warmup,
                 deadline_ms=deadline_ms,
                 memory_budget_bytes=memory_budget_bytes,
-                budget_mode=budget_mode, engine_cache=engine_cache),
+                engine_cache=engine_cache),
             label=label, retries=retries)
         if failure is not None:
             failures.append(failure)
@@ -188,7 +179,6 @@ def batch_sweep(
     retries: int = 1,
     deadline_ms: float | None = None,
     memory_budget_bytes: int | None = None,
-    budget_mode: str = "reject",
     journal: "RunJournal | str | None" = None,
     engine_cache=None,
 ) -> SweepResult:
@@ -215,7 +205,7 @@ def batch_sweep(
     return _run_sweep(
         model, "batch", tuple((b, image_size) for b in batches),
         backend, threads, repeats, warmup, retries,
-        deadline_ms, memory_budget_bytes, budget_mode, journal,
+        deadline_ms, memory_budget_bytes, journal,
         engine_cache=engine_cache)
 
 
@@ -229,7 +219,6 @@ def resolution_sweep(
     retries: int = 1,
     deadline_ms: float | None = None,
     memory_budget_bytes: int | None = None,
-    budget_mode: str = "reject",
     journal: "RunJournal | str | None" = None,
     engine_cache=None,
 ) -> SweepResult:
@@ -243,5 +232,5 @@ def resolution_sweep(
     return _run_sweep(
         model, "image_size", tuple((1, size) for size in image_sizes),
         backend, threads, repeats, warmup, retries,
-        deadline_ms, memory_budget_bytes, budget_mode, journal,
+        deadline_ms, memory_budget_bytes, journal,
         engine_cache=engine_cache)

@@ -12,7 +12,6 @@ failure note instead of blowing up the whole table.
 from __future__ import annotations
 
 from repro.bench.harness import FailureRow
-from repro.bench.journal import RunJournal, open_journal
 from repro.bench.reporting import format_csv, format_table
 from repro.frameworks.features import CRITERIA, FRAMEWORKS, RATIONALE, SCORES
 
@@ -25,37 +24,9 @@ def _score(framework: str, criterion: str) -> "int | None":
     return per_framework.get(criterion)
 
 
-def framework_scores(
-    framework: str, journal: "RunJournal | str | None" = None,
-) -> "dict[str, int | None]":
-    """One framework's score column, journal-cached per framework.
-
-    With a journal, a column already recorded (same framework, same
-    criteria list) is replayed instead of recomputed — the same
-    skip-completed-cells contract the timing sweeps follow, so a mixed
-    campaign (tables + timings) resumes uniformly.
-    """
-    key = {"experiment": "table1", "framework": framework,
-           "criteria": list(CRITERIA)}
-    book = open_journal(journal)
-    if book is not None:
-        entry = book.get(**key)
-        if entry is not None and entry.kind == "measurement":
-            recorded = entry.payload.get("scores", {})
-            return {criterion: recorded.get(criterion)
-                    for criterion in CRITERIA}
-    scores = {criterion: _score(framework, criterion)
-              for criterion in CRITERIA}
-    if book is not None:
-        book.record("measurement", key, {"scores": scores})
-    return scores
-
-
-def table1_rows(journal: "RunJournal | str | None" = None) -> list[list[object]]:
-    book = open_journal(journal)
-    columns = {fw: framework_scores(fw, book) for fw in FRAMEWORKS}
+def table1_rows() -> list[list[object]]:
     return [
-        [criterion, *[columns[framework][criterion] for framework in FRAMEWORKS]]
+        [criterion, *[_score(framework, criterion) for framework in FRAMEWORKS]]
         for criterion in CRITERIA
     ]
 
@@ -79,11 +50,10 @@ def table1_failures() -> list[FailureRow]:
     return failures
 
 
-def render_table1(with_rationale: bool = False,
-                  journal: "RunJournal | str | None" = None) -> str:
+def render_table1(with_rationale: bool = False) -> str:
     """The paper's Table I as aligned text (missing cells render as ``-``)."""
     body = format_table(
-        table1_headers(), table1_rows(journal=journal),
+        table1_headers(), table1_rows(),
         title="Table I: Comparison of Deep Learning frameworks (scores 1-3)")
     notes = [f"  {failure}" for failure in table1_failures()]
     if notes:

@@ -224,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _journal_flags(figure2)
     table1 = bench_sub.add_parser("table1", help="Table I")
     table1.add_argument("--rationale", action="store_true")
-    _journal_flags(table1)
     layers = bench_sub.add_parser("layers", help="conv algorithm race")
     layers.add_argument("--repeats", type=int, default=5)
     sweep = bench_sub.add_parser(
@@ -295,9 +294,6 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
                         help="load each backend's engine from this "
                              "directory of compiled .oeng files "
                              "(populated on first start)")
-    parser.add_argument("--autotune-cache", metavar="PATH", default=None,
-                        help="persistent autotune cache threaded through "
-                             "every (re)compile")
 
 
 def _session_flags(parser: argparse.ArgumentParser) -> None:
@@ -344,8 +340,8 @@ def _journal_flags(parser: argparse.ArgumentParser) -> None:
 
 def _open_journal(args: argparse.Namespace):
     """The RunJournal requested by --journal/--resume, or None."""
-    if not getattr(args, "journal", None):
-        if getattr(args, "resume", False):
+    if not args.journal:
+        if args.resume:
             raise SystemExit("--resume requires --journal PATH")
         return None
     from repro.bench.journal import RunJournal
@@ -364,10 +360,6 @@ def _guardrail_flags(parser: argparse.ArgumentParser) -> None:
         "--memory-budget-mb", type=float, default=None,
         help="reject runs whose planned peak resident activations exceed "
              "this budget (admission control, before anything executes)")
-    parser.add_argument(
-        "--budget-mode", choices=("reject", "degrade"), default="reject",
-        help="what to do with an over-budget run: reject up front, or "
-             "degrade to the arena-friendly schedule first")
 
 
 def _session_kwargs(args: argparse.Namespace) -> dict:
@@ -381,14 +373,13 @@ def _session_kwargs(args: argparse.Namespace) -> dict:
         from repro.runtime.faults import parse_fault_plan
         kwargs["fault_plan"] = parse_fault_plan(
             args.inject_faults, seed=args.fault_seed)
-    if getattr(args, "deadline_ms", None) is not None:
+    if args.deadline_ms is not None:
         kwargs["deadline_ms"] = args.deadline_ms
-    if getattr(args, "node_timeout_ms", None) is not None:
+    if args.node_timeout_ms is not None:
         kwargs["node_timeout_ms"] = args.node_timeout_ms
-    if getattr(args, "memory_budget_mb", None) is not None:
+    if args.memory_budget_mb is not None:
         kwargs["memory_budget_bytes"] = int(args.memory_budget_mb * (1 << 20))
-        kwargs["budget_mode"] = args.budget_mode
-    if getattr(args, "engine", None):
+    if args.engine:
         kwargs["engine"] = args.engine
     return kwargs
 
@@ -701,21 +692,6 @@ def _serve_error(exc: BaseException, as_json: bool) -> int:
     return 1
 
 
-def _serve_pool_kwargs(args: argparse.Namespace) -> dict:
-    from repro.engine import AutotuneCache
-    return {
-        "backends": tuple(args.backends),
-        "workers": args.workers,
-        "batch": args.batch,
-        "threads": args.threads,
-        "image_size": args.image_size,
-        "seed": args.seed,
-        "engine_cache": args.engine_cache,
-        "autotune_cache": (AutotuneCache(args.autotune_cache)
-                           if args.autotune_cache else None),
-    }
-
-
 class _GracefulSignal(Exception):
     """SIGTERM/SIGINT arrived while ``serve`` was running; drain and exit."""
 
@@ -759,7 +735,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal as signal_mod
 
     from repro.errors import OrpheusError
-    from repro.serve import InferenceService, SessionPool, run_load
+    from repro.serve import InferenceService, run_load
 
     capacity = args.queue_capacity or 8 * args.workers * args.batch
     service = None
@@ -778,28 +754,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown_s,
             jitter_seed=args.seed)
-        if args.worker_mode == "process":
-            pool_kwargs = _serve_pool_kwargs(args)
-            if args.inject_faults:
+        pool_kwargs = dict(
+            backends=tuple(args.backends), workers=args.workers,
+            batch=args.batch, threads=args.threads,
+            image_size=args.image_size, seed=args.seed,
+            engine_cache=args.engine_cache)
+        if args.inject_faults:
+            # Thread pools take one spec per backend, process workers one
+            # spec for their primary; either way the primary is faulted.
+            if args.worker_mode == "process":
                 pool_kwargs["fault_spec"] = args.inject_faults
-                pool_kwargs["fault_seed"] = args.fault_seed
-            if args.no_fallback:
-                pool_kwargs["session_kwargs"] = {"kernel_fallback": False}
-            service = InferenceService(
-                args.model, worker_mode="process",
-                **service_kwargs, **pool_kwargs)
-        else:
-            pool_kwargs = _serve_pool_kwargs(args)
-            if args.inject_faults:
+            else:
                 pool_kwargs["fault_specs"] = {
                     args.backends[0]: args.inject_faults}
-                pool_kwargs["fault_seed"] = args.fault_seed
-            if args.no_fallback:
-                pool_kwargs["session_kwargs"] = {"kernel_fallback": False}
-            service = InferenceService(
-                pool=SessionPool(args.model, **pool_kwargs),
-                **service_kwargs)
-        pool = service.pool
+            pool_kwargs["fault_seed"] = args.fault_seed
+        if args.no_fallback:
+            pool_kwargs["session_kwargs"] = {"kernel_fallback": False}
+        service = InferenceService(
+            args.model, worker_mode=args.worker_mode,
+            **service_kwargs, **pool_kwargs)
         # Readiness marker on stderr (stdout stays pure for --json): a
         # process supervisor can wait for this before sending traffic —
         # or signals, whose graceful handling starts here.
@@ -839,10 +812,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "healthy": healthy,
         }, sort_keys=True))
     else:
-        engine_hits = pool.engine_hits
         print(f"served {args.model} for {report.duration_s:.1f}s at "
               f"{args.rps:g} rps ({args.clients} client(s)); "
-              f"engine cache hits: {engine_hits or 'n/a'}")
+              f"engine cache hits: {service.pool.engine_hits or 'n/a'}")
         print(f"  completed {report.completed}/{report.offered}, "
               f"shed {report.total_rejected}, failed {report.failed}, "
               f"silent drops {report.silent_drops}")
@@ -884,11 +856,7 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.experiment == "table1":
         from repro.bench.table1 import render_table1
-        journal = _open_journal(args)
-        print(render_table1(with_rationale=args.rationale, journal=journal))
-        if journal is not None:
-            print(f"journal: {len(journal)} cell(s) recorded at "
-                  f"{journal.path} ({journal.skipped} resumed)")
+        print(render_table1(with_rationale=args.rationale))
         return 0
     if args.experiment == "layers":
         from repro.bench.layerwise import race_conv_impls

@@ -277,7 +277,6 @@ class EngineCache:
         image_size: int | None = None,
         seed: int = 0,
         tune: bool = False,
-        tune_repeats: int = 3,
         autotune_cache: "AutotuneCache | None" = None,
     ) -> "tuple[Any, bool]":
         """The compiled :class:`~repro.engine.format.Engine`, cached.
@@ -341,8 +340,7 @@ class EngineCache:
                     return engine, True
             engine = compile_graph(
                 graph, backend=backend_obj, threads=threads,
-                optimize=optimize, tune=tune, tune_repeats=tune_repeats,
-                autotune_cache=autotune_cache,
+                optimize=optimize, tune=tune, autotune_cache=autotune_cache,
                 metadata={"model": model, "cache_key": entry.key})
             try:
                 save_engine(engine, entry.path)
@@ -361,25 +359,18 @@ class EngineCache:
         batch: int = 1,
         image_size: int | None = None,
         seed: int = 0,
-        tune: bool = False,
-        tune_repeats: int = 3,
-        autotune_cache: "AutotuneCache | None" = None,
         **session_kwargs: Any,
     ) -> "tuple[Any, bool]":
         """An ``InferenceSession`` for ``graph``, warm-started when cached.
 
         Returns ``(session, hit)``. Built on :meth:`load_or_compile`, so a
-        stale or corrupt cache file degrades to a recompile that still
-        sees ``autotune_cache`` — the fix for the cold-fallback path that
-        used to re-run autotune from scratch after a failed engine load.
+        stale or corrupt cache file degrades to a recompile.
         """
         from repro.runtime.session import InferenceSession
 
         engine, hit = self.load_or_compile(
             graph, model=model, backend=backend, threads=threads,
-            optimize=optimize, batch=batch, image_size=image_size, seed=seed,
-            tune=tune, tune_repeats=tune_repeats,
-            autotune_cache=autotune_cache)
+            optimize=optimize, batch=batch, image_size=image_size, seed=seed)
         session = InferenceSession.from_engine(
             engine, backend=backend, **session_kwargs)
         return session, hit

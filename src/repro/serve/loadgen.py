@@ -26,6 +26,13 @@ from repro.serve.service import InferenceService
 from repro.serve.types import Completed, Failed, Rejected
 
 
+#: How long a client waits for each admitted request's outcome before
+#: counting it ``timed_out``. The service resolves every request it admits,
+#: so this only bounds a bug: 30 s is far above any deadline the CLI or the
+#: chaos battery sets (2 s) and ends a hung run inside a 5-minute CI step.
+RESULT_TIMEOUT_S = 30.0
+
+
 def percentile(samples: list[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 100]); 0.0 on an empty sample."""
     if not samples:
@@ -102,7 +109,6 @@ def run_load(
     deadline_ms: float | None = None,
     sample: np.ndarray | None = None,
     seed: int = 0,
-    result_timeout_s: float = 30.0,
 ) -> LoadReport:
     """Drive ``service`` open-loop at ``rps`` for ``duration_s`` seconds.
 
@@ -110,16 +116,16 @@ def run_load(
     times are fixed up front (uniform spacing with a small seeded jitter),
     so the offered load does not adapt to the service's behaviour. Each
     submitter then waits for its requests' outcomes; a request with no
-    outcome after ``result_timeout_s`` counts as ``timed_out`` (and shows
-    up in ``silent_drops`` accounting only if the service *also* never
-    resolves it).
+    outcome after :data:`RESULT_TIMEOUT_S` counts as ``timed_out`` (and
+    shows up in ``silent_drops`` accounting only if the service *also*
+    never resolves it).
     """
     if rps <= 0:
         raise ValueError(f"rps must be > 0, got {rps}")
     clients = max(1, clients)
     rng = np.random.default_rng(seed)
     if sample is None:
-        shape = service._sample_shape or (4,)
+        shape = service.sample_shape or (4,)
         sample = rng.standard_normal(shape).astype(np.float32)
 
     per_client = rps / clients
@@ -156,7 +162,7 @@ def run_load(
                 continue
             pendings.append(outcome)
         for pending in pendings:
-            result = pending.result(timeout=result_timeout_s)
+            result = pending.result(timeout=RESULT_TIMEOUT_S)
             with lock:
                 if result is None:
                     counters["timed_out"] += 1

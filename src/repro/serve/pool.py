@@ -67,24 +67,25 @@ class SessionPool:
             batcher coalesces up to this many single-sample requests.
         engine_cache: optional :class:`~repro.engine.cache.EngineCache`
             (or directory path); hits skip compilation entirely.
-        autotune_cache: optional persistent
-            :class:`~repro.engine.cache.AutotuneCache`, threaded through
-            every compile (including the cold fallback after a failed
-            engine load) so tuning warm-starts instead of re-racing.
-        tune: autotune at compile time (see
-            :func:`repro.engine.compiler.compile_graph`).
         fault_specs: backend name -> fault-spec string
             (:func:`~repro.runtime.faults.parse_fault_plan` mini-language);
             each worker session gets its *own* plan instance, seeded
             ``fault_seed + worker_index`` for determinism without sharing.
         session_kwargs: extra per-session run-time knobs (``deadline_ms``,
-            ``node_timeout_ms``, ``memory_budget_bytes``, ``budget_mode``,
+            ``node_timeout_ms``, ``memory_budget_bytes``,
             ``check_numerics``, ``kernel_fallback``) — the PR 3 guardrails
             inherited by every worker.
         session_factory: test seam — ``factory(backend, worker_index)``
             returning a session-like object (``run``/``robustness_report``)
             replaces the whole build path.
+
+    Like :class:`~repro.serve.supervisor.ProcessWorkerPool` it states
+    ``worker_mode``, ``sample_shape``, :meth:`quarantined`,
+    :meth:`supervision` and :meth:`close`, so the service asks its pool
+    what it is instead of probing (table in ``docs/serving.md``).
     """
+
+    worker_mode = "thread"
 
     def __init__(
         self,
@@ -97,8 +98,6 @@ class SessionPool:
         seed: int = 0,
         optimize: bool = True,
         engine_cache: Any = None,
-        autotune_cache: Any = None,
-        tune: bool = False,
         fault_specs: Mapping[str, str] | None = None,
         fault_seed: int = 0,
         session_kwargs: Mapping[str, Any] | None = None,
@@ -125,8 +124,7 @@ class SessionPool:
                     session_factory(backend, index)
                     for index in range(workers)
                 ]
-            return
-        if model == "@loopback":
+        elif model == "@loopback":
             # Diagnostic model (see repro.serve.loopback): serving-layer
             # behaviour without paying for a real graph build.
             from repro.serve.loopback import LoopbackSession
@@ -136,17 +134,21 @@ class SessionPool:
                     LoopbackSession(backend=backend, batch=batch)
                     for _ in range(workers)
                 ]
-            return
-        self._build(model, threads=threads, batch=batch,
-                    image_size=image_size, seed=seed, optimize=optimize,
-                    engine_cache=engine_cache, autotune_cache=autotune_cache,
-                    tune=tune)
+        else:
+            self._build(model, threads=threads, batch=batch,
+                        image_size=image_size, seed=seed, optimize=optimize,
+                        engine_cache=engine_cache)
+        # Per-sample input shape. Every real session carries its graph;
+        # a session_factory fake may not, and then the shape is unknown.
+        graph = getattr(self.session(self.backends[0], 0), "graph", None)
+        shape = tuple(graph.inputs[0].shape) if graph is not None else ()
+        self.sample_shape = shape[1:] if len(shape) > 1 else None
 
     # -- construction ----------------------------------------------------------
 
     def _build(self, model: Any, threads: int, batch: int,
                image_size: int | None, seed: int, optimize: bool,
-               engine_cache: Any, autotune_cache: Any, tune: bool) -> None:
+               engine_cache: Any) -> None:
         from repro.engine.cache import EngineCache
         from repro.models import zoo
 
@@ -162,13 +164,11 @@ class SessionPool:
             self._sessions[backend] = self._build_backend(
                 graph, backend, threads=threads, batch=batch,
                 image_size=image_size, seed=seed, optimize=optimize,
-                engine_cache=engine_cache, autotune_cache=autotune_cache,
-                tune=tune)
+                engine_cache=engine_cache)
 
     def _build_backend(self, graph: Any, backend: str, threads: int,
                        batch: int, image_size: int | None, seed: int,
-                       optimize: bool, engine_cache: Any,
-                       autotune_cache: Any, tune: bool) -> list[Any]:
+                       optimize: bool, engine_cache: Any) -> list[Any]:
         from repro.engine.compiler import compile_graph
         from repro.runtime.session import InferenceSession
 
@@ -177,13 +177,11 @@ class SessionPool:
                 engine, hit = engine_cache.load_or_compile(
                     graph, model=self.model_name, backend=backend,
                     threads=threads, optimize=optimize, batch=batch,
-                    image_size=image_size, seed=seed, tune=tune,
-                    autotune_cache=autotune_cache)
+                    image_size=image_size, seed=seed)
             else:
                 engine = compile_graph(
                     graph, backend=backend, threads=threads,
-                    optimize=optimize, tune=tune,
-                    autotune_cache=autotune_cache,
+                    optimize=optimize,
                     metadata={"model": self.model_name, "pool": "serve"})
                 hit = False
         except (EngineError, OrpheusError):
@@ -235,6 +233,17 @@ class SessionPool:
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._sessions.values())
+
+    def quarantined(self, request_ids: Any) -> set[str]:
+        """No request can kill a thread worker, so none is quarantined."""
+        return set()
+
+    def supervision(self) -> None:
+        """Nobody stands over thread workers: no supervisor stats."""
+        return None
+
+    def close(self) -> None:
+        """Sessions hold nothing but memory: nothing to shut down."""
 
     # -- health ----------------------------------------------------------------
 

@@ -71,12 +71,13 @@ class AdmissionQueue:
         self._items: collections.deque[PendingResponse] = (  # guarded-by: _lock
             collections.deque())
         self._closed = False                     # guarded-by: _lock
-        self.sheds: dict[str, int] = {}
         self._jitter_frac = retry_jitter_frac
-        # shed() is called both under self._lock (try_admit) and lock-free
-        # from dispatcher threads, so the jitter RNG gets its own lock.
-        self._jitter_lock = threading.Lock()
-        self._jitter_rng = random.Random(jitter_seed)  # guarded-by: _jitter_lock
+        # shed() is called both under self._lock (try_admit) and without
+        # it from dispatcher threads, so its state gets its own lock
+        # (order: _lock -> _shed_lock; dispatchers take only the latter).
+        self._shed_lock = threading.Lock()
+        self.sheds: dict[str, int] = {}                # guarded-by: _shed_lock
+        self._jitter_rng = random.Random(jitter_seed)  # guarded-by: _shed_lock
 
     # -- admission -------------------------------------------------------------
 
@@ -138,13 +139,11 @@ class AdmissionQueue:
 
         Also used by the dispatcher for the shed reasons that are only
         decidable at dispatch time (``breaker-open``, ``expired-in-queue``)
-        so every shed in the service lands in one counter dict. The counter
-        update is a single dict-item write, safe under the GIL from any
-        thread.
+        so every shed in the service lands in one counter dict.
         """
-        self.sheds[reason] = self.sheds.get(reason, 0) + 1
-        if retry_after_s is not None and self._jitter_frac > 0.0:
-            with self._jitter_lock:
+        with self._shed_lock:
+            self.sheds[reason] = self.sheds.get(reason, 0) + 1
+            if retry_after_s is not None and self._jitter_frac > 0.0:
                 retry_after_s *= 1.0 + self._jitter_frac \
                     * self._jitter_rng.random()
         return Rejected(id=request_id, reason=reason,
@@ -196,6 +195,11 @@ class AdmissionQueue:
         with self._lock:
             self._ewma_batch_s += self._alpha * (seconds - self._ewma_batch_s)
             self._observations += 1
+
+    def shed_counts(self) -> dict[str, int]:
+        """Shed reason -> count, copied under the lock that counts them."""
+        with self._shed_lock:
+            return dict(self.sheds)
 
     @property
     def observations(self) -> int:

@@ -29,11 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import (
-    DeadlineExceededError,
-    OrpheusError,
-    PoisonRequestError,
-)
+from repro.errors import OrpheusError, PoisonRequestError
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker
 from repro.serve.pool import PoolRobustnessReport, SessionPool
 from repro.serve.queue import AdmissionQueue
@@ -66,6 +62,7 @@ class ServiceStats:
     breakers: tuple[BreakerSnapshot, ...]
     draining: bool
     stopped: bool
+    outstanding: int                # admitted, not yet resolved
 
     @property
     def total_rejected(self) -> int:
@@ -81,14 +78,6 @@ class ServiceStats:
     @property
     def mean_batch_size(self) -> float:
         return self.batched_requests / self.batches if self.batches else 0.0
-
-    @property
-    def outstanding(self) -> int:
-        """Admitted requests not yet resolved (queued + in flight)."""
-        return self.accepted - self.completed - self.failed - sum(
-            self.rejected.get(reason, 0)
-            for reason in ("expired-in-queue", "breaker-open", "stopped",
-                           "quarantined"))
 
     def to_dict(self) -> dict:
         document = dataclasses.asdict(self)
@@ -189,8 +178,7 @@ class InferenceService:
                 WorkerSupervisor(model, **pool_kwargs))
         else:
             self.pool = SessionPool(model, **pool_kwargs)
-        self.worker_mode = worker_mode if pool is None else (
-            "process" if hasattr(self.pool, "supervisor") else "thread")
+        self.worker_mode = self.pool.worker_mode
         self.batch_window_ms = batch_window_ms
         self.default_deadline_ms = default_deadline_ms
         self.queue = AdmissionQueue(
@@ -202,12 +190,13 @@ class InferenceService:
                                  cooldown_s=breaker_cooldown_s)
             for name in self.pool.backends
         }
-        self._sample_shape = self._infer_sample_shape()
+        self.sample_shape = self.pool.sample_shape
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._counter = 0            # guarded-by: _lock
         self._submitted = 0          # guarded-by: _lock
         self._accepted = 0           # guarded-by: _lock
+        self._resolved = 0           # guarded-by: _lock
         self._completed = 0          # guarded-by: _lock
         self._failed = 0             # guarded-by: _lock
         self._late = 0               # guarded-by: _lock
@@ -230,17 +219,6 @@ class InferenceService:
         for thread in self._threads:
             thread.start()
 
-    def _infer_sample_shape(self) -> tuple[int, ...] | None:
-        shape = getattr(self.pool, "sample_shape", None)
-        if shape is not None:
-            return tuple(shape)  # process pool: reported in the hello
-        session = self.pool.session(self.pool.backends[0], 0)
-        graph = getattr(session, "graph", None)
-        if graph is None:
-            return None
-        shape = tuple(graph.inputs[0].shape)
-        return shape[1:] if len(shape) > 1 else None
-
     # -- submission ------------------------------------------------------------
 
     def submit(
@@ -257,11 +235,11 @@ class InferenceService:
         shape) raises ``ValueError`` — that is a caller bug, not load.
         """
         sample = np.asarray(sample)
-        if self._sample_shape is not None and tuple(sample.shape) != \
-                self._sample_shape:
+        if self.sample_shape is not None and tuple(sample.shape) != \
+                self.sample_shape:
             raise ValueError(
                 f"sample shape {tuple(sample.shape)} does not match the "
-                f"model's per-sample input shape {self._sample_shape}")
+                f"model's per-sample input shape {self.sample_shape}")
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
         with self._lock:
@@ -297,13 +275,24 @@ class InferenceService:
                     self._inflight -= len(batch)
                     self._idle.notify_all()
 
+    def _resolve(self, pending: PendingResponse,
+                 outcome: "Completed | Rejected | Failed") -> None:
+        """Resolve one *admitted* request; ``outstanding`` counts these.
+
+        Counted first, so a caller holding its outcome never reads itself
+        as still outstanding.
+        """
+        with self._lock:
+            self._resolved += 1
+        pending.resolve(outcome)
+
     def _dispatch(self, worker: int, batch: list[PendingResponse]) -> None:
         now = time.monotonic()
         live: list[PendingResponse] = []
         for pending in batch:
             remaining = pending.request.remaining_ms(now)
             if remaining is not None and remaining <= 0:
-                pending.resolve(self.queue.shed(
+                self._resolve(pending, self.queue.shed(
                     pending.request.id, "expired-in-queue", None,
                     f"deadline passed {-remaining:.1f} ms before dispatch"))
                 with self._lock:
@@ -327,16 +316,13 @@ class InferenceService:
     ) -> list[PendingResponse]:
         """Resolve quarantined members of ``live``; return the innocents."""
         if poisoned is None:
-            quarantined = getattr(self.pool, "quarantined", None)
-            if quarantined is None:
-                return live
-            poisoned = quarantined([p.request.id for p in live])
+            poisoned = self.pool.quarantined([p.request.id for p in live])
         if not poisoned:
             return live
         keep: list[PendingResponse] = []
         for pending in live:
             if pending.request.id in poisoned:
-                pending.resolve(self.queue.shed(
+                self._resolve(pending, self.queue.shed(
                     pending.request.id, "quarantined", None,
                     "poison request: repeatedly killed its worker"))
             else:
@@ -373,11 +359,6 @@ class InferenceService:
                 # Not a backend failure: the batch contains a known-bad
                 # request. No breaker penalty; retry the innocents.
                 return self._shed_quarantined(live, set(exc.request_ids))
-            except DeadlineExceededError as exc:
-                breaker.record_failure()
-                failure = Failed(id="", error_type=type(exc).__name__,
-                                 message=str(exc), backend=backend)
-                continue
             except OrpheusError as exc:
                 breaker.record_failure()
                 failure = Failed(id="", error_type=type(exc).__name__,
@@ -402,12 +383,12 @@ class InferenceService:
                  if b.retry_after_s() is not None),
                 default=None)
             for pending in live:
-                pending.resolve(self.queue.shed(
+                self._resolve(pending, self.queue.shed(
                     pending.request.id, "breaker-open", retry,
                     "all backends tripped open"))
         else:
             for pending in live:
-                pending.resolve(dataclasses.replace(
+                self._resolve(pending, dataclasses.replace(
                     failure, id=pending.request.id))
             with self._lock:
                 self._failed += len(live)
@@ -450,7 +431,7 @@ class InferenceService:
             remaining = request.remaining_ms(now)
             is_late = remaining is not None and remaining < 0
             late += int(is_late)
-            pending.resolve(Completed(
+            self._resolve(pending, Completed(
                 id=request.id,
                 output=np.array(primary[index]),
                 latency_ms=(now - request.submitted_at) * 1e3,
@@ -498,15 +479,13 @@ class InferenceService:
             self.drain(timeout=timeout)
         self._stop.set()
         for pending in self.queue.close():
-            pending.resolve(self.queue.shed(
+            self._resolve(pending, self.queue.shed(
                 pending.request.id, "stopped", None,
                 "service shut down before dispatch"))
         for thread in self._threads:
             thread.join(timeout=5.0)
         if self._owns_pool:
-            close_pool = getattr(self.pool, "close", None)
-            if close_pool is not None:
-                close_pool()  # process mode: shut the supervisor down
+            self.pool.close()  # process mode: shut the supervisor down
         with self._lock:
             self._stopped = True
             self._draining = True
@@ -526,7 +505,7 @@ class InferenceService:
                 accepted=self._accepted,
                 completed=self._completed,
                 failed=self._failed,
-                rejected=dict(self.queue.sheds),
+                rejected=self.queue.shed_counts(),
                 deadline_misses=self._expired + self._late,
                 late_completions=self._late,
                 batches=self._batches,
@@ -539,6 +518,7 @@ class InferenceService:
                     b.snapshot() for b in self.breakers.values()),
                 draining=self._draining,
                 stopped=self._stopped,
+                outstanding=self._accepted - self._resolved,
             )
 
     def robustness_report(self) -> ServeRobustnessReport:
@@ -557,9 +537,7 @@ class InferenceService:
     def health(self) -> dict:
         """JSON-ready health document for the CLI and the smoke job."""
         stats = self.stats()
-        supervisor = getattr(self.pool, "supervisor", None)
-        supervisor_stats = supervisor.stats() if supervisor is not None \
-            else None
+        supervisor_stats = self.pool.supervision()
         status = "ok"
         if stats.stopped:
             status = "stopped"

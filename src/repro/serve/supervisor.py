@@ -48,6 +48,12 @@ from repro.serve import worker as worker_mod
 from repro.serve.protocol import pack_arrays, read_frame, unpack_arrays, \
     write_frame
 
+#: Slack added to a request's own deadline before its worker is declared
+#: stuck on it: a second, so a reply that is merely late (the session's own
+#: deadline check fires at the next node boundary) still arrives as the
+#: structured DeadlineExceededError instead of costing a worker.
+DEADLINE_GRACE_S = 1.0
+
 _STARTING = "starting"
 _READY = "ready"
 _RESTARTING = "restarting"
@@ -136,16 +142,15 @@ class WorkerSupervisor:
             session) — workers rebuild it themselves; graphs are never
             pickled.
         backends / workers / batch / threads / image_size / seed /
-            optimize / engine_cache / autotune_cache / fault_spec /
-            fault_seed / session_kwargs: forwarded to every worker's init
-            spec (see :mod:`repro.serve.worker`). ``engine_cache`` should
-            be a directory path so all workers share the artifact.
+            optimize / engine_cache / fault_spec / fault_seed /
+            session_kwargs: forwarded to every worker's init spec (see
+            :mod:`repro.serve.worker`). ``engine_cache`` should be a
+            directory path so all workers share the artifact.
         heartbeat_interval_s: how often workers beat.
         heartbeat_timeout_s: silence after which a worker is declared
             hung and killed.
-        request_timeout_s: wait bound for requests without deadlines.
-        deadline_grace_s: slack added to a request's own deadline before
-            the worker is declared stuck on it.
+        request_timeout_s: wait bound for requests without deadlines
+            (one with a deadline gets it plus :data:`DEADLINE_GRACE_S`).
         backoff_base_s / backoff_cap_s: exponential restart backoff
             (``base * 2**(deaths-1)``, capped).
         restart_budget / restart_window_s: restart-storm budget — more
@@ -168,7 +173,6 @@ class WorkerSupervisor:
         seed: int = 0,
         optimize: bool = True,
         engine_cache: Any = None,
-        autotune_cache: Any = None,
         fault_spec: str | None = None,
         fault_seed: int = 0,
         session_kwargs: dict | None = None,
@@ -176,7 +180,6 @@ class WorkerSupervisor:
         heartbeat_interval_s: float = 0.05,
         heartbeat_timeout_s: float = 1.0,
         request_timeout_s: float = 60.0,
-        deadline_grace_s: float = 1.0,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 2.0,
         restart_budget: int = 8,
@@ -200,7 +203,6 @@ class WorkerSupervisor:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.deadline_grace_s = deadline_grace_s
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.restart_budget = restart_budget
@@ -209,8 +211,6 @@ class WorkerSupervisor:
         self.spawn_timeout_s = spawn_timeout_s
         if engine_cache is not None and not isinstance(engine_cache, str):
             engine_cache = getattr(engine_cache, "directory", None)
-        if autotune_cache is not None and not isinstance(autotune_cache, str):
-            autotune_cache = getattr(autotune_cache, "path", None)
         self._spec = {
             "model": model,
             "backends": list(self.backends),
@@ -220,7 +220,6 @@ class WorkerSupervisor:
             "seed": seed,
             "optimize": optimize,
             "engine_cache": engine_cache,
-            "autotune_cache": autotune_cache,
             "fault_spec": fault_spec,
             "session_kwargs": dict(session_kwargs or {}),
             "loopback_delay_s": loopback_delay_s,
@@ -505,7 +504,7 @@ class WorkerSupervisor:
                 self._reap(handle, generation, reason="pipe-broken")
             timeout = self.request_timeout_s
             if deadline_ms is not None:
-                timeout = deadline_ms / 1e3 + self.deadline_grace_s
+                timeout = deadline_ms / 1e3 + DEADLINE_GRACE_S
             if not slot.event.wait(timeout):
                 proc.kill()
                 self._reap(handle, generation, reason="request-timeout")
@@ -686,10 +685,13 @@ class ProcessWorkerPool:
     Drop-in for ``InferenceService(pool=...)``: exposes the same
     ``backends`` / ``workers`` / ``batch`` / ``input_name`` /
     ``session()`` shape, but every session proxies to a supervised
-    process. Extra surface the service discovers by duck typing:
-    ``sample_shape`` (from the workers' hello), ``quarantined()`` (the
-    poison filter), and ``close()`` (shuts the supervisor down).
+    process, and the same five members the service reads off either pool:
+    ``worker_mode``, ``sample_shape`` (from the workers' hello),
+    ``quarantined()`` (the poison filter), ``supervision()`` (the
+    supervisor's stats) and ``close()`` (shuts the supervisor down).
     """
+
+    worker_mode = "process"
 
     def __init__(self, supervisor: WorkerSupervisor) -> None:
         self.supervisor = supervisor
@@ -724,6 +726,9 @@ class ProcessWorkerPool:
 
     def quarantined(self, request_ids) -> set[str]:
         return self.supervisor.quarantined(request_ids)
+
+    def supervision(self) -> SupervisorStats:
+        return self.supervisor.stats()
 
     def close(self) -> None:
         self.supervisor.close()

@@ -86,9 +86,8 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
             "engine_hits": {},
         }
     # The real path reuses SessionPool's build machinery with workers=1:
-    # engine-cache warm start, autotune threading, per-backend fault
-    # plans, cold-prepare degrade — one code path for both worker modes.
-    from repro.engine.cache import AutotuneCache
+    # engine-cache warm start, per-backend fault plans, cold-prepare
+    # degrade — one code path for both worker modes.
     from repro.serve.pool import SessionPool
 
     fault_specs = None
@@ -104,20 +103,14 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
         seed=int(spec.get("seed", 0)),
         optimize=bool(spec.get("optimize", True)),
         engine_cache=spec.get("engine_cache"),
-        autotune_cache=(AutotuneCache(spec["autotune_cache"])
-                        if spec.get("autotune_cache") else None),
         fault_specs=fault_specs,
         fault_seed=int(spec.get("fault_seed", 0)),
         session_kwargs=spec.get("session_kwargs") or None,
     )
     sessions = {backend: pool.session(backend, 0) for backend in backends}
-    sample_shape = None
-    graph = getattr(sessions[backends[0]], "graph", None)
-    if graph is not None and len(tuple(graph.inputs[0].shape)) > 1:
-        sample_shape = list(graph.inputs[0].shape)[1:]
     return sessions, {
         "input_name": pool.input_name,
-        "sample_shape": sample_shape,
+        "sample_shape": pool.sample_shape,
         "engine_hits": dict(pool.engine_hits),
     }
 

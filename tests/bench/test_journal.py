@@ -232,38 +232,19 @@ class TestSweepResume:
         assert "budget" in failure.message
 
     def test_degrade_mode_never_reports_batch_1_as_the_swept_batch(self):
-        """time_model's batch-1 fallback must not leak into a sweep: a
-        cell *is* its batch, so over budget stays a failure row."""
+        """A cell *is* its batch: over budget is a failure row, never a
+        batch-1 measurement (that retry lives in bench/quant.py only)."""
         from repro.models import zoo
         from repro.runtime.session import InferenceSession
 
         probe = InferenceSession(zoo.build("wrn-40-2", batch=1, image_size=8))
         result = batch_sweep(
             "wrn-40-2", batches=(1, 4), image_size=8, repeats=1, warmup=0,
-            retries=0, memory_budget_bytes=probe.memory_plan.peak_bytes,
-            budget_mode="degrade")
+            retries=0, memory_budget_bytes=probe.memory_plan.peak_bytes)
         assert [p.batch for p in result.points] == [1]
         (failure,) = result.failures
         assert failure.label == "wrn-40-2@batch=4"
         assert failure.error_type == "MemoryBudgetError"
-
-    def test_time_model_degrades_batched_workload_to_batch_1(self):
-        from repro.bench.harness import time_model
-        from repro.errors import MemoryBudgetError
-        from repro.models import zoo
-        from repro.runtime.session import InferenceSession
-
-        # A budget the model fits at batch 1 but not at batch 4.
-        probe = InferenceSession(zoo.build("wrn-40-2", batch=1, image_size=8))
-        budget = probe.memory_plan.peak_bytes
-
-        with pytest.raises(MemoryBudgetError):
-            time_model("wrn-40-2", batch=4, image_size=8, repeats=1,
-                       warmup=0, memory_budget_bytes=budget)
-        stats = time_model("wrn-40-2", batch=4, image_size=8, repeats=1,
-                           warmup=0, memory_budget_bytes=budget,
-                           budget_mode="degrade")
-        assert stats.label.endswith("/degraded-batch-1")
 
 
 class TestFigure2Resume:

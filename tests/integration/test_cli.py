@@ -23,6 +23,19 @@ class TestInformational:
         assert excinfo.value.code == 0
 
 
+class TestRetiredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "table1", "--journal", "x"],
+        ["run", "wrn-40-2", "--memory-budget-mb", "64",
+         "--budget-mode", "degrade"],
+        ["serve", "@loopback", "--autotune-cache", "x"],
+    ])
+    def test_option_that_changed_no_run_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
 class TestInspectRunProfile:
     def test_inspect_zoo_model(self, capsys):
         assert main(["inspect", "wrn-40-2"]) == 0

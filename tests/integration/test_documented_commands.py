@@ -5,9 +5,12 @@ from citing a verb or flag the CLI no longer has.
 """
 
 import argparse
+import inspect
 import pathlib
+import re
 import shlex
 
+from repro import cli
 from repro.cli import _build_parser
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -39,6 +42,27 @@ def _subverbs(parser):
     (action,) = [a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
     return action.choices
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_every_registered_option_is_read():
+    """A flag argparse accepts and no handler reads changes no run."""
+    source = inspect.getsource(cli)
+    dests = {action.dest for parser in _parsers(_build_parser())
+             for action in parser._actions
+             if not isinstance(action, (argparse._HelpAction,
+                                        argparse._VersionAction))}
+    assert len(dests) > 40          # the walk itself still works
+    dropped = sorted(dest for dest in dests
+                     if not re.search(rf"\bargs\.{dest}\b", source))
+    assert not dropped, f"parsed and never read: {dropped}"
 
 
 def test_every_documented_command_parses(capsys):

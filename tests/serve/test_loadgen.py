@@ -112,7 +112,7 @@ class TestRunLoad:
 
         class Service:
             """Sheds everything; notes when each request was due."""
-            _sample_shape = (4,)
+            sample_shape = (4,)
 
             def __init__(self):
                 self.due = {}

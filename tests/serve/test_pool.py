@@ -5,6 +5,12 @@ import pytest
 
 from repro.engine.cache import EngineCache
 from repro.serve.pool import SessionPool
+from repro.serve.service import InferenceService
+from repro.serve.supervisor import (
+    ProcessWorkerPool,
+    SupervisorStats,
+    WorkerSupervisor,
+)
 from tests.conftest import tiny_classifier
 from tests.serve.helpers import FakeSession, make_factory
 
@@ -25,6 +31,51 @@ class TestConstruction:
         assert pool.session("a", 0) is not pool.session("a", 1)
         assert pool.session("b", 2).backend == "b"
         assert pool.sessions("a") == factory.sessions[:3]
+
+
+class _Forwarding:
+    """The shape of perfbench's traced pool: a proxy that forwards every
+    attribute it does not define, so it must pass for a pool unprobed."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestServiceSurface:
+    """The five members InferenceService reads off either pool kind."""
+
+    @pytest.mark.parametrize("build, mode, shape, supervised", [
+        (lambda: SessionPool("fake", session_factory=make_factory()),
+         "thread", None, False),
+        (lambda: SessionPool("@loopback"), "thread", (4,), False),
+        pytest.param(
+            lambda: ProcessWorkerPool(WorkerSupervisor(
+                "@loopback", workers=1, heartbeat_interval_s=0.02)),
+            "process", (4,), True, marks=pytest.mark.slow),
+    ], ids=["factory", "loopback", "process"])
+    def test_both_pool_kinds_state_what_they_are(
+            self, build, mode, shape, supervised):
+        pool = build()
+        try:
+            assert pool.worker_mode == mode
+            assert pool.sample_shape == shape
+            assert pool.quarantined(["r1"]) == set()
+            stats = pool.supervision()
+            assert isinstance(stats, SupervisorStats) if supervised \
+                else stats is None
+            with InferenceService(pool=_Forwarding(pool)) as service:
+                assert service.worker_mode == mode
+                assert service.sample_shape == shape
+                outcome = service.submit(
+                    np.ones(4, dtype=np.float32)).result(timeout=10.0)
+                assert outcome.ok
+                np.testing.assert_allclose(outcome.output, 2.0)
+                assert ("supervisor" in service.health()) == supervised
+        finally:
+            pool.close()
 
 
 class TestWarmPath:

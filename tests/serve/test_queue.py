@@ -25,7 +25,7 @@ class TestAdmission:
         assert isinstance(rejection, Rejected)
         assert rejection.reason == "queue-full"
         assert rejection.retry_after_s is not None
-        assert queue.sheds == {"queue-full": 1}
+        assert queue.shed_counts() == {"queue-full": 1}
         assert len(queue) == 2  # the shed request consumed no capacity
 
     def test_overload_sheds_up_front_when_wait_exceeds_deadline(self):
@@ -52,6 +52,31 @@ class TestAdmission:
         rejection = queue.try_admit(make_pending())
         assert rejection.reason == "stopped"
         assert rejection.retry_after_s is None
+
+    def test_a_shed_between_anothers_read_and_write_is_counted(self):
+        queue = AdmissionQueue(capacity=1)
+        second = []
+
+        class Interleaving(dict):
+            """Runs a whole second shed() inside the first one's read."""
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if not second:
+                    second.append(threading.Thread(
+                        target=queue.shed, args=("b", "overload", None, "")))
+                    second[0].start()
+                    # Bounds the wait and decides nothing: unlocked, the
+                    # second shed finishes here and its count is then
+                    # overwritten; locked, it blocks until ours is written.
+                    second[0].join(timeout=0.2)
+                return value
+
+        queue.sheds = Interleaving()
+        queue.shed("a", "overload", None, "")
+        second[0].join(timeout=5.0)
+        assert not second[0].is_alive()
+        assert queue.shed_counts() == {"overload": 2}
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

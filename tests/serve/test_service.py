@@ -52,10 +52,15 @@ class TestRoundtrip:
 
     def test_sample_shape_is_validated_when_known(self):
         factory = make_factory()
-        pool = SessionPool("fake", backends=("a",), session_factory=factory)
-        # graft a graph-like object so the service learns the input shape
-        pool.session("a", 0).graph = types.SimpleNamespace(
-            inputs=[types.SimpleNamespace(shape=(1, 4))])
+
+        def with_graph(backend, index):
+            # a graph-like object so the pool learns the input shape
+            session = factory(backend, index)
+            session.graph = types.SimpleNamespace(
+                inputs=[types.SimpleNamespace(shape=(1, 4))])
+            return session
+        pool = SessionPool("fake", backends=("a",),
+                           session_factory=with_graph)
         with InferenceService(pool=pool) as service:
             with pytest.raises(ValueError, match="shape"):
                 service.submit(np.zeros((3,), dtype=np.float32))
@@ -239,6 +244,18 @@ class TestLifecycle:
         assert running.result(timeout=5.0) is not None  # never silent
         assert service.submit(sample()).reason == "stopped"
         assert service.health()["status"] == "stopped"
+
+    def test_submit_after_close_is_not_outstanding(self):
+        # "stopped" is also the admission-time reason once the queue is
+        # closed; only what the service itself resolved may be subtracted.
+        service = InferenceService("@loopback", workers=1)
+        assert service.submit(sample()).result(timeout=5.0).ok
+        service.close()
+        assert service.submit(sample()).reason == "stopped"
+        stats = service.stats()
+        assert (stats.accepted, stats.completed) == (1, 1)
+        assert stats.rejected == {"stopped": 1}
+        assert stats.outstanding == 0
 
     def test_close_is_idempotent(self):
         service = make_service()
