@@ -15,11 +15,15 @@ from repro.bench.layerwise import ConvCase
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import REGISTRY
 
-# MobileNetV1's actual depthwise shapes at 224x224 (channels, size, stride).
+# MobileNetV1's nine distinct depthwise shapes at 224x224 (channels, input
+# size, stride); 512x14 stride 1 occurs five times, the others once.
 _DW_LAYERS = (
-    (64, 112, 1),
+    (32, 112, 1),
+    (64, 112, 2),
     (128, 56, 1),
+    (128, 56, 2),
     (256, 28, 1),
+    (256, 28, 2),
     (512, 14, 1),
     (512, 14, 2),
     (1024, 7, 1),

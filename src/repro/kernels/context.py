@@ -42,6 +42,25 @@ class ExecutionContext:
         except KeyError:
             return self.cache.setdefault(key, compute())
 
+    def derived(self, key, sources: tuple, compute: Callable):
+        """Return the value ``compute()`` derives from the arrays ``sources``.
+
+        For artefacts that are functions of a node's *inputs* (a Winograd
+        filter transform, a packed weight layout) rather than of the node
+        alone. The entry stores the source arrays beside the value and is
+        served only while every source ``is`` the stored one; anything else
+        — a weight fed as a graph input, a new array at a recycled ``id`` —
+        recomputes and replaces it, so a key holds one entry, never a stale
+        one. Holding the sources is what makes the identity test sound.
+        """
+        entry = self.cache.get(key)
+        if (entry is not None and len(entry[0]) == len(sources)
+                and all(a is b for a, b in zip(entry[0], sources))):
+            return entry[1]
+        value = compute()
+        self.cache[key] = (sources, value)
+        return value
+
     def parallel_for(self, total: int, body: Callable[[int, int], None]) -> None:
         parallel_for(total, body, threads=self.threads)
 

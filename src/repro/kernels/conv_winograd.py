@@ -15,7 +15,9 @@ NNPACK, oneDNN) generate:
 * the per-tile elementwise product becomes 16 batched channel-contraction
   GEMMs of shape ``(O, C) @ (C, tiles)``;
 * the filter transform ``U = G g G^T`` depends only on the weights and is
-  cached in the execution context — the AOT weight-layout step.
+  cached in the execution context — the AOT weight-layout step — as a
+  value *derived from* the weight array, recomputed if the node is ever
+  handed a different one.
 
 Only applicable to 3x3, stride 1, dilation 1, ungrouped convolutions.
 """
@@ -93,8 +95,8 @@ def conv_winograd(
         padded = np.pad(padded, ((0, 0), (0, 0), (0, extra_h), (0, extra_w)))
 
     compute_dtype = np.float64 if x.dtype == np.float64 else np.float32
-    u = ctx.cached(
-        ("winograd_u", node.name, id(weight)),
+    u = ctx.derived(
+        ("winograd_u", node.name), (weight,),
         lambda: _filter_transform(weight, compute_dtype))  # (16, O, C)
     bb = _BB.astype(compute_dtype)
     aa = _AA.astype(compute_dtype)

@@ -75,7 +75,7 @@ class TensorProto:
     name: str = ""
     dims: tuple[int, ...] = ()
     data_type: int = 1
-    raw_data: bytes | None = None
+    raw_data: bytes | memoryview | None = None
     float_data: list[float] = dataclasses.field(default_factory=list)
     int32_data: list[int] = dataclasses.field(default_factory=list)
     int64_data: list[int] = dataclasses.field(default_factory=list)
@@ -117,7 +117,8 @@ class TensorProto:
         proto.dims = tuple(dims)
         return proto
 
-    def serialize(self) -> bytes:
+    def writer(self) -> MessageWriter:
+        """The message as unjoined chunks, for a parent writer to splice."""
         writer = MessageWriter()
         for dim in self.dims:
             writer.varint(1, dim)
@@ -134,7 +135,10 @@ class TensorProto:
             writer.bytes_field(9, self.raw_data)
         if self.double_data:
             writer.packed_doubles(10, self.double_data)
-        return writer.finish()
+        return writer
+
+    def serialize(self) -> bytes:
+        return self.writer().finish()
 
     # -- numpy bridge ------------------------------------------------------------
 
@@ -183,11 +187,15 @@ class TensorProto:
     @classmethod
     def from_numpy(cls, array: np.ndarray, name: str = "") -> "TensorProto":
         dtype = DType.from_numpy(array.dtype)
+        # A view of the array's own memory, not a ``tobytes()`` copy: the
+        # writer's final join is then the only copy of the weights made.
+        raw = (memoryview(np.ascontiguousarray(array)).cast("B")
+               if array.size else b"")
         return cls(
             name=name,
             dims=tuple(int(dim) for dim in array.shape),
             data_type=dtype.onnx_code,
-            raw_data=np.ascontiguousarray(array).tobytes(),
+            raw_data=raw,
         )
 
 
@@ -270,7 +278,7 @@ class AttributeProto:
         elif self.type == ATTR_TENSOR:
             if self.t is None:
                 raise OnnxError(f"attribute {self.name!r}: TENSOR type, no tensor")
-            writer.message(5, self.t.serialize())
+            writer.message(5, self.t.writer())
         elif self.type == ATTR_FLOATS:
             writer.packed_floats(7, self.floats)
         elif self.type == ATTR_INTS:
@@ -495,18 +503,22 @@ class GraphProto:
             # value_info (13) and others skipped
         return proto
 
-    def serialize(self) -> bytes:
+    def writer(self) -> MessageWriter:
+        """The message as unjoined chunks, for a parent writer to splice."""
         writer = MessageWriter()
         for node in self.node:
             writer.message(1, node.serialize())
         writer.string(2, self.name)
         for tensor in self.initializer:
-            writer.message(5, tensor.serialize())
+            writer.message(5, tensor.writer())
         for info in self.input:
             writer.message(11, info.serialize())
         for info in self.output:
             writer.message(12, info.serialize())
-        return writer.finish()
+        return writer
+
+    def serialize(self) -> bytes:
+        return self.writer().finish()
 
 
 @dataclasses.dataclass
@@ -562,7 +574,8 @@ class ModelProto:
                     _bytes(value, "ModelProto.opset", field), depth + 1))
         return proto
 
-    def serialize(self) -> bytes:
+    def writer(self) -> MessageWriter:
+        """The message as unjoined chunks; ``finish()`` is the one join."""
         writer = MessageWriter()
         writer.varint(1, self.ir_version)
         if self.producer_name:
@@ -571,7 +584,10 @@ class ModelProto:
             writer.string(3, self.producer_version)
         writer.varint(5, self.model_version)
         if self.graph is not None:
-            writer.message(7, self.graph.serialize())
+            writer.message(7, self.graph.writer())
         for opset in self.opset_import or [OperatorSetIdProto()]:
             writer.message(8, opset.serialize())
-        return writer.finish()
+        return writer
+
+    def serialize(self) -> bytes:
+        return self.writer().finish()

@@ -125,10 +125,14 @@ def decode_tag(data: bytes, pos: int) -> tuple[int, int, int]:
 
 
 class MessageWriter:
-    """Accumulates tagged fields into protobuf message bytes."""
+    """Accumulates tagged fields into protobuf message bytes.
+
+    Fields are kept as a list of chunks (``bytes`` or any buffer, such as a
+    view of an array's memory) and joined once, by :meth:`finish`.
+    """
 
     def __init__(self) -> None:
-        self._chunks: list[bytes] = []
+        self._chunks: list[bytes | memoryview] = []
 
     def varint(self, field: int, value: int) -> "MessageWriter":
         self._chunks.append(encode_tag(field, VARINT))
@@ -145,7 +149,7 @@ class MessageWriter:
         self._chunks.append(struct.pack("<d", value))
         return self
 
-    def bytes_field(self, field: int, value: bytes) -> "MessageWriter":
+    def bytes_field(self, field: int, value: "bytes | memoryview") -> "MessageWriter":
         self._chunks.append(encode_tag(field, LENGTH_DELIMITED))
         self._chunks.append(encode_varint(len(value)))
         self._chunks.append(value)
@@ -155,9 +159,19 @@ class MessageWriter:
         return self.bytes_field(field, value.encode("utf-8"))
 
     def message(self, field: int, value: "bytes | MessageWriter") -> "MessageWriter":
-        if isinstance(value, MessageWriter):
-            value = value.finish()
-        return self.bytes_field(field, value)
+        """Append a submessage; a writer's chunks are spliced in, not joined.
+
+        Joining the child first would copy its payload once per nesting
+        level (tensor in graph in model: three transient copies of the
+        weights); splicing leaves :meth:`finish` of the outermost writer as
+        the only copy. The bytes produced are the same either way.
+        """
+        if not isinstance(value, MessageWriter):
+            return self.bytes_field(field, value)
+        self._chunks.append(encode_tag(field, LENGTH_DELIMITED))
+        self._chunks.append(encode_varint(sum(map(len, value._chunks))))
+        self._chunks.extend(value._chunks)
+        return self
 
     def packed_varints(self, field: int, values: Sequence[int]) -> "MessageWriter":
         body = b"".join(encode_signed_varint(int(v)) for v in values)

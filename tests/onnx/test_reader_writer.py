@@ -73,6 +73,39 @@ class TestRoundtrip:
             rtol=1e-5, atol=1e-6)
 
 
+class TestWriterFootprint:
+    def test_writer_holds_one_copy_of_the_weights(self):
+        """The export's transient peak is the result plus small change.
+
+        Joining each nesting level separately (tobytes, TensorProto,
+        GraphProto, ModelProto) peaked at ~3.4x the file size.
+        """
+        import tracemalloc
+
+        from repro.models import zoo
+        graph = zoo.build("mobilenet-v1")
+        tracemalloc.start()
+        try:
+            data = save_model_bytes(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 16_000_000
+        assert peak <= 1.3 * len(data), (peak, len(data))
+
+    def test_empty_and_scalar_initializers_roundtrip(self):
+        graph = tiny_classifier()
+        graph.initializers["empty"] = np.empty((0, 3), dtype=np.float32)
+        graph.initializers["scalar"] = np.array(2.5, dtype=np.float32)
+        graph.initializers["strided"] = np.arange(12.0).reshape(3, 4).T
+        back = load_model_bytes(save_model_bytes(graph))
+        for name in ("empty", "scalar", "strided"):
+            np.testing.assert_array_equal(
+                back.initializers[name], graph.initializers[name])
+            assert back.initializers[name].shape == \
+                graph.initializers[name].shape
+
+
 class TestReaderValidation:
     def test_unsupported_op_rejected(self):
         graph = GraphProto(

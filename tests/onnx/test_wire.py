@@ -133,6 +133,30 @@ class TestMessageWriterAndIter:
         [(ifield, _, ivalue)] = list(iter_fields(payload))
         assert (ifield, ivalue) == (1, 7)
 
+    def test_spliced_writer_equals_joined_bytes(self):
+        """message(f, writer) splices chunks; the bytes must not change."""
+        def leaf():
+            return (MessageWriter().varint(1, 300)
+                    .bytes_field(9, memoryview(bytes(range(200))))
+                    .string(8, "w"))
+
+        def middle(join):
+            writer = MessageWriter().string(2, "graph")
+            for _ in range(3):
+                writer.message(5, leaf().finish() if join else leaf())
+            return writer.message(11, MessageWriter())  # empty child
+
+        spliced = MessageWriter().varint(1, 8).message(7, middle(False))
+        joined = MessageWriter().varint(1, 8).message(
+            7, middle(True).finish())
+        assert spliced.finish() == joined.finish()
+        # ... and the result still parses as three levels.
+        (_, _, graph) = list(iter_fields(spliced.finish()))[1]
+        tensors = [v for f, _w, v in iter_fields(graph) if f == 5]
+        assert len(tensors) == 3
+        assert dict((f, v) for f, _w, v in iter_fields(tensors[0]))[9] == \
+            bytes(range(200))
+
     def test_multiple_fields_in_order(self):
         data = (MessageWriter().varint(1, 1).string(2, "x")
                 .varint(1, 2).finish())

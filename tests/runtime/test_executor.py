@@ -175,3 +175,49 @@ class TestKernelValidation:
         outputs, _ = executor.run({"input": x})
         assert next(iter(outputs.values())).dtype == np.float32
         assert executor.robustness_report().counts_by_kind() == {"dtype": 1}
+
+
+class TestDepthwisePinnedBytes:
+    """What ``direct_dw`` keeps for a session's life, counted, not timed.
+
+    The first row of the deterministic work ledger: mobilenet-v1 used to
+    pin one full-output scratch per depthwise node (13 arrays, 7.7 MB);
+    it now pins one cache-sized workspace and 13 tap packs of C x 10.
+    """
+
+    def test_one_workspace_thirteen_packs_and_a_quiet_second_run(self, rng):
+        from repro.kernels.depthwise import _BLOCK_FLOATS
+        from repro.models import zoo
+        from repro.runtime.session import InferenceSession
+
+        session = InferenceSession(
+            zoo.build("mobilenet-v1"), backend="orpheus", threads=1)
+        plan = session.kernel_plan()
+        depthwise = [name for name, impl in plan.items()
+                     if impl == "direct_dw"]
+        assert len(depthwise) == 13
+        feed = {"input": rng.standard_normal(
+            (1, 3, 224, 224)).astype(np.float32)}
+        first = session.run(feed)
+        cache = session._executor.context.cache
+
+        def keys(tag):
+            return [key for key in cache if key[0] == tag]
+
+        [workspace] = keys("dw_workspace")
+        assert cache[workspace].nbytes <= 4 * _BLOCK_FLOATS
+        assert sorted(key[1] for key in keys("dw_pack")) == sorted(depthwise)
+        assert not [key for key in cache if str(key[0]).startswith("dw_scratch")]
+        graph = session.graph
+        for key in keys("dw_pack"):
+            (weight, bias), pack = cache[key]
+            assert pack.shape == (weight.shape[0], 1, 10)
+            assert pack.nbytes == weight.shape[0] * 10 * 4
+            node = next(n for n in graph.nodes if n.name == key[1])
+            assert weight is graph.initializers[node.inputs[1]]
+
+        before = {key: id(value) for key, value in cache.items()}
+        second = session.run(feed)
+        assert {key: id(value) for key, value in cache.items()} == before
+        for name in first:
+            assert first[name].tobytes() == second[name].tobytes()
