@@ -14,7 +14,7 @@ Python reproduction of the ISPASS 2020 paper by Gibson & Cano
 """
 
 from repro.backends import Backend, get_backend, list_backends, register_backend
-from repro.config import RuntimeConfig, default_config, get_default_config
+from repro.config import RuntimeConfig
 from repro.errors import OrpheusError
 from repro.ir import Graph, GraphBuilder, Node, ValueInfo
 from repro.quant import qops as _qops  # noqa: F401  (register quantized ops)
@@ -35,9 +35,7 @@ __all__ = [
     "Tensor",
     "ValueInfo",
     "__version__",
-    "default_config",
     "get_backend",
-    "get_default_config",
     "list_backends",
     "register_backend",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.backends import get_backend
-from repro.config import get_default_config
+from repro.config import RuntimeConfig
 from repro.ir.graph import Graph
 from repro.runtime.executor import Executor
 from repro.runtime.memory_planner import MemoryPlan
@@ -56,7 +56,7 @@ class FootprintReport:
 def plan_for_graph(graph: Graph) -> MemoryPlan:
     """Run the memory planner as the executor would."""
     executor = Executor(
-        graph, get_backend("orpheus"), get_default_config())
+        graph, get_backend("orpheus"), RuntimeConfig())
     return executor.plan
 
 

@@ -85,17 +85,10 @@ class Backend:
                     f"{list(input_shapes)}"
                 )
             return impl
-        preferred = self.preferences.get(node.op_type, ())
-        if self.include_experimental:
-            candidates = self.registry.candidates(
-                node, input_shapes, include_experimental=True)
-            for name in preferred:
-                for impl in candidates:
-                    if impl.name == name:
-                        return impl
-            if candidates:
-                return candidates[0]
-        return self.registry.select(node, input_shapes, preferences=preferred)
+        return self.registry.select(
+            node, input_shapes,
+            preferences=self.preferences.get(node.op_type, ()),
+            include_experimental=self.include_experimental)
 
     def candidates(
         self, node: Node, input_shapes: Sequence[tuple[int, ...]]

@@ -181,9 +181,9 @@ def run_figure2(
     """
     from repro.bench.workloads import model_input
 
-    if isinstance(engine_cache, str):
+    if engine_cache is not None:
         from repro.engine.cache import EngineCache
-        engine_cache = EngineCache(engine_cache)
+        engine_cache = EngineCache.coerce(engine_cache)
 
     book = open_journal(journal)
     resumed = 0

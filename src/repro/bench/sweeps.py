@@ -116,9 +116,9 @@ def _run_sweep(
 ) -> SweepResult:
     """Shared sweep engine: failure boundary + run-journal per cell."""
     _validate_protocol(repeats, warmup)
-    if isinstance(engine_cache, str):
+    if engine_cache is not None:
         from repro.engine.cache import EngineCache
-        engine_cache = EngineCache(engine_cache)
+        engine_cache = EngineCache.coerce(engine_cache)
     backend_name = backend if isinstance(backend, str) else backend.name
     book = open_journal(journal)
     points: list[SweepPoint] = []

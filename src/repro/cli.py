@@ -363,25 +363,25 @@ def _guardrail_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _session_kwargs(args: argparse.Namespace) -> dict:
-    """Robustness-related InferenceSession kwargs from parsed flags."""
-    kwargs: dict = {}
-    if args.check_numerics:
-        kwargs["check_numerics"] = True
-    if args.no_fallback:
-        kwargs["kernel_fallback"] = False
-    if args.inject_faults:
-        from repro.runtime.faults import parse_fault_plan
-        kwargs["fault_plan"] = parse_fault_plan(
-            args.inject_faults, seed=args.fault_seed)
-    if args.deadline_ms is not None:
-        kwargs["deadline_ms"] = args.deadline_ms
-    if args.node_timeout_ms is not None:
-        kwargs["node_timeout_ms"] = args.node_timeout_ms
-    if args.memory_budget_mb is not None:
-        kwargs["memory_budget_bytes"] = int(args.memory_budget_mb * (1 << 20))
-    if args.engine:
-        kwargs["engine"] = args.engine
-    return kwargs
+    """Robustness-related InferenceSession kwargs from parsed flags.
+
+    A flag left unset hands over ``None``, which the session reads as
+    "not overridden" (:meth:`repro.config.RuntimeConfig.overridden`).
+    """
+    from repro.runtime.faults import parse_fault_plan
+    budget_mb = args.memory_budget_mb
+    return {
+        "check_numerics": args.check_numerics or None,
+        "kernel_fallback": False if args.no_fallback else None,
+        "fault_plan": (parse_fault_plan(args.inject_faults,
+                                        seed=args.fault_seed)
+                       if args.inject_faults else None),
+        "deadline_ms": args.deadline_ms,
+        "node_timeout_ms": args.node_timeout_ms,
+        "memory_budget_bytes": (None if budget_mb is None
+                                else int(budget_mb * (1 << 20))),
+        "engine": args.engine or None,
+    }
 
 
 def _write_json(path: str, document: dict) -> None:

@@ -3,15 +3,14 @@
 The paper evaluates single-thread inference on an Arm Cortex-A73 core; the
 ``threads`` knob here is the stand-in for OpenMP's ``OMP_NUM_THREADS``. A
 :class:`RuntimeConfig` is attached to every :class:`~repro.runtime.session.
-InferenceSession`; the module-level :func:`get_default_config` /
-:func:`set_default_config` pair holds the process-wide default.
+InferenceSession`, which builds it from an optional base ``config=`` plus
+keyword overrides (:meth:`RuntimeConfig.overridden`). This docstring is the
+one place the fields are documented; there is no process-wide default.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only (avoids an import cycle)
@@ -25,9 +24,7 @@ class RuntimeConfig:
     Attributes:
         threads: worker threads used by ``parallel_for`` kernels (1 = the
             paper's single-core setting).
-        backend: name of the default kernel-selection backend.
         optimize: run the graph-simplification pass pipeline before execution.
-        memory_planning: reuse buffers via the arena planner.
         validate_kernels: re-check kernel output shapes/dtypes against shape
             inference after every node (slow; for debugging). Implied per
             attempt whenever a fault plan is installed, so corrupt-shape
@@ -51,19 +48,13 @@ class RuntimeConfig:
             longer is reported as a deadline violation after it returns
             (kernels cannot be preempted mid-call). ``None`` disables it.
         memory_budget_bytes: admission-control budget; a session whose
-            memory plan needs more peak resident activation bytes is
-            rejected at prepare time with
+            memory plan needs more peak resident activation bytes
+            (``plan.peak_bytes``) is rejected at prepare time with
             :class:`~repro.errors.MemoryBudgetError`. ``None`` = unlimited.
-        budget_mode: what admission control does with an over-budget run:
-            ``"reject"`` raises immediately; ``"degrade"`` first retries
-            with the arena-friendly schedule (``memory_planning=True``) and
-            only rejects when even that cannot fit.
     """
 
     threads: int = 1
-    backend: str = "orpheus"
     optimize: bool = True
-    memory_planning: bool = True
     validate_kernels: bool = False
     kernel_fallback: bool = True
     check_numerics: bool = False
@@ -71,7 +62,6 @@ class RuntimeConfig:
     deadline_ms: float | None = None
     node_timeout_ms: float | None = None
     memory_budget_bytes: int | None = None
-    budget_mode: str = "reject"
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -87,41 +77,19 @@ class RuntimeConfig:
             raise ValueError(
                 f"memory_budget_bytes must be > 0, got "
                 f"{self.memory_budget_bytes}")
-        if self.budget_mode not in ("reject", "degrade"):
-            raise ValueError(
-                f"budget_mode must be 'reject' or 'degrade', got "
-                f"{self.budget_mode!r}")
 
     def replace(self, **changes: object) -> "RuntimeConfig":
         """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **changes)  # type: ignore[arg-type]
 
+    def overridden(self, **overrides: object) -> "RuntimeConfig":
+        """A copy with every override that is not ``None`` applied.
 
-_default = RuntimeConfig()
-
-
-def get_default_config() -> RuntimeConfig:
-    """Return the process-wide default configuration."""
-    return _default
-
-
-def set_default_config(config: RuntimeConfig) -> None:
-    """Replace the process-wide default configuration."""
-    global _default
-    _default = config
-
-
-@contextlib.contextmanager
-def default_config(**changes: object) -> Iterator[RuntimeConfig]:
-    """Temporarily override fields of the default configuration.
-
-    >>> with default_config(threads=4):
-    ...     ...
-    """
-    global _default
-    saved = _default
-    _default = saved.replace(**changes)
-    try:
-        yield _default
-    finally:
-        _default = saved
+        The one override rule of every front door (the session, the engine
+        loader, the CLI): a keyword left at ``None`` keeps this config's
+        value. Every name reaches the dataclass, so an unknown one is its
+        own ``TypeError`` whatever value came with it.
+        """
+        return self.replace(**{
+            name: getattr(self, name, None) if value is None else value
+            for name, value in overrides.items()})

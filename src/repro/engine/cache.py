@@ -257,6 +257,17 @@ class EngineCache:
     def __init__(self, directory: str | os.PathLike[str]) -> None:
         self.directory = os.fspath(os.path.expanduser(directory))
 
+    @classmethod
+    def coerce(
+        cls, where: "str | os.PathLike[str] | EngineCache",
+    ) -> "EngineCache":
+        """``where`` as a cache: a cache is itself, a path is its directory.
+
+        What every ``engine_cache=`` parameter accepts. Anything else is
+        ``os.fspath``'s ``TypeError`` — never a silently absent cache.
+        """
+        return where if isinstance(where, cls) else cls(where)
+
     def entry(self, **request: Any) -> EngineCacheEntry:
         canonical = json.dumps(request, sort_keys=True, separators=(",", ":"))
         key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]

@@ -1,13 +1,14 @@
 """Ahead-of-time compilation: graph + backend + config -> :class:`Engine`.
 
 ``compile_graph`` runs exactly the cold prepare an
-:class:`~repro.runtime.session.InferenceSession` would — the pass
-pipeline, shape inference, scheduling, memory planning, and kernel (chain)
-selection — optionally autotunes, and freezes the result. That "exactly"
-is load-bearing: the differential test suite asserts a warm-started
-session is indistinguishable from a cold one, and reusing the same
-:class:`~repro.runtime.executor.Executor` preparation path is what makes
-that hold by construction rather than by maintenance discipline.
+:class:`~repro.runtime.session.InferenceSession` would — optionally
+autotunes — and freezes the result. That "exactly" is load-bearing: the
+differential test suite asserts a warm-started session is
+indistinguishable from a cold one, and it holds by construction because
+both call the same :func:`~repro.runtime.session.lower` (pass pipeline,
+auto-quantization) and the same :class:`~repro.runtime.executor.Executor`
+preparation (shape inference, scheduling, memory planning, kernel chain
+selection).
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.backends.backend import Backend, get_backend
-from repro.config import RuntimeConfig, get_default_config
+from repro.config import RuntimeConfig
 from repro.engine.cache import AutotuneCache
 from repro.engine.fingerprint import make_fingerprint
 from repro.engine.format import Engine, save_engine
 from repro.ir.graph import Graph
 from repro.runtime.autotune import autotune
 from repro.runtime.executor import Executor
+from repro.runtime.session import lower
 
 #: Op types autotuned by default when tuning is requested without an
 #: explicit candidate map. Conv dominates edge CNN inference time;
@@ -56,7 +58,6 @@ def compile_graph(
     backend: str | Backend = "orpheus",
     threads: int | None = None,
     optimize: bool | None = None,
-    config: RuntimeConfig | None = None,
     tune: bool | Mapping[str, Sequence[str]] = False,
     tune_repeats: int = 2,
     autotune_cache: AutotuneCache | None = None,
@@ -65,8 +66,8 @@ def compile_graph(
     """Compile ``graph`` into an :class:`Engine`.
 
     Args:
-        graph: the source model; not mutated (a copy is simplified).
-        backend / threads / optimize / config: exactly the knobs
+        graph: the source model; not mutated (a copy is lowered).
+        backend / threads / optimize: the prepare-time knobs
             :class:`~repro.runtime.session.InferenceSession` takes — the
             engine's fingerprint records them, and loads demand a match.
         tune: ``True`` races every registered implementation for
@@ -80,45 +81,31 @@ def compile_graph(
     Returns:
         The compiled engine, ready for :func:`repro.engine.save_engine`.
     """
-    base = config or get_default_config()
-    if threads is not None:
-        base = base.replace(threads=threads)
-    if optimize is not None:
-        base = base.replace(optimize=optimize)
+    config = RuntimeConfig().overridden(threads=threads, optimize=optimize)
     if isinstance(backend, str):
         backend = get_backend(backend)
-    base = base.replace(backend=backend.name)
 
     # Fingerprint the *source* graph: that is what a later
     # `InferenceSession(graph, engine=...)` has in hand to compare against.
-    fingerprint = make_fingerprint(graph, backend, base.threads, base.optimize)
+    fingerprint = make_fingerprint(
+        graph, backend, config.threads, config.optimize)
 
-    working = graph.copy()
-    if base.optimize:
-        from repro.passes import default_pipeline
-        working = default_pipeline().run(working)
-
-    # Mirror the session's cold prepare exactly: a quantize=True backend
-    # calibrates and quantizes *at compile time*, freezing scales, zero
-    # points, and int8 weights into the engine. Warm starts skip the
-    # whole calibration cost.
-    quantization: dict[str, int] | None = None
-    if backend.quantize:
-        from repro.quant.auto import auto_quantize
-        working, report = auto_quantize(working)
-        quantization = report.as_dict()
+    # A quantize=True backend calibrates and quantizes here, *at compile
+    # time*, freezing scales, zero points and int8 weights into the
+    # engine: warm starts skip the whole calibration cost.
+    working, quantization = lower(graph, backend, config.optimize)
 
     tuned: dict[str, str] = {}
     if tune:
         candidates = (tuning_candidates(backend) if tune is True
                       else {op: tuple(names) for op, names in tune.items()})
         tuned = autotune(
-            working, candidates, threads=base.threads, repeats=tune_repeats,
+            working, candidates, threads=config.threads, repeats=tune_repeats,
             registry=backend.registry, cache=autotune_cache)
         if tuned:
             backend = backend.with_overrides(tuned)
 
-    executor = Executor(working, backend, base)
+    executor = Executor(working, backend, config)
     return Engine(
         graph=working,
         schedule=tuple(node.name for node in executor.schedule_nodes),

@@ -106,8 +106,8 @@ class MemoryBudgetError(OrpheusError):
 
     Raised at session-prepare time by admission control
     (``RuntimeConfig.memory_budget_bytes``): the memory plan's peak resident
-    activation bytes exceed the budget, and ``budget_mode`` offered no
-    acceptable degradation. Nothing has executed when this is raised.
+    activation bytes (``plan.peak_bytes``) exceed the budget. Nothing has
+    executed when this is raised.
 
     Attributes:
         required_bytes: peak resident activation bytes the run would need.

@@ -193,9 +193,6 @@ class GraphBuilder:
     def add(self, a: str, b: str, name: str = "") -> str:
         return self.node("Add", [a, b], name=name)  # type: ignore[return-value]
 
-    def mul(self, a: str, b: str, name: str = "") -> str:
-        return self.node("Mul", [a, b], name=name)  # type: ignore[return-value]
-
     def concat(self, values: Sequence[str], axis: int = 1, name: str = "") -> str:
         return self.node("Concat", list(values), {"axis": axis}, name=name)  # type: ignore[return-value]
 

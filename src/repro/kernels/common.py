@@ -132,20 +132,6 @@ def im2col_loops(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return columns.reshape(batch, channels * kh * kw, out_h * out_w)
 
 
-def pool_windows(x: np.ndarray, kernel: tuple[int, int],
-                 strides: tuple[int, int],
-                 dilations: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """Sliding pooling windows over a padded NCHW input.
-
-    Returns shape ``(N, C, OH, OW, KH, KW)`` (a view, no copy).
-    """
-    kh, kw = kernel
-    dh, dw = dilations
-    windows = np.lib.stride_tricks.sliding_window_view(
-        x, (dh * (kh - 1) + 1, dw * (kw - 1) + 1), axis=(2, 3))
-    return windows[:, :, ::strides[0], ::strides[1], ::dh, ::dw]
-
-
 def add_conv_bias(out: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """Add a per-output-channel bias to an NCHW activation, in place."""
     if bias is not None:

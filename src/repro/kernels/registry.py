@@ -107,12 +107,15 @@ class KernelRegistry:
         node: Node,
         input_shapes: Sequence[tuple[int, ...]],
         preferences: Sequence[str] = (),
+        include_experimental: bool = False,
     ) -> KernelImpl:
         """Pick an implementation for ``node``.
 
         ``preferences`` is an ordered list of implementation names (the
         backend's policy for this op); the first applicable preferred name
-        wins, otherwise the highest-priority applicable kernel.
+        wins — experimental or not, a name is an explicit choice —
+        otherwise the highest-priority applicable kernel, experimental
+        ones competing only under ``include_experimental``.
 
         Raises:
             KernelError: no implementation exists or none is applicable.
@@ -124,7 +127,8 @@ class KernelRegistry:
             impl = per_op.get(name)
             if impl is not None and impl.supports(node, input_shapes):
                 return impl
-        candidates = self.candidates(node, input_shapes)
+        candidates = self.candidates(
+            node, input_shapes, include_experimental=include_experimental)
         if not candidates:
             raise KernelError(
                 f"no applicable kernel for node {node.name!r} ({node.op_type}) "

@@ -113,7 +113,3 @@ _CATALOG = (
 
 RULES: dict[str, Rule] = {rule.id: rule for rule in _CATALOG}
 
-
-def severity_of(rule_id: str) -> str:
-    """Severity for ``rule_id`` (errors gate exit codes, warnings inform)."""
-    return RULES[rule_id].severity

@@ -80,14 +80,6 @@ def decode_varint(data: bytes, pos: int = 0) -> tuple[int, int]:
             raise WireFormatError(f"varint longer than 10 bytes at offset {start}")
 
 
-def decode_signed_varint(data: bytes, pos: int = 0) -> tuple[int, int]:
-    """Decode a varint, interpreting it as a two's-complement int64."""
-    value, pos = decode_varint(data, pos)
-    if value >= 1 << 63:
-        value -= 1 << 64
-    return value, pos
-
-
 def encode_zigzag(value: int) -> int:
     """ZigZag-map a signed integer (sint32/sint64 fields)."""
     return (value << 1) ^ (value >> 63) if value < 0 else value << 1

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping
 import numpy as np
 
 from repro.backends import get_backend
-from repro.config import get_default_config
+from repro.config import RuntimeConfig
 from repro.errors import QuantizationError
 from repro.ir.graph import Graph
 from repro.ir.node import Node
@@ -62,7 +62,7 @@ def calibrate(
     """
     if observer not in ("minmax", "percentile"):
         raise QuantizationError(f"unknown observer {observer!r}")
-    executor = Executor(graph, get_backend("orpheus"), get_default_config())
+    executor = Executor(graph, get_backend("orpheus"), RuntimeConfig())
     observers: dict[str, object] = {}
     saw_any = False
     for feeds in batches:

@@ -288,8 +288,7 @@ class Executor:
         # The watchdog always collects timings: the partial timeline is
         # what makes an expired run diagnosable.
         collect = collect_timings or watchdog
-        release = ({} if keep_values or not self.config.memory_planning
-                   else self.plan.release_after)
+        release = {} if keep_values else self.plan.release_after
         for position, entry in enumerate(self.schedule):
             node = entry.node
             if deadline is not None:

@@ -58,18 +58,6 @@ class MemoryPlan:
         """Total arena capacity under slot reuse."""
         return sum(self.slot_sizes)
 
-    def required_bytes(self, memory_planning: bool = True) -> int:
-        """Peak resident activation bytes under the given execution mode.
-
-        With the arena-friendly schedule (``memory_planning=True``) dead
-        values are dropped at their last use, so the resident set peaks at
-        :attr:`peak_bytes`; without it every activation stays live until
-        the run ends, so the whole naive sum is resident. Admission control
-        compares this number against ``memory_budget_bytes``.
-        """
-        return (self.peak_bytes if memory_planning
-                else self.total_activation_bytes)
-
     @property
     def reuse_factor(self) -> float:
         """How much memory slot reuse saves vs no planning."""

@@ -22,19 +22,40 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.backends.backend import Backend, get_backend
-from repro.config import RuntimeConfig, get_default_config
+from repro.config import RuntimeConfig
 from repro.errors import EngineError, EngineFallbackWarning, MemoryBudgetError
 from repro.ir.graph import Graph
 from repro.runtime.executor import Executor, RobustnessReport
 
 if TYPE_CHECKING:
     from repro.engine.format import Engine
-from repro.runtime.faults import FaultPlan
 from repro.runtime.memory_planner import MemoryPlan
 from repro.runtime.profiler import ProfileResult, collate
 from repro.tensor.tensor import Tensor
 
 Feed = Mapping[str, "np.ndarray | Tensor"]
+
+
+def lower(graph: Graph, backend: Backend,
+          optimize: bool) -> "tuple[Graph, dict[str, int] | None]":
+    """The cold lowering: source graph -> the graph an executor is bound to.
+
+    Returns ``(working graph, quantization report or None)`` and leaves
+    ``graph`` untouched. A cold session and the engine compiler both call
+    this and nothing else, which is what makes a warm start
+    indistinguishable from a cold one by construction.
+    """
+    if optimize:
+        # Imported lazily: passes import ops/kernels, which import ir.
+        from repro.passes import default_pipeline
+        working = default_pipeline().run(graph)  # runs on its own copy
+    else:
+        working = graph.copy()
+    if not backend.quantize:
+        return working, None
+    from repro.quant.auto import auto_quantize
+    working, report = auto_quantize(working)
+    return working, report.as_dict()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,8 +64,6 @@ class MemoryAdmission:
 
     budget_bytes: int | None   # None = no budget configured
     required_bytes: int        # peak resident activation bytes of the plan
-    mode: str                  # "reject" | "degrade"
-    degraded: bool             # memory planning was forced on to fit
 
     @property
     def bounded(self) -> bool:
@@ -69,42 +88,18 @@ class InferenceSession:
         self,
         graph: Graph,
         backend: str | Backend = "orpheus",
-        threads: int | None = None,
-        optimize: bool | None = None,
+        *,
         config: RuntimeConfig | None = None,
-        check_numerics: bool | None = None,
-        kernel_fallback: bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        deadline_ms: float | None = None,
-        node_timeout_ms: float | None = None,
-        memory_budget_bytes: int | None = None,
-        budget_mode: str | None = None,
         engine: "str | os.PathLike[str] | Engine | None" = None,
+        **overrides: object,
     ) -> None:
         """Prepare ``graph`` for execution.
 
         Args:
-            graph: the model; not mutated (the session optimises a copy).
+            graph: the model; not mutated (the session lowers a copy).
             backend: backend name or instance selecting kernel implementations.
-            threads: overrides the config's thread budget.
-            optimize: overrides whether the simplification pipeline runs.
-            config: base runtime configuration (defaults to the process-wide
-                default).
-            check_numerics: overrides whether NaN/Inf kernel outputs count
-                as failures (and trigger kernel fallback).
-            kernel_fallback: overrides whether failing kernels fall back to
-                the next applicable implementation.
-            fault_plan: installs a deterministic fault-injection plan (see
-                :mod:`repro.runtime.faults`).
-            deadline_ms: default wall-clock budget per run (overridable per
-                call on :meth:`run`/:meth:`time`/:meth:`profile`).
-            node_timeout_ms: soft per-node timeout (see
-                :class:`~repro.config.RuntimeConfig`).
-            memory_budget_bytes: admission-control budget — a model whose
-                memory plan cannot fit is rejected here, at prepare time,
-                with :class:`~repro.errors.MemoryBudgetError`.
-            budget_mode: ``"reject"`` or ``"degrade"`` (try the
-                arena-friendly schedule before rejecting).
+            config: base runtime configuration (defaults to
+                ``RuntimeConfig()``).
             engine: best-effort warm start — a compiled engine file (or
                 parsed :class:`~repro.engine.format.Engine`) to load
                 *instead of* preparing, if and only if it is intact and
@@ -115,40 +110,23 @@ class InferenceSession:
                 :class:`~repro.errors.EngineFallbackWarning` and falls
                 back to a normal cold prepare. Use
                 :meth:`from_engine` when a fallback should be an error.
+            **overrides: any :class:`~repro.config.RuntimeConfig` field by
+                name (``threads=1``, ``optimize=False``,
+                ``memory_budget_bytes=...``; documented there), applied
+                over ``config``; ``None`` leaves the field alone.
 
         Raises:
+            TypeError: an override names no ``RuntimeConfig`` field.
             MemoryBudgetError: the memory plan's peak resident bytes exceed
-                ``memory_budget_bytes`` and ``budget_mode`` offers no
-                acceptable degradation. Raised before anything executes.
+                ``memory_budget_bytes``. Raised before anything executes.
                 (Admission control runs on the *engine's* plan too — a
-                warm start never bypasses the PR 3 guardrails.)
+                warm start never bypasses the guardrails.)
         """
-        base = config or get_default_config()
-        if threads is not None:
-            base = base.replace(threads=threads)
-        if optimize is not None:
-            base = base.replace(optimize=optimize)
-        if check_numerics is not None:
-            base = base.replace(check_numerics=check_numerics)
-        if kernel_fallback is not None:
-            base = base.replace(kernel_fallback=kernel_fallback)
-        if fault_plan is not None:
-            base = base.replace(fault_plan=fault_plan)
-        if deadline_ms is not None:
-            base = base.replace(deadline_ms=deadline_ms)
-        if node_timeout_ms is not None:
-            base = base.replace(node_timeout_ms=node_timeout_ms)
-        if memory_budget_bytes is not None:
-            base = base.replace(memory_budget_bytes=memory_budget_bytes)
-        if budget_mode is not None:
-            base = base.replace(budget_mode=budget_mode)
         if isinstance(backend, str):
             backend = get_backend(backend)
-        base = base.replace(backend=backend.name)
-        self.config = base
+        self.config = (config or RuntimeConfig()).overridden(**overrides)
         self.backend = backend
         self.loaded_engine: "Engine | None" = None
-        self.quantization: "dict[str, int] | None" = None
         if engine is not None:
             from repro.engine.fingerprint import graph_digest
             try:
@@ -157,20 +135,10 @@ class InferenceSession:
                 warnings.warn(
                     EngineFallbackWarning(_engine_source(engine), str(exc)),
                     stacklevel=2)
-            else:
-                self.memory_admission = self._admit()
-                return
-        working = graph.copy()
-        if base.optimize:
-            # Imported lazily: passes import ops/kernels, which import ir.
-            from repro.passes import default_pipeline
-            working = default_pipeline().run(working)
-        if backend.quantize:
-            from repro.quant.auto import auto_quantize
-            working, report = auto_quantize(working)
-            self.quantization = report.as_dict()
-        self.graph = working
-        self._executor = Executor(working, backend, base)
+        if self.loaded_engine is None:
+            self.graph, self.quantization = lower(
+                graph, backend, self.config.optimize)
+            self._executor = Executor(self.graph, backend, self.config)
         self.memory_admission = self._admit()
 
     def _warm_prepare(
@@ -212,26 +180,20 @@ class InferenceSession:
         cls,
         source: "str | os.PathLike[str] | Engine",
         backend: str | Backend | None = None,
-        threads: int | None = None,
+        *,
         config: RuntimeConfig | None = None,
-        check_numerics: bool | None = None,
-        kernel_fallback: bool | None = None,
-        fault_plan: FaultPlan | None = None,
-        deadline_ms: float | None = None,
-        node_timeout_ms: float | None = None,
-        memory_budget_bytes: int | None = None,
-        budget_mode: str | None = None,
+        **overrides: object,
     ) -> "InferenceSession":
         """Strict warm start: a session from a compiled engine, or an error.
 
         The engine supplies the graph *and* the prepare-time knobs it was
-        compiled with (backend, threads, optimize); ``backend``/``threads``
-        may be passed only to assert expectations — a disagreement with
-        the fingerprint is an :class:`~repro.errors.EngineError`, never a
-        silent re-prepare. Run-time knobs (numerics, fallback, fault
-        plans, deadlines, memory budgets) are free to differ, and the
-        memory-budget admission check runs exactly as it would on a cold
-        prepare.
+        compiled with (backend, ``threads``, ``optimize``); passing one of
+        those only asserts an expectation — a disagreement with the
+        fingerprint is an :class:`~repro.errors.EngineError`, never a
+        silent re-prepare. Every other ``RuntimeConfig`` field (numerics,
+        fallback, fault plans, deadlines, memory budgets) is a run-time
+        knob, free to differ, overridden exactly as on ``__init__``; the
+        memory-budget admission check runs as it would on a cold prepare.
 
         Raises:
             EngineError: unreadable/corrupt/stale file, fingerprint
@@ -244,43 +206,25 @@ class InferenceSession:
         loaded = (source if isinstance(source, EngineType)
                   else load_engine(source))
         fingerprint = loaded.fingerprint
-        if threads is None:
-            try:
-                threads = int(fingerprint["threads"])
-            except (KeyError, TypeError, ValueError):
-                raise EngineError(
-                    "engine fingerprint has no usable thread count") from None
-        backend_name = fingerprint.get("backend")
+        try:
+            threads = int(fingerprint["threads"])
+        except (KeyError, TypeError, ValueError):
+            raise EngineError(
+                "engine fingerprint has no usable thread count") from None
         if backend is None:
-            if not isinstance(backend_name, str):
+            backend = fingerprint.get("backend")
+            if not isinstance(backend, str):
                 raise EngineError(
                     "engine fingerprint has no usable backend name")
-            backend = backend_name
         if isinstance(backend, str):
             backend = get_backend(backend)
-        base = config or get_default_config()
-        base = base.replace(
+        base = config or RuntimeConfig()
+        session = cls.__new__(cls)
+        session.config = base.replace(
             threads=threads,
             optimize=bool(fingerprint.get("optimize", base.optimize)),
-            backend=backend.name)
-        if check_numerics is not None:
-            base = base.replace(check_numerics=check_numerics)
-        if kernel_fallback is not None:
-            base = base.replace(kernel_fallback=kernel_fallback)
-        if fault_plan is not None:
-            base = base.replace(fault_plan=fault_plan)
-        if deadline_ms is not None:
-            base = base.replace(deadline_ms=deadline_ms)
-        if node_timeout_ms is not None:
-            base = base.replace(node_timeout_ms=node_timeout_ms)
-        if memory_budget_bytes is not None:
-            base = base.replace(memory_budget_bytes=memory_budget_bytes)
-        if budget_mode is not None:
-            base = base.replace(budget_mode=budget_mode)
-        session = cls.__new__(cls)
-        session.config = base
+        ).overridden(**overrides)
         session.backend = backend
-        session.loaded_engine = None
         session._warm_prepare(loaded, expected_digest=None)
         session.memory_admission = session._admit()
         return session
@@ -288,35 +232,19 @@ class InferenceSession:
     def _admit(self) -> MemoryAdmission:
         """Memory-budget admission control, run once at prepare time.
 
-        Over-budget sessions are rejected before a single kernel runs; in
-        ``"degrade"`` mode the arena-friendly schedule (memory planning on,
-        dead values dropped at last use) is tried first, and only a model
-        that cannot fit even then is rejected.
+        An over-budget session is rejected before a single kernel runs.
         """
-        config = self.config
-        budget = config.memory_budget_bytes
+        budget = self.config.memory_budget_bytes
         plan = self._executor.plan
-        required = plan.required_bytes(config.memory_planning)
-        if budget is None or required <= budget:
-            return MemoryAdmission(
-                budget_bytes=budget, required_bytes=required,
-                mode=config.budget_mode, degraded=False)
-        if config.budget_mode == "degrade" and not config.memory_planning:
-            planned = plan.required_bytes(memory_planning=True)
-            if planned <= budget:
-                degraded = config.replace(memory_planning=True)
-                self.config = degraded
-                self._executor.config = degraded
-                return MemoryAdmission(
-                    budget_bytes=budget, required_bytes=planned,
-                    mode=config.budget_mode, degraded=True)
-            required = planned
-        raise MemoryBudgetError(
-            f"model needs {required} bytes of peak resident activations, "
-            f"over the budget of {budget} bytes "
-            f"(mode={config.budget_mode!r}, weights {plan.weight_bytes} "
-            f"bytes, arena {plan.arena_bytes} bytes)",
-            required_bytes=required, budget_bytes=budget)
+        if budget is not None and plan.peak_bytes > budget:
+            raise MemoryBudgetError(
+                f"model needs {plan.peak_bytes} bytes of peak resident "
+                f"activations, over the budget of {budget} bytes "
+                f"(weights {plan.weight_bytes} bytes, "
+                f"arena {plan.arena_bytes} bytes)",
+                required_bytes=plan.peak_bytes, budget_bytes=budget)
+        return MemoryAdmission(
+            budget_bytes=budget, required_bytes=plan.peak_bytes)
 
     # -- metadata ----------------------------------------------------------------
 

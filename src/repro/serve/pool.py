@@ -25,7 +25,6 @@ import dataclasses
 from collections.abc import Callable, Mapping
 from typing import Any
 
-from repro.errors import EngineError, OrpheusError
 from repro.runtime.executor import RobustnessReport
 from repro.runtime.faults import parse_fault_plan
 
@@ -66,7 +65,8 @@ class SessionPool:
         batch: the batch size sessions are prepared at — the dynamic
             batcher coalesces up to this many single-sample requests.
         engine_cache: optional :class:`~repro.engine.cache.EngineCache`
-            (or directory path); hits skip compilation entirely.
+            (or its directory, ``str`` or ``os.PathLike``); hits skip
+            compilation entirely.
         fault_specs: backend name -> fault-spec string
             (:func:`~repro.runtime.faults.parse_fault_plan` mini-language);
             each worker session gets its *own* plan instance, seeded
@@ -150,7 +150,9 @@ class SessionPool:
                image_size: int | None, seed: int, optimize: bool,
                engine_cache: Any) -> None:
         from repro.engine.cache import EngineCache
+        from repro.engine.compiler import compile_graph
         from repro.models import zoo
+        from repro.runtime.session import InferenceSession
 
         if isinstance(model, str):
             graph = zoo.build(model, batch=batch, image_size=image_size,
@@ -158,21 +160,9 @@ class SessionPool:
         else:
             graph = model
         self.input_name = graph.input_names[0]
-        if isinstance(engine_cache, str):
-            engine_cache = EngineCache(engine_cache)
+        if engine_cache is not None:
+            engine_cache = EngineCache.coerce(engine_cache)
         for backend in self.backends:
-            self._sessions[backend] = self._build_backend(
-                graph, backend, threads=threads, batch=batch,
-                image_size=image_size, seed=seed, optimize=optimize,
-                engine_cache=engine_cache)
-
-    def _build_backend(self, graph: Any, backend: str, threads: int,
-                       batch: int, image_size: int | None, seed: int,
-                       optimize: bool, engine_cache: Any) -> list[Any]:
-        from repro.engine.compiler import compile_graph
-        from repro.runtime.session import InferenceSession
-
-        try:
             if engine_cache is not None:
                 engine, hit = engine_cache.load_or_compile(
                     graph, model=self.model_name, backend=backend,
@@ -184,35 +174,13 @@ class SessionPool:
                     optimize=optimize,
                     metadata={"model": self.model_name, "pool": "serve"})
                 hit = False
-        except (EngineError, OrpheusError):
-            # Compiled path unavailable (e.g. an exotic backend the engine
-            # format cannot freeze): degrade to a shared-graph cold
-            # prepare. Simplify once, share the simplified graph — weight
-            # arrays are shared by reference either way.
-            return self._build_cold(graph, backend, threads, optimize)
-        self.engine_hits[backend] = hit
-        sessions = []
-        for index in range(self.workers):
-            sessions.append(InferenceSession.from_engine(
-                engine, backend=backend,
-                **self._worker_kwargs(backend, index)))
-        return sessions
-
-    def _build_cold(self, graph: Any, backend: str, threads: int,
-                    optimize: bool) -> list[Any]:
-        from repro.runtime.session import InferenceSession
-
-        working = graph
-        if optimize:
-            from repro.passes import default_pipeline
-            working = default_pipeline().run(graph.copy())
-        self.engine_hits[backend] = False
-        return [
-            InferenceSession(
-                working, backend=backend, threads=threads, optimize=False,
-                **self._worker_kwargs(backend, index))
-            for index in range(self.workers)
-        ]
+            self.engine_hits[backend] = hit
+            self._sessions[backend] = [
+                InferenceSession.from_engine(
+                    engine, backend=backend,
+                    **self._worker_kwargs(backend, index))
+                for index in range(self.workers)
+            ]
 
     def _worker_kwargs(self, backend: str, index: int) -> dict[str, Any]:
         kwargs = dict(self._session_kwargs)

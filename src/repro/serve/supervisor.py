@@ -144,8 +144,9 @@ class WorkerSupervisor:
         backends / workers / batch / threads / image_size / seed /
             optimize / engine_cache / fault_spec / fault_seed /
             session_kwargs: forwarded to every worker's init spec (see
-            :mod:`repro.serve.worker`). ``engine_cache`` should be a
-            directory path so all workers share the artifact.
+            :mod:`repro.serve.worker`). ``engine_cache`` is a directory
+            (``str`` or ``os.PathLike``) or an ``EngineCache``; workers
+            are handed its directory so all share the artifact.
         heartbeat_interval_s: how often workers beat.
         heartbeat_timeout_s: silence after which a worker is declared
             hung and killed.
@@ -209,8 +210,11 @@ class WorkerSupervisor:
         self.restart_window_s = restart_window_s
         self.quarantine_threshold = quarantine_threshold
         self.spawn_timeout_s = spawn_timeout_s
-        if engine_cache is not None and not isinstance(engine_cache, str):
-            engine_cache = getattr(engine_cache, "directory", None)
+        if engine_cache is not None:
+            # Workers get the directory: a path crosses the process
+            # boundary, and every worker then shares the one artifact.
+            from repro.engine.cache import EngineCache
+            engine_cache = EngineCache.coerce(engine_cache).directory
         self._spec = {
             "model": model,
             "backends": list(self.backends),

@@ -86,8 +86,8 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
             "engine_hits": {},
         }
     # The real path reuses SessionPool's build machinery with workers=1:
-    # engine-cache warm start, per-backend fault plans, cold-prepare
-    # degrade — one code path for both worker modes.
+    # engine-cache warm start, per-backend fault plans — one code path
+    # for both worker modes.
     from repro.serve.pool import SessionPool
 
     fault_specs = None

@@ -5,6 +5,8 @@ from citing a verb or flag the CLI no longer has.
 """
 
 import argparse
+import ast
+import dataclasses
 import inspect
 import pathlib
 import re
@@ -12,6 +14,7 @@ import shlex
 
 from repro import cli
 from repro.cli import _build_parser
+from repro.config import RuntimeConfig
 
 _ROOT = pathlib.Path(__file__).resolve().parents[2]
 _DOCUMENTS = [_ROOT / "README.md", _ROOT / "EXPERIMENTS.md",
@@ -63,6 +66,56 @@ def test_every_registered_option_is_read():
     dropped = sorted(dest for dest in dests
                      if not re.search(rf"\bargs\.{dest}\b", source))
     assert not dropped, f"parsed and never read: {dropped}"
+
+
+def _callers(tree, callee):
+    """Names of the innermost functions of ``tree`` that call ``callee``."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and callee in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_lowering_and_every_config_field_is_read():
+    """Session construction is written once, and no config field is inert.
+
+    The cold lowering (pass pipeline, auto-quantization) has exactly one
+    caller under runtime/engine/serve — ``lower`` — so a warm start equals
+    a cold one by construction; and every ``RuntimeConfig`` field is read
+    off a config somewhere outside ``config.py``, or it cannot change a run.
+    """
+    source = _ROOT / "src" / "repro"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(source.rglob("*.py"))}
+    assert len(trees) > 100         # the walk itself still works
+
+    for callee in ("default_pipeline", "auto_quantize"):
+        callers = {f"{path.relative_to(source)}:{function}"
+                   for path, tree in trees.items()
+                   if path.parent.name in ("runtime", "engine", "serve")
+                   for function in _callers(tree, callee)}
+        assert callers == {"runtime/session.py:lower"}, callee
+
+    read = {node.attr
+            for path, tree in trees.items() if path.name != "config.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and "config" in (getattr(node.value, "id", None),
+                             getattr(node.value, "attr", None))}
+    inert = [field.name for field in dataclasses.fields(RuntimeConfig)
+             if field.name not in read]
+    assert not inert, f"RuntimeConfig fields nothing reads: {inert}"
 
 
 def test_every_documented_command_parses(capsys):

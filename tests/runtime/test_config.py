@@ -1,22 +1,15 @@
-"""RuntimeConfig and the default-config context manager."""
+"""RuntimeConfig: defaults, validation, replace."""
 
 import pytest
 
-from repro.config import (
-    RuntimeConfig,
-    default_config,
-    get_default_config,
-    set_default_config,
-)
+from repro.config import RuntimeConfig
 
 
 class TestRuntimeConfig:
     def test_defaults_match_paper_setting(self):
         config = RuntimeConfig()
         assert config.threads == 1
-        assert config.backend == "orpheus"
         assert config.optimize
-        assert config.memory_planning
         assert not config.validate_kernels
 
     def test_replace_creates_new_object(self):
@@ -35,26 +28,3 @@ class TestRuntimeConfig:
         with pytest.raises(Exception):
             RuntimeConfig().threads = 2  # type: ignore[misc]
 
-
-class TestDefaultConfig:
-    def test_context_manager_restores(self):
-        before = get_default_config()
-        with default_config(threads=7) as config:
-            assert config.threads == 7
-            assert get_default_config().threads == 7
-        assert get_default_config() == before
-
-    def test_context_manager_restores_on_error(self):
-        before = get_default_config()
-        with pytest.raises(RuntimeError):
-            with default_config(optimize=False):
-                raise RuntimeError("boom")
-        assert get_default_config() == before
-
-    def test_set_default(self):
-        before = get_default_config()
-        try:
-            set_default_config(RuntimeConfig(threads=2))
-            assert get_default_config().threads == 2
-        finally:
-            set_default_config(before)

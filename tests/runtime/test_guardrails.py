@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import get_default_config
 from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
@@ -96,39 +95,10 @@ class TestMemoryBudget:
         session = InferenceSession(tiny_classifier(),
                                    memory_budget_bytes=1 << 30)
         admission = session.memory_admission
-        assert admission.bounded and not admission.degraded
+        assert admission.bounded
         assert admission.required_bytes <= admission.budget_bytes
         session.run(feed(session))
 
     def test_no_budget_means_unbounded_admission(self):
         session = InferenceSession(tiny_classifier())
         assert not session.memory_admission.bounded
-
-    def test_degrade_mode_turns_memory_planning_on(self):
-        """Budget between the arena peak and the naive total: reject mode
-        refuses, degrade mode flips to the arena-friendly schedule."""
-        probe = InferenceSession(tiny_classifier())
-        plan = probe.memory_plan
-        assert plan.peak_bytes < plan.total_activation_bytes
-        budget = (plan.peak_bytes + plan.total_activation_bytes) // 2
-        naive = get_default_config().replace(memory_planning=False)
-
-        with pytest.raises(MemoryBudgetError):
-            InferenceSession(tiny_classifier(), config=naive,
-                             memory_budget_bytes=budget)
-        session = InferenceSession(tiny_classifier(), config=naive,
-                                   memory_budget_bytes=budget,
-                                   budget_mode="degrade")
-        assert session.memory_admission.degraded
-        assert session.config.memory_planning
-        session.run(feed(session))
-
-    def test_degrade_mode_still_rejects_when_nothing_fits(self):
-        with pytest.raises(MemoryBudgetError):
-            InferenceSession(tiny_classifier(), memory_budget_bytes=1,
-                             budget_mode="degrade")
-
-    def test_invalid_budget_mode_rejected(self):
-        with pytest.raises(ValueError, match="budget_mode"):
-            InferenceSession(tiny_classifier(), memory_budget_bytes=1 << 30,
-                             budget_mode="panic")

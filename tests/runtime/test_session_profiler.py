@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backends import Backend, get_backend
-from repro.config import RuntimeConfig, default_config
+from repro.config import RuntimeConfig
 from repro.runtime.session import InferenceSession
 from repro.tensor import Tensor
 from tests.conftest import tiny_classifier
@@ -78,8 +78,8 @@ class TestSession:
         session.run(feed)
 
     def test_default_config_context(self, feed):
-        with default_config(optimize=False):
-            session = InferenceSession(tiny_classifier())
+        session = InferenceSession(
+            tiny_classifier(), config=RuntimeConfig(optimize=False))
         assert len(session.graph.nodes) == len(tiny_classifier().nodes)
 
     def test_time_returns_positive_samples(self, session, feed):

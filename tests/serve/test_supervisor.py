@@ -225,3 +225,39 @@ class TestPoolFacade:
             report = pool.robustness_report()
             assert report.runs == 0
             assert set(report.by_backend) == {"orpheus"}
+
+
+class TestEngineCachePath:
+    """Both pool kinds take the cache as ``str | os.PathLike | EngineCache``."""
+
+    @staticmethod
+    def _start(kind, cache_dir):
+        """Start one pool of ``kind`` on the cache; return its engine hits."""
+        from repro.serve.pool import SessionPool
+        knobs = dict(backends=("orpheus",), workers=1, batch=1, image_size=8,
+                     engine_cache=cache_dir)
+        if kind == "thread":
+            return SessionPool("wrn-40-2", **knobs).engine_hits
+        with WorkerSupervisor("wrn-40-2", spawn_timeout_s=60.0,
+                              **knobs) as supervisor:
+            return dict(supervisor.engine_hits)
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_pathlib_cache_is_written_then_hit(self, kind, tmp_path):
+        cache_dir = tmp_path / "engines"         # a Path, not a str
+        assert self._start(kind, cache_dir) == {"orpheus": False}
+        assert len(list(cache_dir.glob("*.oeng"))) == 1
+        assert self._start(kind, cache_dir) == {"orpheus": True}
+        assert len(list(cache_dir.glob("*.oeng"))) == 1
+
+    def test_a_cache_object_is_itself_and_a_path_is_its_directory(
+            self, tmp_path):
+        from repro.engine.cache import EngineCache
+        cache = EngineCache(tmp_path)
+        assert EngineCache.coerce(cache) is cache
+        assert EngineCache.coerce(tmp_path).directory == str(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_anything_else_is_a_type_error_not_an_absent_cache(self, kind):
+        with pytest.raises(TypeError):
+            self._start(kind, 5)
