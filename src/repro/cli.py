@@ -820,6 +820,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"silent drops {report.silent_drops}")
         print(f"  latency ms: p50 {report.latency_ms(50):.2f} "
               f"p99 {report.latency_ms(99):.2f}")
+        widths = " ".join(
+            f"{width}x{runs}"
+            for width, runs in health["stats"]["runs_by_width"].items())
+        print(f"  batches by width {widths or 'none'}, "
+              f"padded rows {health['stats']['padded_rows']}")
         print(robustness.summary())
         print(f"health: {health['status']}")
     return 0 if healthy else EXIT_DEGRADED

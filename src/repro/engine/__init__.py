@@ -26,6 +26,7 @@ from repro.engine.compiler import (
     DEFAULT_TUNE_OPS,
     compile_graph,
     compile_to_file,
+    rebatch,
     tuning_candidates,
 )
 from repro.engine.fingerprint import (
@@ -60,6 +61,7 @@ __all__ = [
     "load_engine",
     "make_fingerprint",
     "parse_engine",
+    "rebatch",
     "resolve_prepared",
     "save_engine",
     "serialize_engine",

@@ -22,6 +22,7 @@ from repro.config import RuntimeConfig
 from repro.engine.cache import AutotuneCache
 from repro.engine.fingerprint import make_fingerprint
 from repro.engine.format import Engine, save_engine
+from repro.errors import EngineError
 from repro.ir.graph import Graph
 from repro.runtime.autotune import autotune
 from repro.runtime.executor import Executor
@@ -105,19 +106,73 @@ def compile_graph(
         if tuned:
             backend = backend.with_overrides(tuned)
 
-    executor = Executor(working, backend, config)
+    return _freeze(working, backend, config, fingerprint=fingerprint,
+                   tuned=tuned, metadata=dict(metadata or {}),
+                   quantization=quantization)
+
+
+def _freeze(graph: Graph, backend: Backend, config: RuntimeConfig,
+            **carried: Any) -> Engine:
+    """The one cold ``Executor`` preparation of ``graph``, frozen."""
+    executor = Executor(graph, backend, config)
     return Engine(
-        graph=working,
+        graph=graph,
         schedule=tuple(node.name for node in executor.schedule_nodes),
         kernel_plan=executor.kernel_plan(),
         fallback_plan=executor.fallback_plan(),
         value_types=dict(executor.value_types),
         memory_plan=executor.plan,
-        fingerprint=fingerprint,
-        tuned=tuned,
-        metadata=dict(metadata or {}),
-        quantization=quantization,
+        **carried,
     )
+
+
+def rebatch(engine: Engine, batch: int) -> Engine:
+    """``engine`` re-prepared at another batch size, over the same weights.
+
+    The engine's already-lowered graph, with every input's leading
+    dimension replaced by ``batch``, goes through the one cold
+    :class:`~repro.runtime.executor.Executor` preparation (validation,
+    shape inference, toposort, memory plan, kernel chains, with
+    ``engine.tuned`` re-applied) — everything that depends on shapes is
+    re-derived, so the result equals a cold :func:`compile_graph` of the
+    model built at ``batch``. Nothing that does not depend on shapes is
+    redone or copied: ``graph.nodes`` and ``graph.initializers`` are the
+    source engine's own list and dict, no pass or quantization runs (int8
+    scales calibrated at the source batch serve every batch), and the
+    fingerprint, tuned choices, metadata and quantization report are
+    carried over. Milliseconds where a compile costs tens to hundreds,
+    which is why a serving pool derives its batch buckets at build time
+    instead of storing them in the engine file.
+
+    Raises:
+        ShapeInferenceError: the graph cannot be shaped at ``batch`` (a
+            ``Reshape`` to a constant that bakes the source batch in).
+        EngineError: it can, but some graph output's leading dimension is
+            not ``batch`` — rows would not be requests.
+    """
+    source = engine.graph
+    graph = Graph(
+        name=source.name,
+        inputs=[info.with_shape((batch, *info.shape[1:]))
+                for info in source.inputs],
+        outputs=source.outputs)     # re-typed below, once shapes are known
+    graph.nodes = source.nodes                  # shared, not copied
+    graph.initializers = source.initializers    # shared, not copied
+    fingerprint = engine.fingerprint
+    backend = get_backend(fingerprint["backend"]).with_overrides(engine.tuned)
+    config = RuntimeConfig().overridden(
+        threads=fingerprint["threads"], optimize=fingerprint["optimize"])
+    rebatched = _freeze(
+        graph, backend, config, fingerprint=fingerprint, tuned=engine.tuned,
+        metadata=engine.metadata, quantization=engine.quantization)
+    graph.outputs = [info.with_shape(rebatched.value_types[info.name][0])
+                     for info in source.outputs]
+    for info in graph.outputs:
+        if info.shape[:1] != (batch,):
+            raise EngineError(
+                f"cannot rebatch to {batch}: output {info.name!r} has shape "
+                f"{info.shape}, its leading dimension is not the batch")
+    return rebatched
 
 
 def compile_to_file(

@@ -50,26 +50,32 @@ DEFAULT_RECOVERY_WINDOW_S = 10.0
 _LOOPBACK_RPS = 150.0
 
 
-#: Sequential requests that settle the service-time EWMA before it is
+#: Rounds of full batches that settle the service-time EWMA before it is
 #: read: at alpha 0.2 eight observations leave 0.8**8 = 17 % of the 50 ms
 #: seed, close enough for a rate that is then scaled by 0.7.
-_WARM_REQUESTS = 8
+_WARM_ROUNDS = 8
 
 
 def calibrate_saturation_rps(service: InferenceService) -> float:
     """Measure the pool's sustainable request rate from warm batch times.
 
-    Runs a few sequential requests to settle the service-time EWMA, then
-    returns ``workers * batch / ewma_batch_s`` — the rate at which every
-    dispatcher is busy all the time.
+    Settles the service-time EWMA, then returns ``workers * batch /
+    ewma_batch_s`` — the rate at which every dispatcher is busy all the
+    time. The EWMA is a batch time at whatever width traffic produces, so
+    each warm-up round keeps ``workers * batch`` requests outstanding:
+    every dispatcher then times a *full* batch, which is what saturation
+    runs. (One request at a time would settle it on the width-1 plan's
+    time and overstate the rate about ``batch``-fold on a real model.)
     """
     sample = np.zeros(service.sample_shape, dtype=np.float32)
-    for _ in range(_WARM_REQUESTS):
-        pending = service.submit(sample)
-        if hasattr(pending, "result"):
-            pending.result(timeout=30.0)
-    ewma = service.queue.ewma_batch_s
     pool = service.pool
+    for _ in range(_WARM_ROUNDS):
+        outstanding = [service.submit(sample)
+                       for _ in range(pool.workers * pool.batch)]
+        for pending in outstanding:
+            if hasattr(pending, "result"):
+                pending.result(timeout=30.0)
+    ewma = service.queue.ewma_batch_s
     return max(0.5, (pool.workers * pool.batch) / max(ewma, 1e-4))
 
 

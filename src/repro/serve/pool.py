@@ -10,12 +10,22 @@ workers share one copy of the weights — N sessions cost N small executor
 states, not N weight sets — and each warm start skips the whole prepare
 pipeline.
 
-Thread model: one worker owns one session per backend, and a session is
-only ever run by its owning worker thread. Sessions share *read-only*
-state (the graph, initializer arrays, frozen plans); everything mutable —
-fallback logs, fault plans, kernel caches — is per session, which is what
-makes the pool safe without locking the hot path. The per-backend fault
-plans are instantiated per worker for the same reason: a
+Batch buckets: a pool built at ``batch=4`` never makes a lone request run
+a batch-4 plan. The compiled engine is re-prepared once per backend at
+every width of :func:`batch_buckets` (``1, 2, 4``) with
+:func:`~repro.engine.compiler.rebatch` — same node list, same initializer
+arrays, a few milliseconds each — and every worker holds one session per
+width, so the service pads a batch only up to the smallest bucket that
+holds it. ``pool.buckets`` states the widths the pool can run; a graph
+that bakes its batch in keeps only ``(batch,)``.
+
+Thread model: one worker owns its sessions (one per bucket) per backend,
+and they are only ever run by that worker's thread. Sessions share
+*read-only* state (the nodes, initializer arrays, frozen plans);
+everything mutable — fallback logs, kernel caches — is per session, which
+is what makes the pool safe without locking the hot path. The per-backend
+fault plans are instantiated per worker (and shared by that worker's
+buckets) for the same reason: a
 :class:`~repro.runtime.faults.FaultPlan` carries a stateful RNG.
 """
 
@@ -25,8 +35,51 @@ import dataclasses
 from collections.abc import Callable, Mapping
 from typing import Any
 
+import numpy as np
+
+from repro.errors import EngineError, ShapeInferenceError
 from repro.runtime.executor import RobustnessReport
 from repro.runtime.faults import parse_fault_plan
+
+
+def batch_buckets(batch: int) -> tuple[int, ...]:
+    """Batch widths worth a plan: powers of two below ``batch``, then it."""
+    return (*(1 << k for k in range((batch - 1).bit_length())), batch)
+
+
+class _BucketSessions:
+    """One worker's sessions for one backend: one prepared plan per width.
+
+    What ``pool.session(backend, worker)`` returns for a real model. It
+    runs the session whose width is the feed's leading dimension; a feed
+    of no bucket's width goes to the pool-batch session, which raises the
+    ``ExecutionError`` a lone session raises for a mis-shaped input. Every
+    other attribute is the pool-batch session's, so the worker still reads
+    as the one session it used to be (``graph``, plans, config).
+    """
+
+    def __init__(self, by_width: dict[int, Any]) -> None:
+        self.by_width = by_width
+        self._widest = by_width[max(by_width)]
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._widest, name)
+
+    def run(self, feeds: Mapping[str, Any],
+            deadline_ms: float | None = None) -> dict[str, np.ndarray]:
+        shape = np.shape(next(iter(feeds.values()), ()))
+        session = self.by_width.get(shape[0] if shape else 0, self._widest)
+        return session.run(feeds, deadline_ms=deadline_ms)
+
+    def robustness_report(self) -> RobustnessReport:
+        """One roll-up per worker: every width's runs and fallbacks, and
+        the injected faults of the one plan the widths share."""
+        reports = [s.robustness_report() for s in self.by_width.values()]
+        return RobustnessReport(
+            runs=sum(r.runs for r in reports),
+            fallback_events=tuple(
+                e for r in reports for e in r.fallback_events),
+            injected_faults=reports[0].injected_faults)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,8 +115,10 @@ class SessionPool:
         backends: ordered backend chain; the service's dispatcher walks it
             when circuit breakers trip.
         workers: sessions per backend (= dispatcher thread count).
-        batch: the batch size sessions are prepared at — the dynamic
-            batcher coalesces up to this many single-sample requests.
+        batch: the widest batch sessions are prepared at — the dynamic
+            batcher coalesces up to this many single-sample requests, and
+            a smaller batch runs the smallest of :attr:`buckets` that
+            holds it.
         engine_cache: optional :class:`~repro.engine.cache.EngineCache`
             (or its directory, ``str`` or ``os.PathLike``); hits skip
             compilation entirely.
@@ -80,9 +135,13 @@ class SessionPool:
             replaces the whole build path.
 
     Like :class:`~repro.serve.supervisor.ProcessWorkerPool` it states
-    ``worker_mode``, ``sample_shape``, :meth:`quarantined`,
+    ``worker_mode``, ``sample_shape``, ``buckets``, :meth:`quarantined`,
     :meth:`supervision` and :meth:`close`, so the service asks its pool
     what it is instead of probing (table in ``docs/serving.md``).
+    ``buckets`` is the ascending tuple of batch widths its sessions run,
+    ending in ``batch``: :func:`batch_buckets` for a ``session_factory``
+    or ``@loopback`` pool (their doubles take any width), and for a real
+    model the widths every backend's engine could be re-prepared at.
     """
 
     worker_mode = "thread"
@@ -117,6 +176,7 @@ class SessionPool:
         self._session_kwargs = dict(session_kwargs or {})
         self.engine_hits: dict[str, bool] = {}
         self.input_name: str = "input"
+        self.buckets = batch_buckets(batch)
         self._sessions: dict[str, list[Any]] = {}
         if session_factory is not None:
             for backend in self.backends:
@@ -150,7 +210,7 @@ class SessionPool:
                image_size: int | None, seed: int, optimize: bool,
                engine_cache: Any) -> None:
         from repro.engine.cache import EngineCache
-        from repro.engine.compiler import compile_graph
+        from repro.engine.compiler import compile_graph, rebatch
         from repro.models import zoo
         from repro.runtime.session import InferenceSession
 
@@ -175,12 +235,20 @@ class SessionPool:
                     metadata={"model": self.model_name, "pool": "serve"})
                 hit = False
             self.engine_hits[backend] = hit
-            self._sessions[backend] = [
-                InferenceSession.from_engine(
-                    engine, backend=backend,
-                    **self._worker_kwargs(backend, index))
-                for index in range(self.workers)
-            ]
+            engines = {batch: engine}
+            for width in self.buckets[:-1]:
+                try:
+                    engines[width] = rebatch(engine, width)
+                except (ShapeInferenceError, EngineError):
+                    pass    # the graph bakes its batch in: one bucket fewer
+            self.buckets = tuple(w for w in self.buckets if w in engines)
+            self._sessions[backend] = []
+            for index in range(self.workers):
+                kwargs = self._worker_kwargs(backend, index)
+                self._sessions[backend].append(_BucketSessions({
+                    width: InferenceSession.from_engine(
+                        bucket, backend=backend, **kwargs)
+                    for width, bucket in engines.items()}))
 
     def _worker_kwargs(self, backend: str, index: int) -> dict[str, Any]:
         kwargs = dict(self._session_kwargs)

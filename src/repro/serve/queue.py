@@ -62,8 +62,9 @@ class AdmissionQueue:
         self.workers = max(1, workers)
         self.batch = max(1, batch)
         self._alpha = ewma_alpha
-        # EWMA of one *batch* execution's wall time; seeded with a guess
-        # that the first few observations quickly wash out.
+        # EWMA of one *batch* execution's wall time, at whatever width
+        # traffic produces; seeded with a guess that the first few
+        # observations quickly wash out.
         self._ewma_batch_s = initial_service_s   # guarded-by: _lock
         self._observations = 0                   # guarded-by: _lock
         self._lock = threading.Lock()
@@ -88,6 +89,17 @@ class AdmissionQueue:
         plus its own batch; each costs one EWMA batch time. Deliberately a
         coarse model — it only needs to be right about *saturation*, where
         the queue is deep and the estimate is dominated by depth.
+
+        The EWMA is one batch execution *at whatever width traffic
+        produces* (the service pads a batch to its bucket, not to
+        ``batch``). Under sparse traffic that makes the estimate exact: a
+        lone request is costed at the width-1 time it will actually take,
+        so a deadline between the width-1 and the full-width time is
+        admitted and met instead of shed ``overload``. At saturation
+        batches are full and nothing changes. In between, the first few
+        batches of a burst after idle are estimated up to ``batch`` times
+        too cheap, until about five wide observations have moved the
+        average.
         """
         with self._lock:
             if depth is None:
@@ -183,6 +195,9 @@ class AdmissionQueue:
 
     def observe_batch(self, seconds: float) -> None:
         """Feed one batch execution's wall time into the EWMA.
+
+        Whatever its width: the average follows the widths traffic
+        produces (see :meth:`estimated_wait_s`).
 
         Non-finite or negative durations are discarded: a clock that
         steps backwards between two ``perf_counter`` reads (VM suspend,

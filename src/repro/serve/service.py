@@ -3,8 +3,10 @@
 Ties the pieces together: an :class:`~repro.serve.pool.SessionPool` of
 warm sessions, an :class:`~repro.serve.queue.AdmissionQueue` in front, and
 ``workers`` dispatcher threads that coalesce single-sample requests into
-dynamic batches, route each batch through the backend chain under
-per-backend circuit breakers, and resolve every admitted request to
+dynamic batches, zero-pad each batch only up to the smallest of the
+pool's batch ``buckets`` that holds it (a lone request runs a batch-1
+plan, never the pool's full width), route it through the backend chain
+under per-backend circuit breakers, and resolve every admitted request to
 exactly one structured outcome.
 
 The design goal is *graceful degradation*: saturation sheds load with
@@ -55,6 +57,8 @@ class ServiceStats:
     late_completions: int
     batches: int
     batched_requests: int
+    padded_rows: int                # zero rows executed to fill a bucket
+    runs_by_width: dict[int, int]   # executed batch width -> batches
     reroutes: int                   # batches served by a non-primary backend
     queue_depth: int
     ewma_batch_ms: float
@@ -203,6 +207,8 @@ class InferenceService:
         self._expired = 0            # guarded-by: _lock
         self._batches = 0            # guarded-by: _lock
         self._batched_requests = 0   # guarded-by: _lock
+        self._padded_rows = 0        # guarded-by: _lock
+        self._runs_by_width: dict[int, int] = {}  # guarded-by: _lock
         self._reroutes = 0           # guarded-by: _lock
         self._inflight = 0           # guarded-by: _lock
         self._per_backend: dict[str, int] = {  # guarded-by: _lock
@@ -338,7 +344,7 @@ class InferenceService:
         dispatch — non-empty only when a poison request was quarantined
         mid-run and innocents from its batch deserve a fresh attempt.
         """
-        feeds, count = self._assemble(live)
+        feeds, count, width = self._assemble(live)
         run_deadline = self._run_deadline_ms(live)
         request_ids = tuple(p.request.id for p in live)
         failure: Failed | None = None
@@ -371,6 +377,9 @@ class InferenceService:
             with self._lock:
                 self._batches += 1
                 self._batched_requests += count
+                self._padded_rows += width - count
+                self._runs_by_width[width] = \
+                    self._runs_by_width.get(width, 0) + 1
                 self._per_backend[backend] += count
                 if position > 0:
                     self._reroutes += 1
@@ -394,15 +403,23 @@ class InferenceService:
                 self._failed += len(live)
         return []
 
-    def _assemble(self, live: list[PendingResponse]) -> tuple[dict, int]:
+    def _assemble(
+        self, live: list[PendingResponse],
+    ) -> tuple[dict, int, int]:
+        """``(feeds, live requests, executed width)`` for one batch.
+
+        The batch is zero-padded up to the smallest bucket that holds it,
+        so the rows nobody asked for are at most the gap to the next
+        bucket, not the gap to the pool's full width.
+        """
         samples = np.stack([p.request.sample for p in live])
         count = len(live)
-        if count < self.pool.batch:
+        width = min(b for b in self.pool.buckets if b >= count)
+        if count < width:
             pad = np.zeros(
-                (self.pool.batch - count, *samples.shape[1:]),
-                dtype=samples.dtype)
+                (width - count, *samples.shape[1:]), dtype=samples.dtype)
             samples = np.concatenate([samples, pad])
-        return {self.pool.input_name: samples}, count
+        return {self.pool.input_name: samples}, count, width
 
     @staticmethod
     def _run_deadline_ms(live: list[PendingResponse]) -> float | None:
@@ -510,6 +527,8 @@ class InferenceService:
                 late_completions=self._late,
                 batches=self._batches,
                 batched_requests=self._batched_requests,
+                padded_rows=self._padded_rows,
+                runs_by_width=dict(sorted(self._runs_by_width.items())),
                 reroutes=self._reroutes,
                 queue_depth=len(self.queue),
                 ewma_batch_ms=self.queue.ewma_batch_s * 1e3,
@@ -555,6 +574,7 @@ class InferenceService:
             "workers": self.pool.workers,
             "worker_mode": self.worker_mode,
             "max_batch": self.pool.batch,
+            "buckets": list(self.pool.buckets),
             "stats": stats.to_dict(),
         }
         if supervisor_stats is not None:

@@ -238,6 +238,7 @@ class WorkerSupervisor:
         self._restarts_total = 0                       # guarded-by: _lock
         self.input_name = "input"
         self.sample_shape: tuple[int, ...] | None = None
+        self.buckets: tuple[int, ...] = (batch,)
         self.engine_hits: dict[str, bool] = {}
         self._monitor: threading.Thread | None = None
         self._handles = [_Handle(index) for index in range(workers)]
@@ -342,6 +343,8 @@ class WorkerSupervisor:
                         shape = header.get("sample_shape")
                         if shape:
                             self.sample_shape = tuple(shape)
+                        self.buckets = tuple(
+                            header.get("buckets") or self.buckets)
                         for backend, hit in (header.get(
                                 "engine_hits") or {}).items():
                             self.engine_hits.setdefault(backend, hit)
@@ -689,10 +692,11 @@ class ProcessWorkerPool:
     Drop-in for ``InferenceService(pool=...)``: exposes the same
     ``backends`` / ``workers`` / ``batch`` / ``input_name`` /
     ``session()`` shape, but every session proxies to a supervised
-    process, and the same five members the service reads off either pool:
-    ``worker_mode``, ``sample_shape`` (from the workers' hello),
-    ``quarantined()`` (the poison filter), ``supervision()`` (the
-    supervisor's stats) and ``close()`` (shuts the supervisor down).
+    process, and the same six members the service reads off either pool:
+    ``worker_mode``, ``sample_shape`` and ``buckets`` (both from the
+    workers' hello), ``quarantined()`` (the poison filter),
+    ``supervision()`` (the supervisor's stats) and ``close()`` (shuts the
+    supervisor down).
     """
 
     worker_mode = "process"
@@ -716,6 +720,10 @@ class ProcessWorkerPool:
     @property
     def sample_shape(self) -> tuple[int, ...] | None:
         return self.supervisor.sample_shape
+
+    @property
+    def buckets(self) -> tuple[int, ...]:
+        return self.supervisor.buckets
 
     @property
     def engine_hits(self) -> dict[str, bool]:

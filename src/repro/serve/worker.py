@@ -21,7 +21,9 @@ worker warm-starts the same way the first incarnation did.
 Lifecycle on stdout:
 
 * ``hello`` — sent once sessions are ready: pid, input name, per-sample
-  shape, engine-cache hits.
+  shape, batch buckets (the widths a ``run`` frame may carry — the
+  worker holds one prepared plan per width, see :mod:`repro.serve.pool`),
+  engine-cache hits.
 * ``beat`` — heartbeats from a side thread every ``heartbeat_interval_s``,
   carrying the id of the request currently executing (if any). The
   supervisor kills a worker whose beats stop.
@@ -51,6 +53,7 @@ from repro.serve.loopback import (
     LOOPBACK_SAMPLE_SHAPE,
     LoopbackSession,
 )
+from repro.serve.pool import SessionPool, batch_buckets
 from repro.serve.protocol import (
     pack_arrays,
     read_frame,
@@ -83,13 +86,12 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
         return sessions, {
             "input_name": "input",
             "sample_shape": list(LOOPBACK_SAMPLE_SHAPE),
+            "buckets": batch_buckets(batch),
             "engine_hits": {},
         }
     # The real path reuses SessionPool's build machinery with workers=1:
-    # engine-cache warm start, per-backend fault plans — one code path
-    # for both worker modes.
-    from repro.serve.pool import SessionPool
-
+    # engine-cache warm start, batch buckets, per-backend fault plans —
+    # one code path for both worker modes.
     fault_specs = None
     if spec.get("fault_spec"):
         fault_specs = {backends[0]: spec["fault_spec"]}
@@ -111,6 +113,7 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
     return sessions, {
         "input_name": pool.input_name,
         "sample_shape": pool.sample_shape,
+        "buckets": pool.buckets,
         "engine_hits": dict(pool.engine_hits),
     }
 

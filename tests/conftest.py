@@ -39,10 +39,10 @@ def make_conv_node(
 
 
 def tiny_classifier(seed: int = 0, image: int = 8, channels: int = 4,
-                    classes: int = 3) -> "GraphBuilder":
+                    classes: int = 3, batch: int = 1) -> "GraphBuilder":
     """A small conv->pool->fc classifier graph (finished)."""
     builder = GraphBuilder("tiny", seed=seed)
-    x = builder.input("input", (1, 3, image, image))
+    x = builder.input("input", (batch, 3, image, image))
     y = builder.conv_bn_relu(x, channels, 3, pad=1)
     y = builder.max_pool(y, 2)
     y = builder.global_average_pool(y)
@@ -50,6 +50,23 @@ def tiny_classifier(seed: int = 0, image: int = 8, channels: int = 4,
     y = builder.dense(y, classes)
     y = builder.softmax(y)
     builder.output(y)
+    return builder.finish()
+
+
+def baked_batch_classifier(target=(4, 256)) -> "Graph":
+    """A batch-4 classifier that bakes its batch into a constant Reshape.
+
+    ``(4, 256)`` cannot be shaped at any other batch; ``(4, -1)`` can, but
+    its rows are then no longer requests.
+    """
+    builder = GraphBuilder("baked", seed=0)
+    x = builder.input("input", (4, 3, 8, 8))
+    y = builder.conv_bn_relu(x, 4, 3, pad=1)
+    y = builder.node("Reshape", [y, builder.constant(
+        np.asarray(target, dtype=np.int64), "shape")])
+    if target[1] != -1:
+        y = builder.dense(y, 3)
+    builder.output(builder.softmax(y))
     return builder.finish()
 
 

@@ -20,9 +20,18 @@ import pytest
 
 from repro.backends import list_backends
 from repro.bench.workloads import synthetic_image_batch
-from repro.engine import compile_to_file
+from repro.engine import (
+    compile_graph,
+    compile_to_file,
+    load_engine,
+    rebatch,
+    save_engine,
+)
+from repro.errors import EngineError, ShapeInferenceError
 from repro.models import zoo
 from repro.runtime.session import InferenceSession
+from repro.testing import random_ir_graph
+from tests.conftest import baked_batch_classifier
 
 #: Smallest input resolution each zoo topology accepts (None = native).
 _SIZES = {
@@ -110,3 +119,127 @@ def test_engine_hint_matches_from_engine(tmp_path):
     a, b = hinted.run(feed), strict.run(feed)
     for name in a:
         assert a[name].tobytes() == b[name].tobytes()
+
+
+# -- rebatch: one engine, re-prepared at another batch over the same weights ---
+
+#: ``rebatch`` is about plans, not resolution: the smallest sizes that keep
+#: every topology valid keep the 6 x 7 matrix in seconds.
+_REBATCH_SIZES = {"inception-v3": 75}
+_REBATCH_DEFAULT_SIZE = 32
+
+#: Max-abs row difference allowed between an int8 bucket and the batch-4
+#: int8 run it was derived from (softmax outputs). Integer accumulation is
+#: exact and the scales are the same arrays, so rows differ only where a
+#: float epilogue takes a differently-blocked BLAS path at another batch.
+_INT8_ROW_BUDGET = 1e-5
+
+_PLAN_FIELDS = ("schedule", "kernel_plan", "fallback_plan", "value_types",
+                "memory_plan")
+
+
+def _build_at(model: str, backend: str, batch: int):
+    size = (_REFERENCE_SIZE if backend == "reference"
+            else _REBATCH_SIZES.get(model, _REBATCH_DEFAULT_SIZE))
+    return zoo.build(model, batch=batch, image_size=size)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("model", MODELS)
+def test_rebatch_is_a_cold_compile_at_that_batch(model, backend):
+    if backend == "reference" and model != _REFERENCE_MODEL:
+        pytest.skip("reference backend proves the property on the "
+                    "smallest model only (naive GEMM runtime)")
+    source = compile_graph(_build_at(model, backend, 4), backend=backend,
+                           threads=1)
+    feed4 = _feed(source.graph)
+    quantized = source.quantization is not None
+    if quantized:
+        wide = InferenceSession.from_engine(source).run(feed4)
+    # The naive-GEMM backend costs ~10 s per sample: one bucket proves it.
+    for batch in (1,) if backend == "reference" else (1, 2):
+        derived = rebatch(source, batch)
+        cold = compile_graph(_build_at(model, backend, batch),
+                             backend=backend, threads=1)
+        for field in _PLAN_FIELDS:
+            assert getattr(derived, field) == getattr(cold, field), field
+        assert derived.graph.nodes is source.graph.nodes
+        for name, array in source.graph.initializers.items():
+            # Weights — and on int8 the scales and zero points calibrated
+            # at batch 4 — are the source engine's own arrays.
+            assert derived.graph.initializers[name] is array
+        feed = {"input": feed4["input"][:batch]}
+        got = InferenceSession.from_engine(derived).run(feed)
+        if quantized:
+            # A cold batch-b int8 compile calibrates on other data, so it
+            # is not the oracle; the batch-4 run's own rows are.
+            for name, rows in got.items():
+                assert np.abs(rows - wide[name][:batch]).max() \
+                    <= _INT8_ROW_BUDGET
+        else:
+            want = InferenceSession.from_engine(cold).run(feed)
+            for name, rows in got.items():
+                assert rows.tobytes() == want[name].tobytes()
+
+
+def test_rebatched_engine_round_trips_through_a_file(tmp_path):
+    """A bucket is an ordinary format-v2 engine: save, load, run."""
+    source = compile_graph(_build_at("wrn-40-2", "orpheus", 4), threads=1)
+    derived = rebatch(source, 1)
+    path = tmp_path / "bucket-1.oeng"
+    save_engine(derived, path)
+    loaded = load_engine(path)
+    for field in _PLAN_FIELDS[:-1]:
+        assert getattr(loaded, field) == getattr(derived, field), field
+    assert loaded.memory_plan.peak_bytes == derived.memory_plan.peak_bytes
+    assert loaded.memory_plan.arena_bytes == derived.memory_plan.arena_bytes
+    feed = _feed(derived.graph)
+    a = InferenceSession.from_engine(loaded).run(feed)
+    b = InferenceSession.from_engine(derived).run(feed)
+    for name in a:
+        assert a[name].shape[0] == 1
+        assert a[name].tobytes() == b[name].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_rebatched_rows_equal_single_sample_outputs(seed):
+    """Over generated graphs: every row of a wider bucket is that sample's
+    batch-1 output, and no weight array is copied on the way."""
+    source = compile_graph(random_ir_graph(seed), threads=1)
+    single = InferenceSession.from_engine(source)
+    samples = synthetic_image_batch(
+        (3, *source.graph.inputs[0].shape[1:]), seed=seed)
+    for batch in (2, 3):
+        derived = rebatch(source, batch)
+        for name, array in source.graph.initializers.items():
+            assert derived.graph.initializers[name] is array
+        rows = InferenceSession.from_engine(derived).run(
+            {"input": samples[:batch]})
+        for index in range(batch):
+            alone = single.run({"input": samples[index:index + 1]})
+            for name in rows:
+                np.testing.assert_allclose(
+                    rows[name][index], alone[name][0], rtol=0, atol=1e-5)
+
+
+class TestRebatchRefuses:
+    def test_a_batch_baked_into_a_reshape(self):
+        engine = compile_graph(baked_batch_classifier((4, 256)), threads=1)
+        with pytest.raises(ShapeInferenceError):
+            rebatch(engine, 1)
+
+    def test_outputs_whose_rows_are_not_requests(self):
+        engine = compile_graph(baked_batch_classifier((4, -1)), threads=1)
+        with pytest.raises(EngineError, match="leading dimension"):
+            rebatch(engine, 1)
+
+
+def test_tuned_choices_survive_in_the_bucket():
+    source = compile_graph(
+        _build_at("wrn-40-2", "orpheus", 4), threads=1, tune_repeats=1,
+        tune={"Conv": ("direct", "spatial_pack")})
+    assert source.tuned
+    derived = rebatch(source, 1)
+    assert derived.tuned == source.tuned
+    for node, impl in source.tuned.items():
+        assert derived.kernel_plan[node] == impl

@@ -28,6 +28,23 @@ class TestServeProcessMode:
         assert document["health"]["worker_mode"] == "process"
         assert document["health"]["supervisor"]["alive"] == 2
         assert document["load"]["silent_drops"] == 0
+        # Rows, not just requests: the workers' buckets reach the health
+        # document and every executed row is a request or a zero.
+        health, stats = document["health"], document["health"]["stats"]
+        assert health["buckets"] == [1, 2]
+        assert {int(w) for w in stats["runs_by_width"]} <= {1, 2}
+        assert sum(int(w) * n for w, n in stats["runs_by_width"].items()) \
+            == stats["batched_requests"] + stats["padded_rows"]
+
+
+def test_serve_text_summary_counts_rows(capsys):
+    code = main(["serve", "@loopback", "--backends", "orpheus",
+                 "--workers", "1", "--batch", "4", "--rps", "40",
+                 "--duration", "0.3"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "  batches by width 1x" in out
+    assert ", padded rows " in out
 
 
 class TestServeChaosVerb:

@@ -7,9 +7,14 @@ hung worker detected by heartbeat loss — all against the ``@loopback``
 model so the whole battery runs in a few seconds.
 """
 
+import types
+
 import pytest
 
-from repro.serve.chaos import run_chaos_bench
+from repro.serve.chaos import calibrate_saturation_rps, run_chaos_bench
+from repro.serve.pool import SessionPool
+from repro.serve.service import InferenceService
+from tests.serve.helpers import make_factory
 
 pytestmark = pytest.mark.slow
 
@@ -71,3 +76,30 @@ class TestChaosAcceptance:
 def test_kill_bounds_validated():
     with pytest.raises(ValueError, match="kill"):
         run_chaos_bench(model="@loopback", workers=2, kill=3)
+
+
+def test_calibration_times_full_batches():
+    """Saturation is full batches, so that is what calibration must time.
+
+    Structural, no clock read: with requests warmed one at a time every
+    recorded width is 1 — the EWMA settles on the width-1 plan's time and
+    the "saturation" rate comes out about ``batch`` times too high.
+    """
+    factory = make_factory()
+
+    def with_graph(backend, index):
+        # a graph-like object so the pool learns the per-sample shape
+        session = factory(backend, index)
+        session.graph = types.SimpleNamespace(
+            inputs=[types.SimpleNamespace(shape=(4, 4))])
+        return session
+
+    pool = SessionPool("fake", backends=("a",), workers=1, batch=4,
+                       session_factory=with_graph)
+    with InferenceService(pool=pool, batch_window_ms=500.0) as service:
+        rps = calibrate_saturation_rps(service)
+        widths = [shape[0] for shape in factory.sessions[0].batch_shapes]
+        assert service.queue.observations == len(widths)
+    assert rps > 0
+    assert len(widths) >= 2
+    assert set(widths[1:]) == {4}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.cache import EngineCache
+from repro.errors import ExecutionError, MemoryBudgetError
 from repro.serve.pool import SessionPool
 from repro.serve.service import InferenceService
 from repro.serve.supervisor import (
@@ -11,7 +12,7 @@ from repro.serve.supervisor import (
     SupervisorStats,
     WorkerSupervisor,
 )
-from tests.conftest import tiny_classifier
+from tests.conftest import baked_batch_classifier, tiny_classifier
 from tests.serve.helpers import FakeSession, make_factory
 
 
@@ -92,6 +93,21 @@ class TestWarmPath:
             for session in sessions[1:]:
                 assert session.graph.initializers[name] is array
 
+    def test_workers_and_buckets_share_one_copy_of_the_weights(self):
+        """Workers x buckets sessions, still one weight set."""
+        pool = SessionPool(tiny_classifier(batch=4), backends=("orpheus",),
+                           workers=2, batch=4)
+        assert pool.buckets == (1, 2, 4)
+        weights = pool.session("orpheus", 0).graph.initializers
+        assert weights
+        for worker in pool.sessions("orpheus"):
+            assert sorted(worker.by_width) == [1, 2, 4]
+            for width, session in worker.by_width.items():
+                assert session.graph.inputs[0].shape[0] == width
+                assert session.graph.initializers.keys() == weights.keys()
+                for name, array in weights.items():
+                    assert session.graph.initializers[name] is array
+
     def test_workers_agree_on_outputs(self):
         graph = tiny_classifier()
         pool = SessionPool(graph, backends=("orpheus",), workers=2, batch=1)
@@ -124,7 +140,84 @@ class TestWarmPath:
         assert pool.input_name == "input"
 
 
+class TestBuckets:
+    @pytest.mark.parametrize("batch, buckets", [
+        (1, (1,)), (4, (1, 2, 4)), (6, (1, 2, 4, 6)), (8, (1, 2, 4, 8))])
+    def test_a_real_pool_states_its_buckets(self, batch, buckets):
+        pool = SessionPool(tiny_classifier(batch=batch), workers=1,
+                           batch=batch)
+        assert pool.buckets == buckets
+        assert sorted(pool.session("orpheus", 0).by_width) == list(buckets)
+
+    def test_doubles_state_every_bucket_of_the_batch(self):
+        # FakeSession and LoopbackSession take any width.
+        assert SessionPool("fake", batch=6, session_factory=make_factory()
+                           ).buckets == (1, 2, 4, 6)
+        assert SessionPool("@loopback", batch=4).buckets == (1, 2, 4)
+
+    def test_each_width_runs_its_own_plan_and_rows_are_samples(self):
+        pool = SessionPool(tiny_classifier(batch=4), workers=1, batch=4)
+        worker = pool.session("orpheus", 0)
+        samples = np.random.default_rng(0).standard_normal(
+            (4, 3, 8, 8)).astype(np.float32)
+        wide = next(iter(worker.run({"input": samples}).values()))
+        for width in (1, 2):
+            rows = next(iter(worker.run({"input": samples[:width]}).values()))
+            assert rows.shape[0] == width
+            np.testing.assert_allclose(rows, wide[:width], atol=1e-6)
+        assert [worker.by_width[w].robustness_report().runs
+                for w in (1, 2, 4)] == [1, 1, 1]
+
+    def test_a_width_that_is_no_bucket_is_an_execution_error(self):
+        pool = SessionPool(tiny_classifier(batch=4), workers=1, batch=4)
+        with pytest.raises(ExecutionError, match="expected shape"):
+            pool.session("orpheus", 0).run(
+                {"input": np.zeros((3, 3, 8, 8), dtype=np.float32)})
+
+    def test_a_baked_batch_keeps_one_bucket_and_still_serves(self):
+        pool = SessionPool(baked_batch_classifier(), workers=1, batch=4)
+        assert pool.buckets == (4,)
+        with InferenceService(pool=pool) as service:
+            outcome = service.submit(
+                np.ones((3, 8, 8), dtype=np.float32)).result(timeout=10.0)
+            stats = service.stats()
+        assert outcome.ok and outcome.output.shape == (3,)
+        # padded to the only plan there is, as before buckets existed
+        assert stats.runs_by_width == {4: 1}
+        assert stats.padded_rows == 3
+
+    def test_memory_budget_admits_every_plan_or_none(self):
+        # The pool batch is a promise: a budget the batch-1 plan fits but
+        # the batch-4 plan does not is refused at build, not at the first
+        # full batch.
+        pool = SessionPool(tiny_classifier(batch=4), workers=1, batch=4)
+        peaks = {width: session.memory_plan.peak_bytes for width, session
+                 in pool.session("orpheus", 0).by_width.items()}
+        assert peaks[1] < peaks[4]
+        with pytest.raises(MemoryBudgetError):
+            SessionPool(
+                tiny_classifier(batch=4), workers=1, batch=4,
+                session_kwargs={
+                    "memory_budget_bytes": (peaks[1] + peaks[4]) // 2})
+
+
 class TestFaultPlans:
+    def test_a_workers_buckets_share_its_one_fault_plan(self):
+        pool = SessionPool(
+            tiny_classifier(batch=4), workers=2, batch=4,
+            fault_specs={"orpheus": "raise:op=Conv:max=2"}, fault_seed=7)
+        first, second = pool.sessions("orpheus")
+        plans = {id(s._executor.config.fault_plan)
+                 for s in first.by_width.values()}
+        assert len(plans) == 1
+        assert id(second._executor.config.fault_plan) not in plans
+        for width in (1, 4, 2):
+            first.run({"input": np.zeros((width, 3, 8, 8), dtype=np.float32)})
+        report = pool.robustness_report()
+        assert report.runs == 3                 # every width, once each
+        assert report.injected_faults == 2      # the plan's, not 3 copies
+        assert report.fallback_events == 2
+
     def test_each_worker_gets_its_own_seeded_plan(self):
         pool = SessionPool(
             tiny_classifier(), backends=("orpheus",), workers=2, batch=1,

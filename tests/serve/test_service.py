@@ -90,13 +90,29 @@ class TestBatching:
             np.testing.assert_allclose(outcome.output, sample(2.0 * value))
 
     def test_padding_reaches_the_session_at_full_batch_width(self):
-        with make_service(batch=4, batch_window_ms=5.0) as service:
-            outcome = service.submit(sample(5.0)).result(timeout=5.0)
+        # What width reaches the session: the smallest bucket that holds
+        # the batch. A lone request runs at width 1 — never padded to the
+        # pool's batch — and three coalesced requests run at the full
+        # width 4 with one zero row.
+        with make_service(batch=4, batch_window_ms=200.0) as service:
+            assert service.pool.buckets == (1, 2, 4)
+            alone = service.submit(sample(5.0)).result(timeout=5.0)
+            pendings = [service.submit(sample(float(v))) for v in (1, 2, 3)]
+            outcomes = [p.result(timeout=5.0) for p in pendings]
             session = service._factory.sessions[0]
-        assert isinstance(outcome, Completed)
-        assert outcome.batch_size == 1  # one live request...
-        assert session.batch_shapes[0][0] == 4  # ...padded to full width
-        np.testing.assert_allclose(outcome.output, sample(10.0))
+            stats = service.stats()
+        assert isinstance(alone, Completed)
+        assert alone.batch_size == 1
+        np.testing.assert_allclose(alone.output, sample(10.0))
+        assert [shape[0] for shape in session.batch_shapes] == [1, 4]
+        for value, outcome in zip((1, 2, 3), outcomes):
+            assert outcome.batch_size == 3
+            np.testing.assert_allclose(outcome.output, sample(2.0 * value))
+        assert stats.padded_rows == 1
+        assert stats.runs_by_width == {1: 1, 4: 1}
+        # The row books close: every executed row is a request or a zero.
+        assert sum(w * n for w, n in stats.runs_by_width.items()) \
+            == stats.batched_requests + stats.padded_rows
 
     def test_mean_batch_size_tracked(self):
         with make_service(batch=2) as service:

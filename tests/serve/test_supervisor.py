@@ -227,6 +227,40 @@ class TestPoolFacade:
             assert set(report.by_backend) == {"orpheus"}
 
 
+class TestBuckets:
+    def test_process_pool_states_the_thread_pools_buckets(self, monkeypatch):
+        """Both pool kinds derive the same plans for the same model, and a
+        lone request crosses the pipe as one row, not a padded four."""
+        from repro.serve import supervisor as supervisor_mod
+        from repro.serve.pool import SessionPool
+        from repro.serve.service import InferenceService
+
+        knobs = dict(backends=("orpheus",), workers=1, batch=4, image_size=8)
+        framed = []
+        pack = supervisor_mod.pack_arrays
+
+        def recording_pack(arrays):
+            framed.append({k: v.shape for k, v in arrays.items()})
+            return pack(arrays)
+
+        monkeypatch.setattr(supervisor_mod, "pack_arrays", recording_pack)
+        with WorkerSupervisor("wrn-40-2", spawn_timeout_s=60.0,
+                              **knobs) as supervisor:
+            pool = ProcessWorkerPool(supervisor)
+            assert pool.buckets == SessionPool("wrn-40-2", **knobs).buckets \
+                == (1, 2, 4)
+            with InferenceService(pool=pool) as service:
+                outcome = service.submit(
+                    np.zeros((3, 8, 8), dtype=np.float32)).result(timeout=30.0)
+                assert service.health()["buckets"] == [1, 2, 4]
+        assert outcome.ok
+        assert framed == [{"input": (1, 3, 8, 8)}]
+
+    def test_loopback_workers_state_every_bucket(self):
+        with make_supervisor(batch=6) as supervisor:
+            assert supervisor.buckets == (1, 2, 4, 6)
+
+
 class TestEngineCachePath:
     """Both pool kinds take the cache as ``str | os.PathLike | EngineCache``."""
 
