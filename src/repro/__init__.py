@@ -19,7 +19,7 @@ from repro.errors import OrpheusError
 from repro.ir import Graph, GraphBuilder, Node, ValueInfo
 from repro.quant import qops as _qops  # noqa: F401  (register quantized ops)
 from repro.runtime import InferenceSession
-from repro.tensor import DType, Tensor
+from repro.tensor import DType
 
 __version__ = "1.0.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "Node",
     "OrpheusError",
     "RuntimeConfig",
-    "Tensor",
     "ValueInfo",
     "__version__",
     "get_backend",

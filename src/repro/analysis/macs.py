@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.ir.graph import Graph
 from repro.ir.node import Node
 from repro.ir.shape_inference import infer_shapes
@@ -56,8 +54,8 @@ def node_macs(node: Node, in_shapes, out_shape) -> int:
 _ELEMENTWISE_FLOPS = {
     "Add": 1, "Sub": 1, "Mul": 1, "Div": 1, "Relu": 1, "LeakyRelu": 2,
     "Clip": 2, "BatchNormalization": 2, "Sigmoid": 4, "Tanh": 4,
-    "Softmax": 5, "Elu": 3, "HardSwish": 4, "AveragePool": 1, "MaxPool": 1,
-    "GlobalAveragePool": 1, "LRN": 6, "Erf": 8, "Pow": 4,
+    "Softmax": 5, "AveragePool": 1, "MaxPool": 1, "GlobalAveragePool": 1,
+    "Pow": 4,
 }
 
 

@@ -3,8 +3,8 @@
 * ``orpheus`` — the paper's default configuration: GEMM (im2col) convolution
   everywhere, vectorised direct depthwise, BLAS matmul.
 * ``reference`` — slow, obviously-correct kernels; the testing oracle.
-* ``direct`` / ``spatial_pack`` / ``winograd`` / ``fft`` — single-algorithm
-  backends used by the per-layer experiments and ablations.
+* ``direct`` / ``spatial_pack`` / ``winograd`` — single-algorithm backends
+  used by the per-layer experiments and ablations.
 * ``int8`` — post-training-quantized execution: graphs prepared against it
   are auto-quantized (:mod:`repro.quant.auto`) and run uint8 regions with
   the fast QLinearConv kernels; anything the quantizer or the quantized
@@ -55,12 +55,6 @@ WINOGRAD = register_backend(Backend(
     name="winograd",
     description="Winograd F(2x2,3x3) where applicable, GEMM elsewhere",
     preferences={"Conv": ("direct_dw", "winograd", "im2col")},
-))
-
-FFT = register_backend(Backend(
-    name="fft",
-    description="frequency-domain convolution where applicable",
-    preferences={"Conv": ("direct_dw", "fft", "im2col")},
 ))
 
 INT8 = register_backend(Backend(

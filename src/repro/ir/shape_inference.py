@@ -322,8 +322,8 @@ def _unary_shape(node: Node, inputs: list[ValueType], ctx: InferenceContext) -> 
 
 
 for _op in (
-    "Relu", "LeakyRelu", "Sigmoid", "Tanh", "Softmax", "Identity", "Erf",
-    "Exp", "Sqrt", "Neg", "Abs", "HardSwish", "Elu", "LRN",
+    "Relu", "LeakyRelu", "Sigmoid", "Tanh", "Softmax", "Identity", "Exp",
+    "Sqrt", "Neg", "Abs",
 ):
     register_shape_fn(_op)(_unary_shape)
 
@@ -573,54 +573,3 @@ def _gather_shape(node: Node, inputs: list[ValueType], ctx: InferenceContext) ->
     out = data_shape[:axis] + indices_shape + data_shape[axis + 1:]
     return [(out, dtype)]
 
-
-@register_shape_fn("Split")
-def _split_shape(node: Node, inputs: list[ValueType], ctx: InferenceContext) -> list[ValueType]:
-    (shape, dtype) = inputs[0]
-    rank = len(shape)
-    axis = node.attrs.get_int("axis", 0) % max(rank, 1)
-    total = shape[axis]
-    pieces = _constant_ints(ctx, node, 1, "Split sizes")
-    if pieces is None and "split" in node.attrs:
-        pieces = list(node.attrs.get_ints("split"))
-    count = len(node.outputs)
-    if pieces is None:
-        if total == -1:
-            raise _fail(node, "cannot evenly split a symbolic dimension")
-        if total % count:
-            raise _fail(node, f"cannot split {total} into {count} equal parts")
-        pieces = [total // count] * count
-    if len(pieces) != count:
-        raise _fail(node, f"{len(pieces)} split sizes for {count} outputs")
-    if total != -1 and sum(pieces) != total:
-        raise _fail(node, f"split sizes {pieces} do not sum to {total}")
-    outputs = []
-    for piece in pieces:
-        out = list(shape)
-        out[axis] = piece
-        outputs.append((tuple(out), dtype))
-    return outputs
-
-
-@register_shape_fn("Resize")
-def _resize_shape(node: Node, inputs: list[ValueType], ctx: InferenceContext) -> list[ValueType]:
-    (shape, dtype) = inputs[0]
-    rank = len(shape)
-    sizes = _constant_ints(ctx, node, 3, "Resize sizes")
-    if sizes is not None:
-        if len(sizes) != rank:
-            raise _fail(node, f"Resize sizes rank {len(sizes)} != {rank}")
-        return [(tuple(sizes), dtype)]
-    if len(node.inputs) > 2 and node.inputs[2]:
-        scales_value = ctx.constant_value(node.inputs[2])
-        if scales_value is None:
-            raise _fail(node, "Resize scales must be compile-time constants")
-        scales = [float(s) for s in np.asarray(scales_value).reshape(-1)]
-    else:
-        scales = [float(s) for s in node.attrs.get_floats("scales")]
-    if len(scales) != rank:
-        raise _fail(node, f"Resize scales rank {len(scales)} != {rank}")
-    out = tuple(
-        -1 if dim == -1 else int(np.floor(dim * scale))
-        for dim, scale in zip(shape, scales))
-    return [(out, dtype)]

@@ -7,7 +7,6 @@ Importing this package registers every built-in kernel into
 from repro.kernels import (  # noqa: F401  (imported for registration side effects)
     activation_kernels,
     conv_direct,
-    conv_fft,
     conv_im2col,
     conv_reference,
     conv_spatialpack,
@@ -20,7 +19,6 @@ from repro.kernels import (  # noqa: F401  (imported for registration side effec
     pool_kernels,
     qconv,
     qgemm,
-    reduction_kernels,
     shape_kernels,
 )
 from repro.kernels.common import ConvParams, conv_params, im2col, pad_input

@@ -67,32 +67,6 @@ def softmax(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> 
     return [(exps / exps.sum(axis=axis, keepdims=True)).astype(x.dtype, copy=False)]
 
 
-@kernel("Elu", "default", priority=100)
-def elu(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> list[np.ndarray]:
-    x = inputs[0]
-    alpha = node.attrs.get_float("alpha", 1.0)
-    return [np.where(x >= 0, x, alpha * (np.exp(np.minimum(x, 0)) - 1)).astype(
-        x.dtype, copy=False)]
-
-
-@kernel("HardSwish", "default", priority=100)
-def hard_swish(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> list[np.ndarray]:
-    x = inputs[0]
-    return [(x * np.clip(x / 6.0 + 0.5, 0.0, 1.0)).astype(x.dtype, copy=False)]
-
-
-@kernel("Erf", "default", priority=100)
-def erf(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> list[np.ndarray]:
-    """Error function via the Abramowitz & Stegun 7.1.26 rational approximation."""
-    x = inputs[0].astype(np.float64)
-    sign = np.sign(x)
-    t = 1.0 / (1.0 + 0.3275911 * np.abs(x))
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (
-        1.421413741 + t * (-1.453152027 + t * 1.061405429))))
-    result = sign * (1.0 - poly * np.exp(-x * x))
-    return [result.astype(inputs[0].dtype, copy=False)]
-
-
 @kernel("Exp", "default", priority=100)
 def exp(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> list[np.ndarray]:
     return [np.exp(inputs[0])]

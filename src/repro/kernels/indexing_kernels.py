@@ -1,4 +1,4 @@
-"""Indexing and resampling kernels: Slice, Gather, Split, Resize."""
+"""Indexing kernels: Slice and Gather."""
 
 from __future__ import annotations
 
@@ -44,55 +44,3 @@ def gather(
     x, indices = inputs[0], inputs[1]
     axis = node.attrs.get_int("axis", 0)
     return [np.take(x, indices.astype(np.int64), axis=axis)]
-
-
-@kernel("Split", "default", priority=100)
-def split(
-    inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
-) -> list[np.ndarray]:
-    x = inputs[0]
-    axis = node.attrs.get_int("axis", 0)
-    pieces = _int_list(inputs, 1)
-    if pieces is None and "split" in node.attrs:
-        pieces = list(node.attrs.get_ints("split"))
-    count = len(node.outputs)
-    if pieces is None:
-        pieces = [x.shape[axis] // count] * count
-    boundaries = np.cumsum(pieces)[:-1]
-    return [np.ascontiguousarray(part)
-            for part in np.split(x, boundaries, axis=axis)]
-
-
-@kernel("Resize", "default", priority=100)
-def resize_nearest(
-    inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
-) -> list[np.ndarray]:
-    """Nearest-neighbour Resize (the mode edge detectors/upsamplers use).
-
-    Supports the ``sizes`` input (4th) or ``scales`` (3rd input / attr),
-    with asymmetric coordinate transformation — numpy index arithmetic.
-    """
-    x = inputs[0]
-    mode = node.attrs.get_str("mode", "nearest")
-    if mode != "nearest":
-        raise NotImplementedError(f"Resize mode {mode!r}; only 'nearest'")
-    sizes = _int_list(inputs, 3)
-    if sizes is not None:
-        target = sizes
-    else:
-        if len(inputs) > 2 and inputs[2] is not None and inputs[2].size:
-            scales = [float(s) for s in np.asarray(inputs[2]).reshape(-1)]
-        else:
-            scales = [float(s) for s in node.attrs.get_floats("scales")]
-        target = [int(np.floor(dim * scale))
-                  for dim, scale in zip(x.shape, scales)]
-    out = x
-    for axis, new_size in enumerate(target):
-        old_size = out.shape[axis]
-        if new_size == old_size:
-            continue
-        positions = np.minimum(
-            (np.arange(new_size) * (old_size / new_size)).astype(np.int64),
-            old_size - 1)
-        out = np.take(out, positions, axis=axis)
-    return [np.ascontiguousarray(out)]

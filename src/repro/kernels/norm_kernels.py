@@ -1,4 +1,4 @@
-"""Normalisation kernels: BatchNormalization (inference mode) and LRN."""
+"""Normalisation kernel: BatchNormalization (inference mode)."""
 
 from __future__ import annotations
 
@@ -29,23 +29,3 @@ def batch_norm(
     channel_shape = (1, -1) + (1,) * (x.ndim - 2)
     out = x * multiplier.reshape(channel_shape) + offset.reshape(channel_shape)
     return [out]
-
-
-@kernel("LRN", "default", priority=100)
-def lrn(inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext) -> list[np.ndarray]:
-    """Local response normalisation across channels (AlexNet-era)."""
-    x = inputs[0]
-    size = node.attrs.get_int("size")
-    alpha = node.attrs.get_float("alpha", 1e-4)
-    beta = node.attrs.get_float("beta", 0.75)
-    k = node.attrs.get_float("bias", 1.0)
-    channels = x.shape[1]
-    squared = (x.astype(np.float64)) ** 2
-    sums = np.zeros_like(squared)
-    half = size // 2
-    for c in range(channels):
-        lo = max(0, c - half)
-        hi = min(channels, c + (size - half))
-        sums[:, c] = squared[:, lo:hi].sum(axis=1)
-    denom = (k + (alpha / size) * sums) ** beta
-    return [(x / denom).astype(x.dtype, copy=False)]

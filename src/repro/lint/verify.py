@@ -372,7 +372,7 @@ def verify_target(target: str, seed: int = 0) -> Report:
         from repro.onnx import load_model
         try:
             graph = load_model(target)
-        except (OnnxError, OSError) as exc:
+        except (OnnxError, UnsupportedOpError, OSError) as exc:
             report.add(_f("ORV100", target, f"unreadable model: {exc}"))
             return report
         report.extend(verify_graph(graph, target))

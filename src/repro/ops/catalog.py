@@ -46,12 +46,6 @@ register_op(OpSchema("BatchNormalization", 5, 5, max_outputs=1, attrs={
     "momentum": AttrSpec(_F, default=0.9),
     "spatial": AttrSpec(_I, default=1),
 }))
-register_op(OpSchema("LRN", 1, 1, attrs={
-    "size": AttrSpec(_I, required=True),
-    "alpha": AttrSpec(_F, default=1e-4),
-    "beta": AttrSpec(_F, default=0.75),
-    "bias": AttrSpec(_F, default=1.0),
-}))
 
 
 def _pool_attrs() -> dict[str, AttrSpec]:
@@ -71,12 +65,11 @@ register_op(OpSchema("MaxPool", 1, 1, attrs=_pool_attrs()))
 register_op(OpSchema("AveragePool", 1, 1, attrs=_pool_attrs()))
 register_op(OpSchema("GlobalAveragePool", 1, 1))
 
-for _name in ("Relu", "Sigmoid", "Tanh", "Identity", "Erf", "Exp", "Sqrt",
-              "Neg", "Abs", "HardSwish"):
+for _name in ("Relu", "Sigmoid", "Tanh", "Identity", "Exp", "Sqrt", "Neg",
+              "Abs"):
     register_op(OpSchema(_name, 1, 1))
 register_op(OpSchema("LeakyRelu", 1, 1, attrs={
     "alpha": AttrSpec(_F, default=0.01)}))
-register_op(OpSchema("Elu", 1, 1, attrs={"alpha": AttrSpec(_F, default=1.0)}))
 register_op(OpSchema("Clip", 1, 3, attrs={
     "min": AttrSpec(_F), "max": AttrSpec(_F)}))
 register_op(OpSchema("Softmax", 1, 1, attrs={
@@ -110,28 +103,3 @@ register_op(OpSchema("Slice", 1, 5, attrs={
     "axes": AttrSpec(_IS), "steps": AttrSpec(_IS)}))
 register_op(OpSchema("Gather", 2, 2, attrs={
     "axis": AttrSpec(_I, default=0)}))
-register_op(OpSchema("Split", 1, 2, max_outputs=64, attrs={
-    "axis": AttrSpec(_I, default=0), "split": AttrSpec(_IS),
-    "num_outputs": AttrSpec(_I)}))
-register_op(OpSchema("Resize", 1, 4, attrs={
-    "mode": AttrSpec(_S, default="nearest"),
-    "scales": AttrSpec(AttrKind.FLOATS),
-    "coordinate_transformation_mode": AttrSpec(_S, default="asymmetric"),
-    "nearest_mode": AttrSpec(_S, default="floor")}))
-
-for _name in ("ReduceSum", "ReduceMax", "ReduceMin"):
-    register_op(OpSchema(_name, 1, 1, attrs={
-        "axes": AttrSpec(_IS), "keepdims": AttrSpec(_I, default=1),
-        "noop_with_empty_axes": AttrSpec(_I, default=0)}))
-register_op(OpSchema("ArgMax", 1, 1, attrs={
-    "axis": AttrSpec(_I, default=0), "keepdims": AttrSpec(_I, default=1),
-    "select_last_index": AttrSpec(_I, default=0)}))
-register_op(OpSchema("GlobalMaxPool", 1, 1))
-register_op(OpSchema("LayerNormalization", 2, 3, attrs={
-    "axis": AttrSpec(_I, default=-1), "epsilon": AttrSpec(_F, default=1e-5),
-    "stash_type": AttrSpec(_I, default=1)}))
-register_op(OpSchema("GroupNormalization", 3, 3, attrs={
-    "num_groups": AttrSpec(_I, required=True),
-    "epsilon": AttrSpec(_F, default=1e-5)}))
-register_op(OpSchema("Gelu", 1, 1, attrs={
-    "approximate": AttrSpec(_S, default="none")}))

@@ -31,9 +31,8 @@ if TYPE_CHECKING:
     from repro.engine.format import Engine
 from repro.runtime.memory_planner import MemoryPlan
 from repro.runtime.profiler import ProfileResult, collate
-from repro.tensor.tensor import Tensor
 
-Feed = Mapping[str, "np.ndarray | Tensor"]
+Feed = Mapping[str, np.ndarray]
 
 
 def lower(graph: Graph, backend: Backend,
@@ -291,13 +290,6 @@ class InferenceSession:
             self._unwrap(feeds), deadline_ms=deadline_ms)
         return outputs
 
-    def run_tensors(self, feeds: Feed) -> dict[str, Tensor]:
-        """Like :meth:`run` but returns :class:`~repro.tensor.Tensor`s."""
-        return {
-            name: Tensor(array, name=name)
-            for name, array in self.run(feeds).items()
-        }
-
     def time(
         self, feeds: Feed, repeats: int = 10, warmup: int = 2,
         deadline_ms: float | None = None,
@@ -357,10 +349,7 @@ class InferenceSession:
 
     @staticmethod
     def _unwrap(feeds: Feed) -> dict[str, np.ndarray]:
-        return {
-            name: value.data if isinstance(value, Tensor) else np.asarray(value)
-            for name, value in feeds.items()
-        }
+        return {name: np.asarray(value) for name, value in feeds.items()}
 
 
 def _engine_source(engine: object) -> str:

@@ -1,19 +1,5 @@
-"""Tensor layer: the `Tensor` type, dtypes, and layout utilities."""
+"""Tensor layer: the framework's dtypes."""
 
 from repro.tensor.dtype import DType
-from repro.tensor.layout import (
-    convert_activation,
-    convert_weight,
-    nchw_to_nhwc,
-    nhwc_to_nchw,
-)
-from repro.tensor.tensor import Tensor
 
-__all__ = [
-    "DType",
-    "Tensor",
-    "convert_activation",
-    "convert_weight",
-    "nchw_to_nhwc",
-    "nhwc_to_nchw",
-]
+__all__ = ["DType"]

@@ -63,7 +63,7 @@ class TestRegistry:
     def test_builtins_present(self):
         names = {b.name for b in list_backends()}
         assert {"orpheus", "reference", "direct", "spatial_pack",
-                "winograd", "fft"} <= names
+                "winograd"} <= names
 
     def test_register_and_unregister(self):
         backend = Backend(name="thirdparty-test",

@@ -75,6 +75,38 @@ class TestFromEngineStrict:
         with pytest.raises(EngineError):
             InferenceSession.from_engine(stale)
 
+    @staticmethod
+    def _with_deleted_kernel(engine, position):
+        """``engine`` as if compiled while its first Conv's chain also named
+        a kernel that has since been deleted (every engine built before the
+        Conv fft impl went names it as a fallback)."""
+        conv = next(node.name for node in engine.graph.nodes
+                    if node.op_type == "Conv")
+        chain = list(engine.fallback_plan[conv])
+        chain.insert(position, "a_deleted_kernel")
+        return conv, dataclasses.replace(
+            engine,
+            kernel_plan={**engine.kernel_plan, conv: chain[0]},
+            fallback_plan={**engine.fallback_plan, conv: tuple(chain)})
+
+    def test_lost_fallback_shortens_the_chain(self, engine_path):
+        engine = load_engine(engine_path)
+        conv, aged = self._with_deleted_kernel(engine, position=1)
+        fresh = InferenceSession.from_engine(engine)
+        loaded = InferenceSession.from_engine(aged)
+        assert (len(loaded.fallback_plan()[conv])
+                == len(aged.fallback_plan[conv]) - 1)
+        assert loaded.fallback_plan() == fresh.fallback_plan()
+        feed = _feed(fresh)
+        for name, expected in fresh.run(feed).items():
+            np.testing.assert_array_equal(loaded.run(feed)[name], expected)
+
+    def test_lost_primary_is_a_stale_engine(self, engine_path):
+        _, aged = self._with_deleted_kernel(
+            load_engine(engine_path), position=0)
+        with pytest.raises(EngineError, match="stale engine"):
+            InferenceSession.from_engine(aged)
+
     def test_budget_admission_runs_on_warm_load(self, engine_path):
         """A warm start must not smuggle an over-budget plan past admission."""
         with pytest.raises(MemoryBudgetError):

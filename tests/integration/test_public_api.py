@@ -62,7 +62,6 @@ class TestExports:
             Graph,
             GraphBuilder,
             InferenceSession,
-            Tensor,
         )
         from repro import vision  # submodule import path used by examples
         assert hasattr(vision, "preprocess_for")

@@ -144,7 +144,7 @@ class TestFusedActivation:
     stride=st.integers(1, 2),
     pad=st.integers(0, 2),
     impl_name=st.sampled_from(["im2col", "im2col_loops", "direct",
-                               "spatial_pack", "fft"]),
+                               "spatial_pack"]),
 )
 def test_conv_property_grid(batch, in_ch, out_ch, size, kernel, stride, pad,
                             impl_name):

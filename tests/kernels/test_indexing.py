@@ -1,4 +1,4 @@
-"""Slice / Gather / Split / Resize: kernels and shape inference agree."""
+"""Slice / Gather: kernels and shape inference agree."""
 
 import numpy as np
 import pytest
@@ -96,83 +96,25 @@ class TestGather:
             infer("Gather", [x, bad])
 
 
-class TestSplit:
-    def test_even_split(self, rng):
-        x = rng.standard_normal((2, 6)).astype(np.float32)
-        parts = run("Split", [x], {"axis": 1}, num_outputs=3)
-        assert [p.shape for p in parts] == [(2, 2)] * 3
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1), x)
-
-    def test_explicit_sizes(self, rng):
-        x = rng.standard_normal((7,)).astype(np.float32)
-        parts = run("Split", [x, np.array([3, 4], np.int64)], {"axis": 0},
-                    num_outputs=2)
-        assert parts[0].shape == (3,) and parts[1].shape == (4,)
-
-    def test_shape_inference_uneven_rejected(self, rng):
-        x = rng.standard_normal((5,)).astype(np.float32)
-        with pytest.raises(Exception, match="equal parts"):
-            infer("Split", [x], {"axis": 0}, num_outputs=2)
-
-    def test_shape_inference_sizes_checked(self, rng):
-        x = rng.standard_normal((5,)).astype(np.float32)
-        with pytest.raises(Exception, match="sum"):
-            infer("Split", [x, np.array([2, 2], np.int64)], num_outputs=2)
-
-
-class TestResize:
-    def test_scale_2x_nearest(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32)
-        out = run("Resize", [x, np.empty(0, np.float32),
-                             np.array([1.0, 1.0, 2.0, 2.0], np.float32)])
-        assert out.shape == (1, 1, 4, 4)
-        np.testing.assert_array_equal(
-            out[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
-
-    def test_sizes_input(self, rng):
-        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        sizes = np.array([1, 2, 8, 2], np.int64)
-        out = run("Resize", [x, np.empty(0, np.float32),
-                             np.empty(0, np.float32), sizes])
-        assert out.shape == (1, 2, 8, 2)
-        [inferred] = infer("Resize", [x, np.empty(0, np.float32),
-                                      np.empty(0, np.float32), sizes])
-        assert inferred == (1, 2, 8, 2)
-
-    def test_downscale(self, rng):
-        x = rng.standard_normal((1, 1, 8, 8)).astype(np.float32)
-        out = run("Resize", [x, np.empty(0, np.float32),
-                             np.array([1.0, 1.0, 0.5, 0.5], np.float32)])
-        assert out.shape == (1, 1, 4, 4)
-        np.testing.assert_array_equal(out[0, 0], x[0, 0, ::2, ::2])
-
-    def test_non_nearest_rejected(self, rng):
-        x = rng.standard_normal((1, 1, 2, 2)).astype(np.float32)
-        with pytest.raises(Exception, match="nearest"):
-            run("Resize", [x, np.empty(0, np.float32),
-                           np.array([1, 1, 2, 2], np.float32)],
-                {"mode": "linear"})
-
-
 class TestEndToEnd:
     def test_yolo_style_head_runs(self, rng):
-        """Slice/Split/Resize/Concat composed like a detection head."""
+        """Slice/MaxPool/Concat composed like a detection head."""
         from repro.ir.builder import GraphBuilder
         from repro.runtime.session import InferenceSession
         builder = GraphBuilder(seed=0)
         x = builder.input("input", (1, 8, 8, 8))
-        lo = builder.node("Split", [x], {"axis": 1}, num_outputs=2)
-        up = builder.node(
-            "Resize",
-            [lo[0], builder.constant(np.empty(0, np.float32), "roi"),
-             builder.constant(np.array([1, 1, 2, 2], np.float32), "scales")])
-        pooled = builder.max_pool(lo[1], 2)
-        up_small = builder.node(
+        crop = builder.node(
             "Slice",
-            [up, builder.constant(np.array([0, 0], np.int64), "starts"),
-             builder.constant(np.array([4, 4], np.int64), "ends"),
-             builder.constant(np.array([2, 3], np.int64), "axes")])
-        merged = builder.concat([up_small, pooled], axis=1)
+            [x, builder.constant(np.array([0, 0, 0], np.int64), "starts"),
+             builder.constant(np.array([4, 4, 4], np.int64), "ends"),
+             builder.constant(np.array([1, 2, 3], np.int64), "axes")])
+        rest = builder.node(
+            "Slice",
+            [x, builder.constant(np.array([4], np.int64), "rest_starts"),
+             builder.constant(np.array([8], np.int64), "rest_ends"),
+             builder.constant(np.array([1], np.int64), "rest_axes")])
+        pooled = builder.max_pool(rest, 2)
+        merged = builder.concat([crop, pooled], axis=1)
         builder.output(merged)
         graph = builder.finish()
         out = InferenceSession(graph).run(

@@ -1,4 +1,4 @@
-"""BatchNormalization, LRN, and the elementwise binary kernels."""
+"""BatchNormalization and the elementwise binary kernels."""
 
 import numpy as np
 import pytest
@@ -45,25 +45,6 @@ class TestBatchNorm:
         zeros = np.zeros(3, np.float32)
         out = run("BatchNormalization", [x, ones, zeros, zeros, ones])
         assert out.shape == (4, 3)
-
-
-class TestLRN:
-    def test_normalises_across_channels(self, rng):
-        x = rng.standard_normal((1, 8, 3, 3)).astype(np.float32)
-        out = run("LRN", [x], {"size": 3, "alpha": 1e-4, "beta": 0.75,
-                               "bias": 1.0})
-        assert out.shape == x.shape
-        # With tiny alpha the denominator is ~1, output ~ input.
-        np.testing.assert_allclose(out, x, rtol=1e-2)
-
-    def test_reference_formula_single_pixel(self):
-        x = np.zeros((1, 3, 1, 1), dtype=np.float32)
-        x[0, :, 0, 0] = [1.0, 2.0, 3.0]
-        out = run("LRN", [x], {"size": 3, "alpha": 1.0, "beta": 1.0,
-                               "bias": 1.0})
-        sums = np.array([1 + 4, 1 + 4 + 9, 4 + 9], dtype=np.float64)
-        expected = x[0, :, 0, 0] / (1.0 + sums / 3.0)
-        np.testing.assert_allclose(out[0, :, 0, 0], expected, rtol=1e-5)
 
 
 class TestElementwise:

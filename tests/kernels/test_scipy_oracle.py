@@ -36,7 +36,7 @@ def scipy_conv2d(x, w, stride=1, pad=0):
 
 
 @pytest.mark.parametrize("impl", ["im2col", "direct", "spatial_pack",
-                                  "winograd", "fft"])
+                                  "winograd"])
 def test_conv_matches_scipy(impl, rng):
     x = rng.standard_normal((2, 3, 10, 10)).astype(np.float32)
     w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
@@ -71,16 +71,3 @@ def test_im2col_matches_scipy_property(in_ch, out_ch, size, kernel, stride):
     expected = scipy_conv2d(x, w, stride=stride, pad=pad)
     np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-4)
 
-
-def test_fft_conv_matches_scipy_fftconvolve(rng):
-    """Our frequency-domain path against scipy's, same algorithm family."""
-    x = rng.standard_normal((1, 2, 12, 12)).astype(np.float32)
-    w = rng.standard_normal((3, 2, 5, 5)).astype(np.float32)
-    node = make_conv_node(kernel=(5, 5), pads=(0, 0, 0, 0), with_bias=False)
-    actual = REGISTRY.get("Conv", "fft").fn([x, w], node, ExecutionContext())[0]
-    expected = np.stack([
-        sum(signal.fftconvolve(x[0, ic], w[oc, ic, ::-1, ::-1], mode="valid")
-            for ic in range(2))
-        for oc in range(3)
-    ])[np.newaxis]
-    np.testing.assert_allclose(actual, expected, rtol=1e-3, atol=1e-4)

@@ -130,6 +130,44 @@ class TestReaderValidation:
         with pytest.raises(UnsupportedOpError, match="domain"):
             load_model_bytes(data)
 
+    @staticmethod
+    def _one_op_model(op_type, tmp_path):
+        """A well-formed opset-20 model of one ``op_type`` node, as bytes
+        and as a file; LayerNormalization takes its scale as a weight."""
+        from repro.onnx.schema import OperatorSetIdProto, TensorProto
+        inputs, weights = ["x"], []
+        if op_type == "LayerNormalization":
+            inputs.append("scale")
+            weights.append(TensorProto.from_numpy(
+                np.ones(4, np.float32), name="scale"))
+        graph = GraphProto(
+            name="culled",
+            node=[NodeProto(input=inputs, output=["y"], op_type=op_type,
+                            name=f"{op_type}_0")],
+            initializer=weights,
+            input=[ValueInfoProto(name="x", elem_type=1, dims=[1, 4])],
+            output=[ValueInfoProto(name="y", elem_type=1, dims=[1, 4])],
+        )
+        data = ModelProto(graph=graph, opset_import=[
+            OperatorSetIdProto(version=20)]).serialize()
+        path = tmp_path / f"{op_type}.onnx"
+        path.write_bytes(data)
+        return data, path
+
+    @pytest.mark.parametrize("op_type", ["Gelu", "LayerNormalization"])
+    def test_op_without_a_kernel_is_rejected_at_import(self, op_type,
+                                                       tmp_path, capsys):
+        """An op the runtime does not implement fails structurally, by
+        name, at load — never as a KeyError at prepare or run — and
+        `orpheus verify` reports it instead of crashing."""
+        from repro import cli
+        data, path = self._one_op_model(op_type, tmp_path)
+        with pytest.raises(UnsupportedOpError, match=op_type):
+            load_model_bytes(data)
+        assert cli.main(["verify", str(path)]) != 0
+        out = capsys.readouterr().out
+        assert "ORV100" in out and op_type in out
+
     def test_model_without_graph_rejected(self):
         with pytest.raises(OnnxError, match="no graph"):
             load_model_bytes(ModelProto().serialize())

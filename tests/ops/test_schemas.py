@@ -1,18 +1,48 @@
 """Operator schemas: arity and attribute validation."""
 
+import pathlib
+
 import pytest
 
 from repro.errors import AttributeError_, UnsupportedOpError
 from repro.ir.node import Node
-from repro.ops import get_schema, has_schema, schema_names, validate_node
+from repro.ops import get_schema, schema_names, validate_node
+
+_OPERATORS_DOC = (pathlib.Path(__file__).resolve().parents[2]
+                  / "docs" / "operators.md")
+
+
+def _documented_impls():
+    """``{op: [impl, ...]}`` from the docs' operator table (``*`` kept)."""
+    lines = _OPERATORS_DOC.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| op | kernel implementations |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        op, impls = (cell.strip() for cell in line.strip("|").split("|"))
+        table[op.strip("`")] = [name.strip() for name in impls.split(",")]
+    return table
 
 
 class TestCatalogCoverage:
     def test_every_shape_inferable_op_has_a_schema(self):
-        import repro.quant  # noqa: F401  (register quant op shape fns)
+        """And a kernel: the three registries name the same ops."""
+        import repro.quant  # noqa: F401  (register quant ops)
         from repro.ir.shape_inference import supported_ops
-        missing = [op for op in supported_ops() if not has_schema(op)]
-        assert missing == []
+        from repro.kernels import REGISTRY
+        assert schema_names() == supported_ops() == REGISTRY.op_types()
+
+    def test_operators_doc_table_is_the_kernel_registry(self):
+        """docs/operators.md: every op, each impl in priority order,
+        ``*`` on exactly the experimental ones."""
+        import repro.quant  # noqa: F401  (register quant kernels)
+        from repro.kernels import REGISTRY
+        registered = {
+            op: [impl.name + "*" * impl.experimental
+                 for impl in REGISTRY.implementations(op)]
+            for op in REGISTRY.op_types()}
+        assert _documented_impls() == registered
 
     def test_schema_names_sorted(self):
         names = schema_names()
@@ -60,10 +90,6 @@ class TestAttributes:
     def test_internal_activation_attribute_tolerated(self):
         validate_node(Node("Conv", ["x", "w"], ["y"],
                            {"kernel_shape": (3, 3), "activation": "relu"}))
-
-    def test_lrn_requires_size(self):
-        with pytest.raises(AttributeError_, match="size"):
-            validate_node(Node("LRN", ["x"], ["y"], {"alpha": 0.1}))
 
     def test_constant_requires_value(self):
         import numpy as np
