@@ -11,11 +11,10 @@ Runs, each in a fresh interpreter under a call profiler:
   (``convert`` then ``run r18.onnx``) finds it.
 
 then prints, per ``src/repro`` file, how many lines of ``def`` bodies no
-run entered. A function reached only from ``tests/`` is a deletion
-candidate that needs a reason to stay.
+run entered and which functions they belong to. A function reached only
+from ``tests/`` is a deletion candidate that needs a reason to stay.
 
-    python tests/tools/reachability.py [--timeout 300] [--functions]
-                                       [--json PATH]
+    python tests/tools/reachability.py
 
 The profiler is ``sys.setprofile`` + ``threading.setprofile`` installed by
 a generated ``sitecustomize`` placed first on ``PYTHONPATH``, so every
@@ -26,8 +25,15 @@ killed still leaves what it reached. This file is not a test module:
 pytest does not collect it, and it reads no clock (the per-command
 timeout is the subprocess module's).
 
-Blind spots — each makes the report say "reached" too often, never too
-rarely:
+A run that times out, or exits other than expected (0, or 1 for the two
+``verify`` commands on files that do not exist), stopped
+before reaching everything it would have, so its reach is under-reported
+— the direction that makes live code look deletable. Such runs are
+listed above the table and the exit status is 1; the table is not
+evidence for a deletion until a rerun leaves none.
+
+Blind spots of a run that completes — each makes the report say
+"reached" too often:
 
 * class bodies (and module bodies) run at import and count as calls, so
   only ``def`` bodies are judged: a class nothing instantiates shows up
@@ -42,9 +48,7 @@ rarely:
 
 from __future__ import annotations
 
-import argparse
 import ast
-import json
 import os
 import signal
 import subprocess
@@ -54,6 +58,18 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 SRC = os.path.join(ROOT, "src", "repro")
+
+# Seconds before a run's process group is killed. The slowest runs
+# (`bench figure2`, `perfbench/run.py --smoke`) take a few minutes on a
+# 2-core host; a hung serve or chaos command must not stall the report.
+TIMEOUT = 300.0
+
+# Documented commands whose expected exit is not 0: these two show the
+# verify syntax on files the docs never create.
+_EXPECTED_EXIT = {
+    ("verify", "model.onnx", "out.oeng"): 1,
+    ("verify", "--strict", "out.oeng"): 1,
+}
 
 _SITECUSTOMIZE = '''\
 import os
@@ -83,15 +99,16 @@ threading.setprofile(_profile)
 '''
 
 
-def _runs() -> list[tuple[str, list[str]]]:
-    """``(label, argv)`` of everything to trace, in order."""
-    runs = [(os.path.relpath(path, ROOT), [sys.executable, path])
+def _runs() -> list[tuple[str, list[str], int]]:
+    """``(label, argv, expected exit)`` of everything to trace, in order."""
+    runs = [(os.path.relpath(path, ROOT), [sys.executable, path], 0)
             for path in sorted(
                 os.path.join(ROOT, "examples", name)
                 for name in os.listdir(os.path.join(ROOT, "examples"))
                 if name.endswith(".py"))]
     runs.append(("perfbench/run.py --smoke", [
-        sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--smoke"]))
+        sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--smoke"],
+        0))
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     from tests.integration.test_documented_commands import (
         _DOCUMENTS,
@@ -101,19 +118,19 @@ def _runs() -> list[tuple[str, list[str]]]:
         for number, argv in _documented_commands(path):
             label = (f"{os.path.relpath(path, ROOT)}:{number}: "
                      f"orpheus {' '.join(argv)}")
-            runs.append((label, [sys.executable, "-m", "repro.cli", *argv]))
+            runs.append((label, [sys.executable, "-m", "repro.cli", *argv],
+                         _EXPECTED_EXIT.get(tuple(argv), 0)))
     return runs
 
 
-def _run(argv: list[str], cwd: str, env: dict[str, str],
-         timeout: float) -> str:
+def _run(argv: list[str], cwd: str, env: dict[str, str]) -> str:
     """Run one traced command; its process group is killed afterwards."""
     child = subprocess.Popen(argv, cwd=cwd, env=env,
                              stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL,
                              start_new_session=True)
     try:
-        status = f"exit {child.wait(timeout=timeout)}"
+        status = f"exit {child.wait(timeout=TIMEOUT)}"
     except subprocess.TimeoutExpired:
         status = "timeout"
     finally:
@@ -193,17 +210,7 @@ def report(reached: set[tuple[str, int]]) -> dict[str, dict]:
     return table
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per run before its process group is "
-                             "killed (default 300)")
-    parser.add_argument("--functions", action="store_true",
-                        help="also list each unreached function")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the per-file table as JSON")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         hook_dir = os.path.join(scratch, "hook")
         out_dir = os.path.join(scratch, "calls")
@@ -223,30 +230,35 @@ def main(argv: list[str] | None = None) -> int:
         env["PYTHONPATH"] = os.pathsep.join(
             [hook_dir, os.path.join(ROOT, "src"), ROOT]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        for label, command in _runs():
-            status = _run(command, work_dir, env, args.timeout)
+        incomplete = []
+        for label, command, expected in _runs():
+            status = _run(command, work_dir, env)
             print(f"{status:8s} {label}", flush=True)
+            if status != f"exit {expected}":
+                incomplete.append(f"{status} (expected exit {expected}): "
+                                  f"{label}")
         table = report(_reached(out_dir))
 
+    if incomplete:
+        print(f"\n{len(incomplete)} run(s) stopped early or failed; their "
+              "reach is incomplete, so the table under-reports:")
+        for line in incomplete:
+            print(f"  {line}")
     total = sum(row["lines"] for row in table.values())
     missed = sum(row["unreached"] for row in table.values())
     print(f"\n{'unreached':>9s} {'of':>6s}  file")
     for path, row in table.items():
         if row["unreached"]:
             print(f"{row['unreached']:9d} {row['lines']:6d}  {path}")
-            if args.functions:
-                for name in row["functions"]:
-                    print(f"{'':17s}  - {name}")
+            for name in row["functions"]:
+                print(f"{'':17s}  - {name}")
     print(f"{missed:9d} {total:6d}  total function lines under src/repro")
     print("\nBlind spots (each over-reports reach): class and module bodies "
           "run at import and count as calls; applicability predicates run "
           "while fallback chains are built; registry enumeration "
           "(conformance runs every backend, bench layers races Conv impls) "
           "reaches kernels no default selection runs.")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as stream:
-            json.dump(table, stream, indent=1, sort_keys=True)
-    return 0
+    return 1 if incomplete else 0
 
 
 if __name__ == "__main__":
