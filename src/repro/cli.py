@@ -5,8 +5,8 @@ Subcommands::
     orpheus models                  # list the model zoo
     orpheus backends                # list registered backends
     orpheus inspect MODEL           # print a model's graph (or an .onnx file)
-    orpheus run MODEL               # one inference on synthetic input
-    orpheus profile MODEL           # per-layer timing
+    orpheus run MODEL               # one inference (MODEL may be an .oeng)
+    orpheus profile MODEL           # per-layer timing (MODEL may be an .oeng)
     orpheus convert MODEL OUT.onnx  # export a zoo model to ONNX
     orpheus compile MODEL OUT.oeng  # compile a model to an engine file
     orpheus engine-info FILE.oeng   # inspect a compiled engine
@@ -84,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tune", action="store_true",
         help="race every registered kernel per Conv before freezing")
     compile_.add_argument("--tune-repeats", type=int, default=2)
-    compile_.add_argument(
-        "--autotune-cache", metavar="PATH", default=None,
-        help="persistent autotune cache consulted/updated while tuning")
 
     engine_info = sub.add_parser(
         "engine-info", help="inspect a compiled engine file")
@@ -297,16 +294,20 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _session_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("model", help="zoo model name or .onnx path")
-    parser.add_argument("--backend", default="orpheus")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--no-optimize", action="store_true")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--engine", metavar="PATH", default=None,
-        help="warm-start from this compiled engine file when it matches "
-             "(best-effort: a stale or corrupt engine warns and falls "
-             "back to a cold prepare)")
+        "model", help="zoo model name, .onnx path, or .oeng engine "
+                      "(a strict warm start)")
+    # Unset (None) asserts nothing: a cold MODEL gets orpheus, 1 thread,
+    # optimised; an .oeng MODEL keeps what it was compiled with. A set
+    # flag must match an engine's fingerprint.
+    parser.add_argument("--backend", default=None,
+                        help="backend (default: orpheus, or the engine's)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="threads (default: 1, or the engine's)")
+    parser.add_argument("--no-optimize", dest="optimize",
+                        action="store_const", const=False, default=None,
+                        help="skip the pass pipeline")
+    parser.add_argument("--seed", type=int, default=0)
     _robustness_flags(parser)
     _guardrail_flags(parser)
 
@@ -380,7 +381,6 @@ def _session_kwargs(args: argparse.Namespace) -> dict:
         "node_timeout_ms": args.node_timeout_ms,
         "memory_budget_bytes": (None if budget_mb is None
                                 else int(budget_mb * (1 << 20))),
-        "engine": args.engine or None,
     }
 
 
@@ -448,12 +448,34 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _open_session(args: argparse.Namespace):
+    """``run``/``profile``'s session, or None after one stderr line.
+
+    An ``.oeng`` MODEL is loaded with the strict
+    :meth:`~repro.runtime.session.InferenceSession.from_engine`; an
+    unloadable or mismatched engine is reported the way ``engine-info``
+    reports it. Any other MODEL is prepared cold.
+    """
+    from repro.errors import EngineError
     from repro.runtime.session import InferenceSession
-    graph = _load_graph(args.model, seed=args.seed)
-    session = InferenceSession(
-        graph, backend=get_backend(args.backend), threads=args.threads,
-        optimize=not args.no_optimize, **_session_kwargs(args))
+    knobs = {"threads": args.threads, "optimize": args.optimize,
+             **_session_kwargs(args)}
+    if not args.model.endswith(".oeng"):
+        return InferenceSession(
+            _load_graph(args.model, seed=args.seed),
+            backend=args.backend or "orpheus", **knobs)
+    try:
+        return InferenceSession.from_engine(
+            args.model, backend=args.backend, **knobs)
+    except EngineError as exc:
+        print(f"not a loadable engine: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    session = _open_session(args)
+    if session is None:
+        return 1
     outputs = session.run(_model_feed(session.graph))
     for name, array in outputs.items():
         flat = array.reshape(-1)
@@ -465,11 +487,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.runtime.session import InferenceSession
-    graph = _load_graph(args.model, seed=args.seed)
-    session = InferenceSession(
-        graph, backend=get_backend(args.backend), threads=args.threads,
-        optimize=not args.no_optimize, **_session_kwargs(args))
+    session = _open_session(args)
+    if session is None:
+        return 1
     profile = session.profile(_model_feed(session.graph), repeats=args.repeats)
     print(profile.table(count=args.top))
     print("\nby op type (ms):")
@@ -495,27 +515,24 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     import time
 
-    from repro.engine import AutotuneCache, compile_to_file
+    from repro.engine import compile_to_file
     if os.path.exists(args.model) or args.model.endswith(".onnx"):
         from repro.onnx import load_model
         graph = load_model(args.model)
     else:
         graph = zoo.build(args.model, batch=args.batch,
                           image_size=args.image_size, seed=args.seed)
-    cache = AutotuneCache(args.autotune_cache) if args.autotune_cache else None
     started = time.perf_counter()
     engine = compile_to_file(
         graph, args.output,
         backend=get_backend(args.backend), threads=args.threads,
         optimize=not args.no_optimize, tune=args.tune,
-        tune_repeats=args.tune_repeats, autotune_cache=cache,
+        tune_repeats=args.tune_repeats,
         metadata={"model": args.model})
     elapsed = time.perf_counter() - started
     size = os.path.getsize(args.output)
     print(f"compiled {args.model} -> {args.output} "
           f"({size / (1 << 20):.2f} MiB in {elapsed:.2f}s)")
-    if cache is not None:
-        print(f"autotune cache: {cache.stats()}")
     _print_engine_info(engine)
     return 0
 

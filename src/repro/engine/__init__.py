@@ -13,15 +13,17 @@ fingerprinted file::
     graph = models.build("resnet18")
     compile_to_file(graph, "resnet18.oeng", backend="orpheus", threads=1)
 
-    sess = InferenceSession.from_engine("resnet18.oeng")       # strict
-    sess = InferenceSession(graph, engine="resnet18.oeng")     # best-effort
+    sess = InferenceSession.from_engine("resnet18.oeng")
 
-The ``engine=`` hint form never fails because of the engine: a corrupt,
-truncated, stale, or mismatched file produces a structured
-:class:`~repro.errors.EngineFallbackWarning` and a cold prepare.
+Two warm starts, one of each kind. ``from_engine`` is strict: a corrupt,
+truncated, stale, or mismatched file raises
+:class:`~repro.errors.EngineError`. :class:`EngineCache` is best-effort:
+such a file produces a structured
+:class:`~repro.errors.EngineFallbackWarning`, a cold compile, and a
+re-frozen cache entry.
 """
 
-from repro.engine.cache import AutotuneCache, EngineCache
+from repro.engine.cache import EngineCache
 from repro.engine.compiler import (
     DEFAULT_TUNE_OPS,
     compile_graph,
@@ -47,7 +49,6 @@ from repro.engine.format import (
 from repro.engine.loader import resolve_prepared
 
 __all__ = [
-    "AutotuneCache",
     "EngineCache",
     "DEFAULT_TUNE_OPS",
     "ENGINE_FORMAT_VERSION",

@@ -1,23 +1,11 @@
-"""Persistent caches: autotune results and compiled engine files.
+"""The best-effort warm start: a directory of compiled engine files.
 
-:class:`AutotuneCache` makes tuning survive across processes — a campaign
-that tunes ResNet-50 once should never pay for it again. One JSON file
-holds ``{key: winning_impl}`` entries under a file-level format version
-and host fingerprint; a version or host mismatch evicts the whole file
-(tuning results from another machine or an older runtime are worthless,
-and silently reusing them is how benchmarks lie).
-
-Concurrent writers are expected — bench sweeps fan out processes — so
-writes go through a lock file (``O_CREAT | O_EXCL``, the portable
-primitive) with stale-lock breaking, and follow read-merge-replace: merge
-our new entries over whatever a sibling flushed first, then atomically
-``os.replace``. A torn read is impossible and last-writer-wins applies
-per entry, not per file.
-
-:class:`EngineCache` is a directory of compiled engine files keyed by the
-compile request (model, backend, threads, batch, ...). The bench harness
-points ``--engine-cache`` at one directory and every sweep configuration
-warm-starts after its first compile.
+:class:`EngineCache` keys each file by the compile request (model,
+backend, threads, batch, ...). The bench harness and the serving pools
+point ``--engine-cache`` at one directory, and every configuration
+warm-starts after its first compile. A miss, a corrupt file or a stale
+one compiles cold and re-freezes the entry; the strict warm start is
+:meth:`~repro.runtime.session.InferenceSession.from_engine`.
 """
 
 from __future__ import annotations
@@ -26,17 +14,9 @@ import dataclasses
 import hashlib
 import json
 import os
-import threading
 import time
 import warnings
 from typing import Any
-
-from repro.engine.fingerprint import host_fingerprint
-
-AUTOTUNE_CACHE_VERSION = 1
-
-#: Defensive cap on cache files; a tuning cache is a few KiB per model.
-MAX_CACHE_BYTES = 16 << 20
 
 
 class _FileLock:
@@ -44,8 +24,8 @@ class _FileLock:
 
     Not reentrant. A lock older than ``stale_s`` is presumed abandoned
     (crashed writer) and broken; a writer that cannot acquire within
-    ``timeout_s`` proceeds *without* the lock — for a cache, a lost
-    update beats a deadlocked benchmark.
+    ``timeout_s`` proceeds *without* the lock — for a cache, a redundant
+    compile beats a deadlocked benchmark.
     """
 
     def __init__(self, path: str, timeout_s: float = 5.0,
@@ -92,145 +72,6 @@ class _FileLock:
             except OSError:
                 pass
             self._held = False
-
-
-def _atomic_write_json(path: str, payload: dict[str, Any]) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
-class AutotuneCache:
-    """Persistent ``{tuning key: winning implementation}`` store.
-
-    Usage::
-
-        cache = AutotuneCache("~/.cache/orpheus/autotune.json")
-        overrides = autotune(graph, candidates, cache=cache)  # hits skip racing
-        cache.flush()   # merge + atomically persist new measurements
-
-    One instance may be shared across threads (a serving pool compiles
-    several backends concurrently against one cache): an internal mutex
-    serializes entry/counter access, while the lock *file* keeps separate
-    processes from clobbering each other's flushes.
-
-    Attributes:
-        hits / misses: lookup counters for this process.
-        evicted: entries dropped at load because the file's version or
-            host fingerprint did not match (stale-cache eviction).
-    """
-
-    def __init__(self, path: str | os.PathLike[str],
-                 host: dict[str, str] | None = None) -> None:
-        self.path = os.fspath(os.path.expanduser(path))
-        self.host = dict(host) if host is not None else host_fingerprint()
-        self.hits = 0        # guarded-by: _mutex
-        self.misses = 0      # guarded-by: _mutex
-        self.evicted = 0     # guarded-by: _mutex
-        self._mutex = threading.Lock()
-        self._dirty: set[str] = set()   # guarded-by: _mutex
-        self._entries: dict[str, str] = (  # guarded-by: _mutex
-            self._read_entries(count_evictions=True))
-
-    # -- lookups ---------------------------------------------------------------
-
-    def get(self, key: str) -> str | None:
-        with self._mutex:
-            winner = self._entries.get(key)
-            if winner is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return winner
-
-    def put(self, key: str, winner: str) -> None:
-        with self._mutex:
-            if self._entries.get(key) == winner:
-                return
-            self._entries[key] = winner
-            self._dirty.add(key)
-
-    def __len__(self) -> int:
-        with self._mutex:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._mutex:
-            return key in self._entries
-
-    # -- persistence -----------------------------------------------------------
-
-    def flush(self) -> int:
-        """Persist new entries; returns how many were written.
-
-        Read-merge-replace under the lock file: a sibling process's
-        concurrent flush survives (its keys are merged back in), and the
-        final rename is atomic so readers never see a torn file.
-        """
-        with self._mutex:
-            if not self._dirty:
-                return 0
-            written = len(self._dirty)
-            parent = os.path.dirname(self.path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with _FileLock(self.path):
-                merged = self._read_entries(count_evictions=False)
-                for key in self._dirty:
-                    merged[key] = self._entries[key]
-                _atomic_write_json(self.path, {
-                    "version": AUTOTUNE_CACHE_VERSION,
-                    "host": self.host,
-                    "entries": dict(sorted(merged.items())),
-                })
-                self._entries = merged
-            self._dirty.clear()
-            return written
-
-    def _read_entries(self, count_evictions: bool) -> dict[str, str]:  # requires-lock: _mutex
-        """Load the on-disk entries; anything suspect reads as empty.
-
-        A cache must never take a process down: unreadable files, bad
-        JSON, oversized files, wrong version, or a different host all
-        degrade to a cold cache (with the eviction counted).
-        """
-        try:
-            if os.path.getsize(self.path) > MAX_CACHE_BYTES:
-                return {}
-            with open(self.path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(payload, dict):
-            return {}
-        entries = payload.get("entries")
-        if not isinstance(entries, dict):
-            return {}
-        stale = (payload.get("version") != AUTOTUNE_CACHE_VERSION
-                 or payload.get("host") != self.host)
-        if stale:
-            if count_evictions:
-                self.evicted += len(entries)
-            return {}
-        return {
-            key: value for key, value in entries.items()
-            if isinstance(key, str) and isinstance(value, str)
-        }
-
-    def stats(self) -> dict[str, int]:
-        with self._mutex:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evicted": self.evicted,
-            }
-
-
-# -- engine directory cache ----------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,19 +128,14 @@ class EngineCache:
         batch: int = 1,
         image_size: int | None = None,
         seed: int = 0,
-        tune: bool = False,
-        autotune_cache: "AutotuneCache | None" = None,
     ) -> "tuple[Any, bool]":
         """The compiled :class:`~repro.engine.format.Engine`, cached.
 
         Returns ``(engine, hit)``. A hit is only reported after the stored
         engine passes the full fingerprint check (host, config, source
-        graph) — a stale or corrupt file degrades to a recompile, never an
-        error and never a silently-wrong engine. The recompile path
-        threads ``autotune_cache`` through, so even when the warm artifact
-        is lost, tuning restarts from persisted winners instead of
-        re-racing every candidate (and ``tune=True`` on a cold cache still
-        pays the race only once per cache lifetime).
+        graph) — a stale or corrupt file warns
+        :class:`~repro.errors.EngineFallbackWarning` and degrades to a
+        recompile, never an error and never a silently-wrong engine.
         """
         # Imported here: the session module imports this package lazily,
         # and a module-level import would close the cycle.
@@ -313,10 +149,8 @@ class EngineCache:
             else backend
         entry = self.entry(
             model=model, backend=backend_obj.name, threads=threads,
-            optimize=optimize, batch=batch, image_size=image_size, seed=seed,
-            # Only keyed when tuning so pre-existing untuned digests (and
-            # their cached files) stay valid.
-            **({"tune": True} if tune else {}))
+            optimize=optimize, batch=batch, image_size=image_size, seed=seed)
+
         def try_load(warn: bool) -> Any:
             reason = None
             try:
@@ -351,7 +185,7 @@ class EngineCache:
                     return engine, True
             engine = compile_graph(
                 graph, backend=backend_obj, threads=threads,
-                optimize=optimize, tune=tune, autotune_cache=autotune_cache,
+                optimize=optimize,
                 metadata={"model": model, "cache_key": entry.key})
             try:
                 save_engine(engine, entry.path)

@@ -19,7 +19,6 @@ from typing import Any
 
 from repro.backends.backend import Backend, get_backend
 from repro.config import RuntimeConfig
-from repro.engine.cache import AutotuneCache
 from repro.engine.fingerprint import make_fingerprint
 from repro.engine.format import Engine, save_engine
 from repro.errors import EngineError
@@ -61,7 +60,6 @@ def compile_graph(
     optimize: bool | None = None,
     tune: bool | Mapping[str, Sequence[str]] = False,
     tune_repeats: int = 2,
-    autotune_cache: AutotuneCache | None = None,
     metadata: Mapping[str, Any] | None = None,
 ) -> Engine:
     """Compile ``graph`` into an :class:`Engine`.
@@ -75,7 +73,6 @@ def compile_graph(
             :data:`DEFAULT_TUNE_OPS`; a mapping races exactly those
             candidates; ``False`` keeps the backend's static policy.
         tune_repeats: timed runs per candidate during tuning.
-        autotune_cache: persistent cache consulted/updated while tuning.
         metadata: free-form strings stored in the engine (model name,
             compile flags) for ``repro engine-info``.
 
@@ -87,7 +84,8 @@ def compile_graph(
         backend = get_backend(backend)
 
     # Fingerprint the *source* graph: that is what a later
-    # `InferenceSession(graph, engine=...)` has in hand to compare against.
+    # `EngineCache.load_or_compile(graph, ...)` has in hand to compare
+    # against.
     fingerprint = make_fingerprint(
         graph, backend, config.threads, config.optimize)
 
@@ -102,7 +100,7 @@ def compile_graph(
                       else {op: tuple(names) for op, names in tune.items()})
         tuned = autotune(
             working, candidates, threads=config.threads, repeats=tune_repeats,
-            registry=backend.registry, cache=autotune_cache)
+            registry=backend.registry)
         if tuned:
             backend = backend.with_overrides(tuned)
 

@@ -10,8 +10,8 @@ source model, so a load can answer three questions cheaply:
 * was it built from *this* model (same structure, same weights)?
 
 Any "no" makes the engine *stale* — never an excuse to crash. Callers turn
-staleness into :class:`~repro.errors.EngineError` (strict loads) or a
-structured fallback to cold prepare (``engine=`` hint loads).
+staleness into :class:`~repro.errors.EngineError` (``from_engine``, the
+strict load) or a structured fallback to a cold compile (``EngineCache``).
 """
 
 from __future__ import annotations

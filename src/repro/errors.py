@@ -131,18 +131,19 @@ class EngineError(OrpheusError):
     Raised by the engine loader (:mod:`repro.engine`) when a file fails the
     format checks (magic, version, size caps, checksum), when its host or
     config fingerprint no longer matches the loading session, or when the
-    kernels it froze are no longer registered. ``InferenceSession(...,
-    engine=path)`` converts this into an :class:`EngineFallbackWarning`
-    and a cold prepare; ``InferenceSession.from_engine`` lets it propagate.
+    kernels it froze are no longer registered. ``InferenceSession.from_engine``
+    lets it propagate; :class:`~repro.engine.cache.EngineCache` converts it
+    into an :class:`EngineFallbackWarning` and a recompile.
     """
 
 
 class EngineFallbackWarning(UserWarning):
-    """A compiled engine could not be used; the session cold-prepared instead.
+    """A cached engine could not be used; :class:`EngineCache` recompiled it.
 
-    Structured: carries ``source`` (the engine path or ``"<bytes>"``) and
-    ``reason`` (the underlying failure message) so campaign logs can report
-    exactly which artifact went stale and why.
+    Emitted only by :meth:`repro.engine.cache.EngineCache.load_or_compile`.
+    Structured: carries ``source`` (the cache entry's path) and ``reason``
+    (the underlying failure message) so campaign logs can report exactly
+    which artifact went stale and why.
     """
 
     def __init__(self, source: str, reason: str) -> None:

@@ -9,8 +9,6 @@ table is self-documenting. This is the ground truth
 
 from __future__ import annotations
 
-import dataclasses
-
 #: Criteria in the paper's row order.
 CRITERIA = (
     "Low-level modifications",
@@ -75,30 +73,3 @@ RATIONALE: dict[str, str] = {
                 "with alternative backends; layers as first-class citizens"),
 }
 
-
-@dataclasses.dataclass(frozen=True)
-class FeatureScore:
-    framework: str
-    criterion: str
-    score: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.score <= 3:
-            raise ValueError(f"scores are 1-3, got {self.score}")
-
-
-def all_scores() -> list[FeatureScore]:
-    """Flat list of every (framework, criterion, score) triple."""
-    return [
-        FeatureScore(framework, criterion, SCORES[framework][criterion])
-        for framework in FRAMEWORKS
-        for criterion in CRITERIA
-    ]
-
-
-def totals() -> dict[str, int]:
-    """Column sums (not in the paper, but handy for ranking)."""
-    return {
-        framework: sum(SCORES[framework][criterion] for criterion in CRITERIA)
-        for framework in FRAMEWORKS
-    }

@@ -8,19 +8,14 @@ individual layers" from the paper's contribution list.
 
 Layers with identical signatures (op type, attributes, input shapes) share
 one measurement, so tuning a deep network costs one sweep per *unique*
-layer shape. With a persistent cache (``cache=``, see
-:class:`repro.engine.cache.AutotuneCache`) measurements also survive
-across processes: a key digests (op, attributes, input shapes, candidate
-set, threads), and the cache file itself is pinned to a host fingerprint,
-so a hit is only ever a measurement this machine could have made.
+layer shape. Nothing persists between calls: winners live on in the
+compiled engine that froze them (``Engine.tuned``), not in a side cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections.abc import Mapping, Sequence
-from typing import Protocol
 
 import numpy as np
 
@@ -32,18 +27,6 @@ from repro.kernels.registry import REGISTRY, KernelImpl, KernelRegistry
 from repro.tensor.dtype import DType
 
 
-class TuningCache(Protocol):
-    """What :func:`autotune` needs from a persistent cache.
-
-    Satisfied by :class:`repro.engine.cache.AutotuneCache`; duck-typed so
-    this module does not import :mod:`repro.engine`.
-    """
-
-    def get(self, key: str) -> str | None: ...
-    def put(self, key: str, winner: str) -> None: ...
-    def flush(self) -> int: ...
-
-
 def _signature(node: Node, shapes: Sequence[tuple[int, ...]]) -> tuple:
     attrs = []
     for key in sorted(node.attrs.keys()):
@@ -52,29 +35,6 @@ def _signature(node: Node, shapes: Sequence[tuple[int, ...]]) -> tuple:
             value = (value.shape, value.tobytes())
         attrs.append((key, value))
     return (node.op_type, tuple(attrs), tuple(shapes))
-
-
-def cache_key(
-    node: Node,
-    shapes: Sequence[tuple[int, ...]],
-    names: Sequence[str],
-    threads: int,
-) -> str:
-    """Digest one tuning decision's full context into a cache key.
-
-    Everything that can change the winner is in the key: the node's op
-    type and attributes (weight payloads included, via their bytes), the
-    concrete input shapes, the candidate set being raced, and the thread
-    budget. The host is deliberately *not* here — the cache file itself
-    is pinned to a host fingerprint, so keys stay short.
-    """
-    hasher = hashlib.sha256()
-    for part in _signature(node, shapes):
-        hasher.update(repr(part).encode("utf-8", "backslashreplace"))
-        hasher.update(b"\x00")
-    hasher.update(repr(tuple(names)).encode("utf-8"))
-    hasher.update(repr(int(threads)).encode("ascii"))
-    return hasher.hexdigest()[:32]
 
 
 def _random_inputs(
@@ -104,7 +64,6 @@ def autotune(
     repeats: int = 2,
     registry: KernelRegistry = REGISTRY,
     seed: int = 0,
-    cache: TuningCache | None = None,
 ) -> dict[str, str]:
     """Pick the fastest implementation per node by measurement.
 
@@ -116,11 +75,6 @@ def autotune(
         repeats: timed runs per candidate (see :func:`time_kernel`).
         registry: kernel registry to resolve names against.
         seed: RNG seed for synthetic activations.
-        cache: optional persistent cache
-            (:class:`repro.engine.cache.AutotuneCache`). Hits skip the
-            measurement entirely; new winners are stored and flushed once
-            at the end. A cached winner that is no longer registered,
-            applicable, or in the candidate set is re-raced, never trusted.
 
     Returns:
         ``{node_name: winning_impl_name}`` suitable for
@@ -138,41 +92,14 @@ def autotune(
         shapes = [value_types[name][0] if name else () for name in node.inputs]
         key = _signature(node, shapes)
         winner = measured.get(key)
-        if winner is None and cache is not None:
-            persisted = cache.get(cache_key(node, shapes, names, threads))
-            if persisted is not None and _still_valid(
-                    persisted, names, node, shapes, registry):
-                winner = persisted
-                measured[key] = winner
         if winner is None:
             winner = _race(node, names, shapes, graph, value_types, ctx,
                            rng, repeats, registry)
             if winner is None:
                 continue  # no candidate applicable; backend default applies
             measured[key] = winner
-            if cache is not None:
-                cache.put(cache_key(node, shapes, names, threads), winner)
         overrides[node.name] = winner
-    if cache is not None:
-        cache.flush()
     return overrides
-
-
-def _still_valid(
-    winner: str,
-    names: Sequence[str],
-    node: Node,
-    shapes: Sequence[tuple[int, ...]],
-    registry: KernelRegistry,
-) -> bool:
-    """Is a persisted winner still a legal choice for this node?"""
-    if winner not in names:
-        return False
-    try:
-        impl = registry.get(node.op_type, winner)
-    except Exception:
-        return False
-    return impl.supports(node, shapes)
 
 
 def _race(

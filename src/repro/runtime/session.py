@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-import warnings
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.backends.backend import Backend, get_backend
 from repro.config import RuntimeConfig
-from repro.errors import EngineError, EngineFallbackWarning, MemoryBudgetError
+from repro.errors import EngineError, MemoryBudgetError
 from repro.ir.graph import Graph
 from repro.runtime.executor import Executor, RobustnessReport
 
@@ -89,7 +88,6 @@ class InferenceSession:
         backend: str | Backend = "orpheus",
         *,
         config: RuntimeConfig | None = None,
-        engine: "str | os.PathLike[str] | Engine | None" = None,
         **overrides: object,
     ) -> None:
         """Prepare ``graph`` for execution.
@@ -99,16 +97,6 @@ class InferenceSession:
             backend: backend name or instance selecting kernel implementations.
             config: base runtime configuration (defaults to
                 ``RuntimeConfig()``).
-            engine: best-effort warm start — a compiled engine file (or
-                parsed :class:`~repro.engine.format.Engine`) to load
-                *instead of* preparing, if and only if it is intact and
-                its fingerprint matches this host, this config, and
-                ``graph``. Any problem with the engine — corrupt file,
-                version/host/config mismatch, different source graph,
-                unregistered kernels — emits a structured
-                :class:`~repro.errors.EngineFallbackWarning` and falls
-                back to a normal cold prepare. Use
-                :meth:`from_engine` when a fallback should be an error.
             **overrides: any :class:`~repro.config.RuntimeConfig` field by
                 name (``threads=1``, ``optimize=False``,
                 ``memory_budget_bytes=...``; documented there), applied
@@ -118,61 +106,16 @@ class InferenceSession:
             TypeError: an override names no ``RuntimeConfig`` field.
             MemoryBudgetError: the memory plan's peak resident bytes exceed
                 ``memory_budget_bytes``. Raised before anything executes.
-                (Admission control runs on the *engine's* plan too — a
-                warm start never bypasses the guardrails.)
         """
         if isinstance(backend, str):
             backend = get_backend(backend)
         self.config = (config or RuntimeConfig()).overridden(**overrides)
         self.backend = backend
         self.loaded_engine: "Engine | None" = None
-        if engine is not None:
-            from repro.engine.fingerprint import graph_digest
-            try:
-                self._warm_prepare(engine, expected_digest=graph_digest(graph))
-            except EngineError as exc:
-                warnings.warn(
-                    EngineFallbackWarning(_engine_source(engine), str(exc)),
-                    stacklevel=2)
-        if self.loaded_engine is None:
-            self.graph, self.quantization = lower(
-                graph, backend, self.config.optimize)
-            self._executor = Executor(self.graph, backend, self.config)
+        self.graph, self.quantization = lower(
+            graph, backend, self.config.optimize)
+        self._executor = Executor(self.graph, backend, self.config)
         self.memory_admission = self._admit()
-
-    def _warm_prepare(
-        self,
-        engine: "str | os.PathLike[str] | Engine",
-        expected_digest: str | None,
-    ) -> None:
-        """Load an engine and bind it as this session's executor.
-
-        Requires ``self.config`` / ``self.backend`` to be set. Raises
-        :class:`~repro.errors.EngineError` on any corruption, staleness,
-        or mismatch — callers decide whether that is fatal
-        (:meth:`from_engine`) or a fallback (``engine=`` hint).
-        """
-        from repro.engine.fingerprint import fingerprint_mismatch
-        from repro.engine.format import Engine as EngineType
-        from repro.engine.format import load_engine
-        from repro.engine.loader import resolve_prepared
-        loaded = (engine if isinstance(engine, EngineType)
-                  else load_engine(engine))
-        reason = fingerprint_mismatch(
-            loaded.fingerprint, self.backend, self.config.threads,
-            self.config.optimize, source_digest=expected_digest)
-        if reason is not None:
-            raise EngineError(reason)
-        prepared = resolve_prepared(loaded, self.backend)
-        self.graph = loaded.graph
-        self._executor = Executor(
-            loaded.graph, self.backend, self.config, prepared=prepared)
-        self.loaded_engine = loaded
-        # The engine's graph is already quantized (scales and int8 weights
-        # frozen at compile time); surface the stored report so warm and
-        # cold sessions are indistinguishable to callers.
-        self.quantization = (None if loaded.quantization is None
-                             else dict(loaded.quantization))
 
     @classmethod
     def from_engine(
@@ -200,8 +143,10 @@ class InferenceSession:
             MemoryBudgetError: the engine's plan does not fit
                 ``memory_budget_bytes``.
         """
+        from repro.engine.fingerprint import fingerprint_mismatch
         from repro.engine.format import Engine as EngineType
         from repro.engine.format import load_engine
+        from repro.engine.loader import resolve_prepared
         loaded = (source if isinstance(source, EngineType)
                   else load_engine(source))
         fingerprint = loaded.fingerprint
@@ -224,7 +169,21 @@ class InferenceSession:
             optimize=bool(fingerprint.get("optimize", base.optimize)),
         ).overridden(**overrides)
         session.backend = backend
-        session._warm_prepare(loaded, expected_digest=None)
+        reason = fingerprint_mismatch(
+            fingerprint, backend, session.config.threads,
+            session.config.optimize)
+        if reason is not None:
+            raise EngineError(reason)
+        session.graph = loaded.graph
+        session._executor = Executor(
+            loaded.graph, backend, session.config,
+            prepared=resolve_prepared(loaded, backend))
+        session.loaded_engine = loaded
+        # The engine's graph is already quantized (scales and int8 weights
+        # frozen at compile time); surface the stored report so warm and
+        # cold sessions are indistinguishable to callers.
+        session.quantization = (None if loaded.quantization is None
+                                else dict(loaded.quantization))
         session.memory_admission = session._admit()
         return session
 
@@ -350,13 +309,6 @@ class InferenceSession:
     @staticmethod
     def _unwrap(feeds: Feed) -> dict[str, np.ndarray]:
         return {name: np.asarray(value) for name, value in feeds.items()}
-
-
-def _engine_source(engine: object) -> str:
-    """Human-readable origin of an ``engine=`` argument, for warnings."""
-    if isinstance(engine, (str, os.PathLike)):
-        return os.fspath(engine)
-    return f"<{type(engine).__name__}>"
 
 
 def _validate_protocol(repeats: int, warmup: int) -> None:

@@ -106,21 +106,6 @@ def test_plans_survive_round_trip(model, tmp_path):
             warm.graph.initializers[name], weight)
 
 
-def test_engine_hint_matches_from_engine(tmp_path):
-    """The best-effort ``engine=`` hint loads the same plans as from_engine."""
-    path = tmp_path / "hint.oeng"
-    compile_to_file(_build("wrn-40-2"), path, backend="orpheus", threads=1)
-    hinted = InferenceSession(
-        _build("wrn-40-2"), backend="orpheus", threads=1, engine=path)
-    strict = InferenceSession.from_engine(path)
-    assert hinted.loaded_engine is not None
-    assert hinted.kernel_plan() == strict.kernel_plan()
-    feed = _feed(hinted.graph)
-    a, b = hinted.run(feed), strict.run(feed)
-    for name in a:
-        assert a[name].tobytes() == b[name].tobytes()
-
-
 # -- rebatch: one engine, re-prepared at another batch over the same weights ---
 
 #: ``rebatch`` is about plans, not resolution: the smallest sizes that keep

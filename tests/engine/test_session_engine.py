@@ -1,19 +1,21 @@
-"""Session-level engine semantics: strict loads, hints, budgets, caching.
+"""Session-level engine semantics: strict loads, budgets, caching.
 
-``from_engine`` and the ``engine=`` hint make opposite promises — the
-first raises on anything unusable, the second warns and cold-prepares —
-and both must hold under every failure mode: corrupt files, stale
-fingerprints, frozen kernels that no longer resolve, and memory budgets
-the engine's own plan cannot satisfy.
+``from_engine`` and ``EngineCache`` make opposite promises — the first
+raises on anything unusable, the second warns and recompiles — and both
+must hold under every failure mode: corrupt files, stale fingerprints,
+engines compiled from another model, frozen kernels that no longer
+resolve, and memory budgets the engine's own plan cannot satisfy.
 """
 
 import dataclasses
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.engine import compile_to_file
-from repro.engine.cache import EngineCache
+from repro.engine.cache import EngineCache, _FileLock
 from repro.engine.format import load_engine
 from repro.errors import EngineError, EngineFallbackWarning, MemoryBudgetError
 from repro.runtime.session import InferenceSession
@@ -119,62 +121,6 @@ class TestFromEngineStrict:
         assert session.output_names[0] in session.run(_feed(session))
 
 
-# -- best-effort hints ---------------------------------------------------------
-
-
-class TestEngineHint:
-    def test_match_loads_warm(self, engine_path):
-        session = InferenceSession(
-            tiny_classifier(), backend="orpheus", threads=1,
-            engine=engine_path)
-        assert session.loaded_engine is not None
-
-    def test_missing_file_warns_and_cold_prepares(self, tmp_path):
-        with pytest.warns(EngineFallbackWarning, match="falling back"):
-            session = InferenceSession(
-                tiny_classifier(), backend="orpheus", threads=1,
-                engine=tmp_path / "absent.oeng")
-        assert session.loaded_engine is None
-        assert session.output_names[0] in session.run(_feed(session))
-
-    def test_corrupt_file_warns_with_source_and_reason(self, engine_path):
-        data = bytearray(engine_path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        engine_path.write_bytes(bytes(data))
-        with pytest.warns(EngineFallbackWarning) as caught:
-            session = InferenceSession(
-                tiny_classifier(), backend="orpheus", threads=1,
-                engine=engine_path)
-        message = str(caught[0].message)
-        assert str(engine_path) in message
-        assert "checksum" in message
-        assert session.loaded_engine is None
-        assert session.output_names[0] in session.run(_feed(session))
-
-    def test_different_source_graph_warns(self, engine_path):
-        """An engine for another model must not silently replace this one."""
-        other = tiny_classifier(seed=1, image=16, channels=8)
-        with pytest.warns(EngineFallbackWarning):
-            session = InferenceSession(
-                other, backend="orpheus", threads=1, engine=engine_path)
-        assert session.loaded_engine is None
-        assert session.graph.inputs[0].shape[-1] == 16  # kept its own graph
-
-    def test_config_mismatch_warns(self, engine_path):
-        with pytest.warns(EngineFallbackWarning):
-            session = InferenceSession(
-                tiny_classifier(), backend="orpheus", threads=2,
-                engine=engine_path)
-        assert session.loaded_engine is None
-
-    def test_budget_error_is_never_swallowed_into_fallback(self, engine_path):
-        """EngineError degrades to a warning; MemoryBudgetError must not."""
-        with pytest.raises(MemoryBudgetError):
-            InferenceSession(
-                tiny_classifier(), backend="orpheus", threads=1,
-                engine=engine_path, memory_budget_bytes=1)
-
-
 # -- the engine directory cache ------------------------------------------------
 
 
@@ -208,12 +154,74 @@ class TestEngineCacheSession:
         (name,) = cache.entries()
         victim = tmp_path / "engines" / name
         victim.write_bytes(b"garbage")
-        with pytest.warns(EngineFallbackWarning):
+        with pytest.warns(EngineFallbackWarning) as caught:
             session, hit = cache.session(
                 tiny_classifier(), model="tiny", backend="orpheus")
         assert not hit
+        (warning,) = caught
+        assert str(victim) in str(warning.message)    # which artifact
+        assert warning.message.reason                  # and why
         assert session.output_names[0] in session.run(_feed(session))
         # the miss re-froze a valid engine over the corpse
         _, hit = cache.session(
             tiny_classifier(), model="tiny", backend="orpheus")
         assert hit
+
+    def test_entry_from_another_model_recompiles(self, tmp_path):
+        """A file compiled from another model under this request's key is
+        caught by the source digest, never served."""
+        cache = EngineCache(tmp_path / "engines")
+        entry = cache.entry(model="tiny", backend="orpheus", threads=1,
+                            optimize=True, batch=1, image_size=None, seed=0)
+        cache.prepare_dir()
+        compile_to_file(tiny_classifier(seed=1, image=16, channels=8),
+                        entry.path, backend="orpheus", threads=1)
+        with pytest.warns(EngineFallbackWarning, match="model mismatch"):
+            session, hit = cache.session(
+                tiny_classifier(), model="tiny", backend="orpheus")
+        assert not hit
+        cold = InferenceSession(tiny_classifier(), backend="orpheus")
+        feed = _feed(cold)
+        for name, expected in cold.run(feed).items():
+            assert session.run(feed)[name].tobytes() == expected.tobytes()
+        _, hit = cache.session(
+            tiny_classifier(), model="tiny", backend="orpheus")
+        assert hit
+
+    def test_budget_error_on_miss_and_hit(self, tmp_path):
+        """A cache never turns MemoryBudgetError into a fallback."""
+        cache = EngineCache(tmp_path / "engines")
+        for _ in ("miss", "hit"):
+            with pytest.raises(MemoryBudgetError):
+                cache.session(tiny_classifier(), model="tiny",
+                              backend="orpheus", memory_budget_bytes=1)
+        _, hit = cache.load_or_compile(
+            tiny_classifier(), model="tiny", backend="orpheus")
+        assert hit
+
+
+# -- the cross-process compile-once lock ----------------------------------------
+
+
+class TestFileLock:
+    def test_lock_contention_proceeds_after_timeout(self, tmp_path):
+        path = str(tmp_path / "entry.oeng")
+        with _FileLock(path):
+            # A second compiler with a tiny budget gives up on the lock but
+            # still proceeds — a redundant compile beats a deadlock.
+            # Not held means it left by the timeout path: waiting out
+            # stale_s instead would have broken the lock and taken it.
+            contender = _FileLock(path, timeout_s=0.05, stale_s=60.0)
+            with contender:
+                assert not contender._held
+
+    def test_stale_lock_is_broken(self, tmp_path):
+        path = str(tmp_path / "entry.oeng")
+        lock_path = path + ".lock"
+        with open(lock_path, "w", encoding="utf-8") as handle:
+            handle.write("12345")
+        ancient = time.time() - 3600
+        os.utime(lock_path, (ancient, ancient))
+        with _FileLock(path, timeout_s=0.5, stale_s=30.0) as lock:
+            assert lock._held  # abandoned lock was swept aside
+        assert not os.path.exists(lock_path)

@@ -12,8 +12,6 @@ from repro.frameworks.features import (
     FRAMEWORKS,
     RATIONALE,
     SCORES,
-    all_scores,
-    totals,
 )
 
 
@@ -128,15 +126,6 @@ class TestTable1Data:
 
     def test_orpheus_scores_all_threes(self):
         assert all(SCORES["Orpheus"][c] == 3 for c in CRITERIA)
-
-    def test_totals_rank_orpheus_first(self):
-        ranked = sorted(totals().items(), key=lambda item: -item[1])
-        assert ranked[0][0] == "Orpheus"
-
-    def test_all_scores_flat_view(self):
-        scores = all_scores()
-        assert len(scores) == 25
-        assert all(1 <= s.score <= 3 for s in scores)
 
     def test_rationale_for_every_framework(self):
         assert set(RATIONALE) == set(FRAMEWORKS)
