@@ -89,10 +89,12 @@ def im2col(x: np.ndarray, params: ConvParams) -> np.ndarray:
         x: NCHW input, already padded.
 
     Returns:
-        Array of shape ``(batch, C*KH*KW, OH*OW)``: one column per output
-        pixel, one row per (channel, kernel-offset) pair. Built with
-        ``sliding_window_view`` so the only copy is the final reshape —
-        this is the "optimised im2col" used by the Orpheus GEMM backend.
+        A fresh array of shape ``(batch, C*KH*KW, OH*OW)``: one column per
+        output pixel, one row per (channel, kernel-offset) pair. Built with
+        ``sliding_window_view`` so the only copy is the final reshape. The
+        per-channel depthwise kernel and the exact int8 reference use it;
+        the Orpheus ``im2col`` conv kernel lowers into its context's
+        workspace instead (:mod:`repro.kernels.conv_im2col`).
     """
     kh, kw = params.kernel
     sh, sw = params.strides

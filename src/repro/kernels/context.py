@@ -5,7 +5,19 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 
+import numpy as np
+
 from repro.parallel import parallel_for
+
+
+def gemm_blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BLAS-backed matrix multiply (numpy's ``@``).
+
+    Defined here rather than beside the other primitives in
+    :mod:`repro.kernels.gemm` because :meth:`ExecutionContext.matmul`
+    recognises it, and that module imports this one.
+    """
+    return a @ b
 
 
 @dataclasses.dataclass
@@ -61,11 +73,37 @@ class ExecutionContext:
         self.cache[key] = (sources, value)
         return value
 
+    def workspace(self, floats: int, dtype) -> np.ndarray:
+        """The context's one flat scratch buffer of ``dtype``, grown to
+        at least ``floats`` elements.
+
+        Every kernel that lowers its input (``im2col``, ``direct_dw``)
+        carves its padded planes and columns from this one buffer instead
+        of allocating them per call or per node. Sharing it is sound
+        because every call writes each element it reads before reading
+        it, so nothing carries over from the previous call; it assumes one
+        runner per context at a time, like every other cache entry.
+        """
+        key = ("workspace", np.dtype(dtype).str)
+        buffer = self.cache.get(key)
+        if buffer is None or buffer.size < floats:
+            buffer = self.cache[key] = np.empty(floats, dtype=dtype)
+        return buffer
+
     def parallel_for(self, total: int, body: Callable[[int, int], None]) -> None:
         parallel_for(total, body, threads=self.threads)
 
-    def matmul(self, a, b):
-        """Multiply via the configured GEMM primitive (BLAS by default)."""
-        if self.gemm is not None:
+    def matmul(self, a, b, out=None):
+        """``a @ b`` via the configured GEMM primitive (BLAS by default).
+
+        With ``out``, BLAS writes the product straight into it; a rerouted
+        primitive (the DarkNet simulation's blocked GEMM) allocates its
+        result, which is then copied in, so the caller's epilogue can run
+        in place either way. Returns ``out`` when given.
+        """
+        if self.gemm is None or self.gemm is gemm_blas:
+            return np.matmul(a, b, out=out)
+        if out is None:
             return self.gemm(a, b)
-        return a @ b
+        out[...] = self.gemm(a, b)
+        return out

@@ -64,16 +64,6 @@ def _pack_taps(weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     return w_aug
 
 
-def _workspace(ctx: ExecutionContext, floats: int, dtype: np.dtype) -> np.ndarray:
-    """The context's one flat depthwise buffer, grown if ``floats`` needs it."""
-    key = ("dw_workspace", dtype.str)
-    buffer = ctx.cache.get(key)
-    if buffer is None or buffer.size < floats:
-        buffer = ctx.cache[key] = np.empty(
-            max(_BLOCK_FLOATS, floats), dtype=dtype)
-    return buffer
-
-
 @kernel("Conv", "direct_dw", priority=90, applicable=_is_depthwise)
 def conv_direct_depthwise(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
@@ -95,9 +85,11 @@ def conv_direct_depthwise(
     Any other stride: windowed copies, and the product lands directly in
     the output. Kernel size, dilation, pads, batch and dtype are free.
 
-    All blocks of all depthwise nodes share one workspace per context and
-    dtype (every call writes what it reads, so nothing carries over), under
-    the same rule as ``qconv``'s arenas: one runner per context at a time.
+    All blocks of all depthwise nodes carve their buffers from the
+    context's one workspace per dtype (:meth:`ExecutionContext.workspace`,
+    shared with ``im2col``; every call writes what it reads, so nothing
+    carries over), under the same rule as ``qconv``'s arenas: one runner
+    per context at a time.
     The tap pack is derived from *these* weight and bias arrays and is
     rebuilt if the node is ever handed different ones.
     """
@@ -122,7 +114,7 @@ def conv_direct_depthwise(
     w_aug = ctx.derived(("dw_pack", node.name), (weight, bias),
                         lambda: _pack_taps(weight, bias))
 
-    buffer = _workspace(ctx, block * per_channel, x.dtype)
+    buffer = ctx.workspace(block * per_channel, x.dtype)
     cut_planes = block * pad_h * pad_w
     cut_cols = cut_planes + block * (taps + 1) * width
     planes = buffer[:cut_planes].reshape(block, pad_h, pad_w)

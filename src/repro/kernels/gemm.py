@@ -15,17 +15,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.ir.node import Node
-from repro.kernels.context import ExecutionContext
+from repro.kernels.context import ExecutionContext, gemm_blas
 from repro.kernels.registry import kernel
 
 # ---------------------------------------------------------------------------
-# primitives
+# primitives (gemm_blas lives beside ExecutionContext, which recognises it)
 # ---------------------------------------------------------------------------
-
-
-def gemm_blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """BLAS-backed matrix multiply (numpy's ``@``)."""
-    return a @ b
 
 
 def gemm_blocked(a: np.ndarray, b: np.ndarray, block: int = 48) -> np.ndarray:

@@ -46,7 +46,6 @@ from repro.kernels.context import ExecutionContext
 from repro.kernels.qgemm import (
     batch_group,
     block_tiles,
-    gemm_into,
     pack_qconv,
     requantize,
     scratch,
@@ -176,7 +175,7 @@ def qlinear_conv_gemm(
         # into the (k, span*tiles) GEMM operand in a single pass.
         np.copyto(colsf[:k].reshape(k, span, tiles),
                   columns[n0:n1].transpose(1, 0, 2))
-        gemm_into(ctx, pack.w_aug, colsf, g)
+        ctx.matmul(pack.w_aug, colsf, out=g)
         np.clip(g, pack.lo, pack.hi, out=g)
         np.copyto(flat[n0:n1],
                   g.reshape(out_channels, span, tiles).transpose(1, 0, 2),

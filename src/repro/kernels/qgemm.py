@@ -9,8 +9,8 @@ everything *around* the GEMM instead:
 * **Scratch arenas** (:func:`scratch`): every per-run temporary (padded
   input, im2col columns, accumulator) lives in a buffer cached on the
   execution context, keyed by node and shape. Steady-state runs perform
-  zero large allocations; the float kernels re-allocate (and re-fault
-  pages for) each of these every call.
+  zero large allocations (the float ``im2col`` and ``direct_dw`` kernels
+  get the same from one shared ``ExecutionContext.workspace``).
 * **Packed parameters** (:func:`pack_qconv`): the weight matrix is
   pre-cast to a contiguous float32 GEMM operand once, and the whole
   affine requantization — per-channel multiplier, zero-point correction,
@@ -44,12 +44,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.context import ExecutionContext
-from repro.kernels.gemm import GEMM_PRIMITIVES
 
-__all__ = ["scratch", "pack_qconv", "requantize", "saturate", "gemm_into",
+__all__ = ["scratch", "pack_qconv", "requantize", "saturate",
            "block_tiles", "batch_group"]
-
-_BLAS = GEMM_PRIMITIVES["blas"]
 
 #: Target footprint for one (columns block + accumulator block) pair. Half
 #: a megabyte keeps both resident in a typical edge L2 while leaving room
@@ -98,21 +95,6 @@ def scratch(
     """
     key = ("qscratch", tag, node_name, shape, np.dtype(dtype).str)
     return ctx.cached(key, lambda: np.empty(shape, dtype=dtype))
-
-
-def gemm_into(ctx: ExecutionContext, a: np.ndarray, b: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-    """``a @ b`` written into ``out`` without an intermediate when possible.
-
-    Backends that reroute GEMM (the DarkNet simulation's blocked multiply)
-    are honoured: their primitive allocates, and the result is copied into
-    the arena so the epilogue can still run in place.
-    """
-    if ctx.gemm is None or ctx.gemm is _BLAS:
-        np.matmul(a, b, out=out)
-    else:
-        out[:] = ctx.gemm(a, b)
-    return out
 
 
 class QConvPack:

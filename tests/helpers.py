@@ -29,11 +29,14 @@ def make_conv_node(
 
 
 def conv_reference_check(impl_name: str, inputs, node: Node,
-                         rtol: float = 2e-4, atol: float = 2e-4) -> None:
+                         rtol: float = 2e-4, atol: float = 2e-4,
+                         ctx: ExecutionContext | None = None) -> None:
     """Assert that ``impl_name`` matches the loop-reference convolution.
 
-    Skips (rather than fails) when the implementation's applicability
-    predicate rules the configuration out — inapplicable is not incorrect.
+    ``impl_name`` runs on ``ctx`` (a fresh default context if None); the
+    reference always runs on a fresh one. Skips (rather than fails) when
+    the implementation's applicability predicate rules the configuration
+    out — inapplicable is not incorrect.
     """
     shapes = [np.asarray(i).shape for i in inputs]
     impl = REGISTRY.get("Conv", impl_name)
@@ -41,7 +44,7 @@ def conv_reference_check(impl_name: str, inputs, node: Node,
         pytest.skip(f"{impl_name} not applicable to this configuration")
     reference = REGISTRY.get("Conv", "reference")
     expected = reference.fn(list(inputs), node, ExecutionContext())[0]
-    actual = impl.fn(list(inputs), node, ExecutionContext())[0]
+    actual = impl.fn(list(inputs), node, ctx or ExecutionContext())[0]
     assert actual.shape == expected.shape, (
         f"{impl_name}: shape {actual.shape} != reference {expected.shape}")
     assert actual.dtype == expected.dtype

@@ -274,6 +274,139 @@ class TestDirectDwBlocking:
         np.testing.assert_array_equal(uneven, whole)
 
 
+# -- im2col: generated geometry, what one call allocates, the shared workspace ----
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    group_kind=st.sampled_from(["1", "2", "C"]),
+    channels=st.integers(1, 3),          # per group, except group == C
+    out_per_group=st.integers(1, 2),
+    kernel=st.sampled_from([(1, 1), (3, 3), (5, 5), (3, 5), (7, 7)]),
+    strides=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    dilations=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    pads=st.tuples(*[st.integers(0, 2)] * 4),     # top, left, bottom, right
+    slack=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    with_bias=st.booleans(),
+    activation=st.sampled_from(["", "relu", "relu6"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    blocked=st.booleans(),
+)
+def test_im2col_geometry_battery(batch, group_kind, channels, out_per_group,
+                                 kernel, strides, dilations, pads, slack,
+                                 with_bias, activation, dtype, blocked):
+    """Generated geometry against the loop reference, on BLAS and on the
+    rerouted blocked GEMM the DarkNet simulation uses.
+
+    ``slack == (0, 0)`` is the smallest legal input (``OH == OW == 1``
+    unless the pads alone exceed the dilated kernel).
+    """
+    from repro.kernels.gemm import gemm_blocked
+    group = {"1": 1, "2": 2, "C": channels}[group_kind]
+    in_channels = channels if group_kind == "C" else group * channels
+    in_hw = tuple(
+        max(1, d * (k - 1) + 1 - before - after) + extra
+        for k, d, before, after, extra in zip(
+            kernel, dilations, pads[:2], pads[2:], slack))
+    rng = np.random.default_rng(batch * 97 + in_channels * 13 + sum(in_hw))
+    x = rng.standard_normal((batch, in_channels, *in_hw)).astype(dtype)
+    w = rng.standard_normal((group * out_per_group, in_channels // group,
+                             *kernel)).astype(dtype)
+    inputs = [x, w]
+    if with_bias:
+        inputs.append(rng.standard_normal(group * out_per_group).astype(dtype))
+    node = make_conv_node(
+        kernel=kernel, strides=strides, pads=pads, dilations=dilations,
+        group=group, with_bias=with_bias,
+        extra_attrs={"activation": activation} if activation else None)
+    ctx = ExecutionContext(gemm=gemm_blocked if blocked else None)
+    conv_reference_check("im2col", inputs, node, ctx=ctx)
+
+
+def _wrn_im2col_convs():
+    """``(inputs, node)`` for each distinct im2col conv geometry of wrn-40-2."""
+    from repro.ir.shape_inference import infer_shapes
+    from repro.kernels.common import conv_params
+    from repro.models import zoo
+    from repro.runtime.session import InferenceSession
+
+    session = InferenceSession(zoo.build("wrn-40-2"), backend="orpheus",
+                               threads=1)
+    graph, plan = session.graph, session.kernel_plan()
+    types = infer_shapes(graph)
+    rng = np.random.default_rng(0)
+    cases = {}
+    for node in graph.nodes:
+        if plan.get(node.name) != "im2col":
+            continue
+        x_shape = types[node.inputs[0]][0]
+        weights = [graph.initializers[name] for name in node.inputs[1:]]
+        key = (conv_params(node, x_shape, weights[0].shape), len(weights),
+               node.attrs.get_str("activation", ""))
+        if key not in cases:
+            x = rng.standard_normal(x_shape).astype(np.float32)
+            cases[key] = ([x, *weights], node)
+    return list(cases.values())
+
+
+class TestIm2colWorkspace:
+    """What ``im2col`` allocates and keeps, counted, not timed."""
+
+    def test_warm_call_allocates_only_its_output(self):
+        """Pad, lowering and product live in the workspace or in ``out``.
+
+        The 64 KiB allowance covers numpy's copy-iterator buffer (~32 KB
+        measured). The allocate-per-call kernel peaked at 2.0-12.6x the
+        output on these shapes.
+        """
+        import tracemalloc
+
+        from repro.kernels.gemm import gemm_blas
+        impl = REGISTRY.get("Conv", "im2col")
+        cases = _wrn_im2col_convs()
+        assert len(cases) >= 8
+        for inputs, node in cases:
+            ctx = ExecutionContext(gemm=gemm_blas)   # as the executor sets it
+            impl.fn(inputs, node, ctx)
+            tracemalloc.start()
+            try:
+                out = impl.fn(inputs, node, ctx)[0]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 64 * 1024, (
+                node.name, inputs[0].shape, peak, out.nbytes)
+
+    def test_shared_workspace_carries_nothing_between_convs(self, rng):
+        """A padded conv, then a depthwise and a larger conv that overwrite
+        its region of the workspace, then the first again: bitwise equal
+        to the first conv on a fresh context."""
+        im2col = REGISTRY.get("Conv", "im2col")
+        first = [rng.standard_normal((2, 3, 7, 9)).astype(np.float32),
+                 rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                 rng.standard_normal(4).astype(np.float32)]
+        first_node = make_conv_node(pads=(1, 2, 2, 1),
+                                    extra_attrs={"activation": "relu"})
+        dw_inputs = [10 + rng.random((1, 6, 12, 12)).astype(np.float32),
+                     rng.random((6, 1, 3, 3)).astype(np.float32)]
+        dw_node = make_conv_node(group=6, with_bias=False)
+        other = [10 + rng.random((1, 5, 12, 12)).astype(np.float32),
+                 rng.standard_normal((3, 5, 5, 5)).astype(np.float32)]
+        other_node = make_conv_node(kernel=(5, 5), pads=(0, 0, 0, 0),
+                                    with_bias=False)
+
+        ctx = ExecutionContext()
+        before = im2col.fn(first, first_node, ctx)[0]
+        REGISTRY.get("Conv", "direct_dw").fn(dw_inputs, dw_node, ctx)
+        im2col.fn(other, other_node, ctx)
+        again = im2col.fn(first, first_node, ctx)[0]
+        fresh = im2col.fn(first, first_node, ExecutionContext())[0]
+        assert sorted(key[0] for key in ctx.cache) == ["dw_pack", "workspace"]
+        assert before.tobytes() == fresh.tobytes()
+        assert again.tobytes() == fresh.tobytes()
+
+
 class TestWeightDerivedCaches:
     """A cache entry derived from a weight must never outlive that weight."""
 
@@ -302,8 +435,7 @@ class TestWeightDerivedCaches:
 
     def test_direct_dw_pack_follows_the_weight(self):
         ctx = self.two_weights_one_context("direct_dw", 4, (4, 1, 3, 3))
-        assert sorted(key[0] for key in ctx.cache) == [
-            "dw_pack", "dw_workspace"]
+        assert sorted(key[0] for key in ctx.cache) == ["dw_pack", "workspace"]
 
     def test_derived_serves_only_identical_sources(self):
         ctx = ExecutionContext()

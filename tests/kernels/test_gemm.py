@@ -103,6 +103,50 @@ class TestGemmOp:
         assert calls == [((2, 3), (3, 2))]
 
 
+class TestContextMatmul:
+    """``ExecutionContext.matmul(out=)``: BLAS writes the product into
+    ``out``; a rerouted primitive's result is copied in."""
+
+    @pytest.mark.parametrize("gemm", [None, gemm_blas], ids=["unset", "blas"])
+    def test_blas_writes_into_out_without_a_temporary(self, gemm, rng):
+        import tracemalloc
+
+        a = rng.standard_normal((64, 96)).astype(np.float32)
+        b = rng.standard_normal((96, 256)).astype(np.float32)
+        out = np.empty((64, 256), dtype=np.float32)
+        ctx = ExecutionContext(gemm=gemm)
+        tracemalloc.start()
+        try:
+            result = ctx.matmul(a, b, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result is out
+        assert peak < out.nbytes // 4, peak
+        np.testing.assert_array_equal(out, a @ b)
+
+    def test_rerouted_primitive_result_is_copied_into_out(self, rng):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a.shape, b.shape))
+            return gemm_blocked(a, b)
+
+        a = rng.standard_normal((5, 7)).astype(np.float32)
+        b = rng.standard_normal((7, 3)).astype(np.float32)
+        out = np.full((5, 3), np.nan, dtype=np.float32)
+        assert ExecutionContext(gemm=spy).matmul(a, b, out=out) is out
+        assert calls == [((5, 7), (7, 3))]
+        np.testing.assert_array_equal(out, gemm_blocked(a, b))
+
+    @pytest.mark.parametrize("gemm", [None, gemm_blas, gemm_blocked])
+    def test_without_out_returns_the_product(self, gemm, rng):
+        a = rng.standard_normal((5, 7)).astype(np.float32)
+        b = rng.standard_normal((7, 3)).astype(np.float32)
+        np.testing.assert_allclose(ExecutionContext(gemm=gemm).matmul(a, b),
+                                   a @ b, rtol=1e-5, atol=1e-5)
+
+
 class TestMatMulOp:
     def test_2d(self, rng):
         a = rng.standard_normal((3, 4)).astype(np.float32)

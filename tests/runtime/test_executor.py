@@ -183,7 +183,8 @@ class TestDepthwisePinnedBytes:
 
     The first row of the deterministic work ledger: mobilenet-v1 used to
     pin one full-output scratch per depthwise node (13 arrays, 7.7 MB);
-    it now pins one cache-sized workspace and 13 tap packs of C x 10.
+    it now pins 13 tap packs of C x 10 and one workspace, shared with
+    ``im2col`` and as large as the largest request.
     """
 
     def test_one_workspace_thirteen_packs_and_a_quiet_second_run(self, rng):
@@ -205,8 +206,14 @@ class TestDepthwisePinnedBytes:
         def keys(tag):
             return [key for key in cache if key[0] == tag]
 
-        [workspace] = keys("dw_workspace")
-        assert cache[workspace].nbytes <= 4 * _BLOCK_FLOATS
+        # The largest request is the im2col stem (3x3/2, pads 1 at 224): its
+        # padded image and its columns. No depthwise block asks for more
+        # than _BLOCK_FLOATS.
+        stem = 3 * 226 * 226 + 27 * 112 * 112
+        assert stem > _BLOCK_FLOATS
+        [workspace] = keys("workspace")
+        assert workspace == ("workspace", "<f4")
+        assert cache[workspace].nbytes == 4 * stem
         assert sorted(key[1] for key in keys("dw_pack")) == sorted(depthwise)
         assert not [key for key in cache if str(key[0]).startswith("dw_scratch")]
         graph = session.graph
