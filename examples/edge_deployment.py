@@ -75,7 +75,7 @@ def main() -> None:
     feed = {"input": x}
     print()
     print(f"{'variant':<12} {'median ms':>10} {'weights KiB':>12} "
-          f"{'arena KiB':>10} {'energy mJ':>10}  top-1")
+          f"{'peak KiB':>10} {'energy mJ':>10}  top-1")
     for label, g, quantized_flag in (
         ("raw", graph, False),
         ("optimized", optimized, False),
@@ -88,7 +88,7 @@ def main() -> None:
         energy = estimate_energy_mj(g, quantized=quantized_flag)
         print(f"{label:<12} {1e3 * times[len(times) // 2]:>10.2f} "
               f"{report_fp.weight_bytes / 1024:>12.0f} "
-              f"{report_fp.activation_bytes_arena / 1024:>10.0f} "
+              f"{report_fp.peak_live_bytes / 1024:>10.0f} "
               f"{energy:>10.3f}  {out.argmax():>5}")
 
     f32 = InferenceSession(optimized, optimize=False).run(feed)["output"]

@@ -2,7 +2,7 @@
 
 from repro.analysis.energy import EnergyModel, estimate_energy_mj
 from repro.analysis.macs import GraphCost, OpCost, count_graph, node_macs
-from repro.analysis.memory import FootprintReport, footprint, plan_for_graph
+from repro.analysis.memory import FootprintReport, footprint
 
 __all__ = [
     "EnergyModel",
@@ -13,5 +13,4 @@ __all__ = [
     "estimate_energy_mj",
     "footprint",
     "node_macs",
-    "plan_for_graph",
 ]

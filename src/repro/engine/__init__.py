@@ -2,7 +2,8 @@
 
 Every :class:`~repro.runtime.session.InferenceSession` normally redoes
 graph simplification, shape inference, scheduling, memory planning, and
-kernel selection from scratch. This package serializes all of that — the
+kernel selection from scratch. This package serializes all of that but
+the memory plan, which is re-derived at load in under a millisecond — the
 TensorRT/ONNX-Runtime "engine" idiom — into a versioned, checksummed,
 fingerprinted file::
 

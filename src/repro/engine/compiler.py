@@ -119,7 +119,6 @@ def _freeze(graph: Graph, backend: Backend, config: RuntimeConfig,
         kernel_plan=executor.kernel_plan(),
         fallback_plan=executor.fallback_plan(),
         value_types=dict(executor.value_types),
-        memory_plan=executor.plan,
         **carried,
     )
 

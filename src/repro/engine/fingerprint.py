@@ -1,7 +1,7 @@
 """Host, config, and model fingerprints for compiled engines.
 
-A compiled engine freezes decisions (kernel choices, memory plan, tuned
-schedule parameters) that are only valid on the host/config pair that made
+A compiled engine freezes decisions (kernel choices, schedule, tuned
+overrides) that are only valid on the host/config pair that made
 them. The fingerprint captures exactly that pair, plus a digest of the
 source model, so a load can answer three questions cheaply:
 

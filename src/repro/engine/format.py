@@ -34,10 +34,15 @@ loaded engine's weights.
 
 The JSON header carries everything else prepare computes: the execution
 schedule, per-node kernel choice and fallback chain, inferred value
-types, the memory plan, tuned overrides, and the host/config fingerprint.
-Keys are sorted and separators compact so that
-``serialize(parse(data)) == data`` — byte-stability lets caches use file
-equality as artifact identity.
+types, tuned overrides, and the host/config fingerprint. Keys are sorted
+and separators compact so that ``serialize(parse(data)) == data`` —
+byte-stability lets caches use file equality as artifact identity.
+
+The memory plan is not stored: it is a pure function of graph, value
+types and schedule, so the executor derives it at load exactly as at
+cold prepare. Older files still carry a ``memory_plan`` header key; the
+parser ignores keys it does not require, so they load, and their stored
+plan is never read.
 
 Parsing mirrors the ONNX reader's hardening: every length is validated
 against the remaining buffer, sections are size-capped, the checksum is
@@ -62,7 +67,7 @@ from repro.errors import EngineError, OnnxError
 from repro.ir.graph import Graph
 from repro.onnx.reader import load_model_bytes
 from repro.onnx.writer import save_model_bytes
-from repro.runtime.memory_planner import MemoryPlan, SlotAssignment
+from repro.runtime.memory_planner import plan_memory
 from repro.tensor.dtype import DType
 
 MAGIC = b"ORPHENG\x00"
@@ -86,14 +91,14 @@ _MIN_FILE_BYTES = _PREFIX.size + 2 * _SECTION_LEN.size + _CRC.size
 
 _REQUIRED_HEADER_KEYS = (
     "fingerprint", "schedule", "kernel_plan", "fallback_plan",
-    "value_types", "memory_plan", "weights", "tuned", "metadata",
+    "value_types", "weights", "tuned", "metadata",
     "quantization",
 )
 
 
 @dataclasses.dataclass(frozen=True)
 class Engine:
-    """A compiled model: the full output of prepare, ready to reload.
+    """A compiled model: the output of prepare, ready to reload.
 
     Attributes:
         graph: the *simplified* graph (passes already applied; may carry
@@ -103,7 +108,6 @@ class Engine:
         fallback_plan: node name -> full ordered implementation chain
             (first entry equals ``kernel_plan[name]``).
         value_types: value name -> (shape, dtype) from shape inference.
-        memory_plan: the liveness/arena plan for ``schedule``.
         fingerprint: host + config + source-model identity
             (see :mod:`repro.engine.fingerprint`).
         tuned: node name -> implementation name chosen by autotuning at
@@ -123,7 +127,6 @@ class Engine:
     kernel_plan: dict[str, str]
     fallback_plan: dict[str, tuple[str, ...]]
     value_types: dict[str, tuple[tuple[int, ...], DType]]
-    memory_plan: MemoryPlan
     fingerprint: dict[str, Any]
     tuned: dict[str, str] = dataclasses.field(default_factory=dict)
     metadata: dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -131,15 +134,17 @@ class Engine:
 
     def info(self) -> dict[str, Any]:
         """Summary dict for ``repro engine-info`` and logs."""
+        nodes = {node.name: node for node in self.graph.nodes}
+        plan = plan_memory(self.graph, self.value_types,
+                           [nodes[name] for name in self.schedule])
         return {
             "format_version": ENGINE_FORMAT_VERSION,
             "graph": self.graph.name,
             "nodes": len(self.graph.nodes),
             "schedule_length": len(self.schedule),
             "parameters": self.graph.num_parameters(),
-            "weight_bytes": self.memory_plan.weight_bytes,
-            "peak_activation_bytes": self.memory_plan.peak_bytes,
-            "arena_bytes": self.memory_plan.arena_bytes,
+            "weight_bytes": plan.weight_bytes,
+            "peak_activation_bytes": plan.peak_bytes,
             "tuned_nodes": len(self.tuned),
             "kernels": sorted(set(self.kernel_plan.values())),
             "fingerprint": dict(self.fingerprint),
@@ -150,23 +155,6 @@ class Engine:
 
 
 # -- serialization ---------------------------------------------------------------
-
-
-def _plan_to_json(plan: MemoryPlan) -> dict[str, Any]:
-    return {
-        "release_after": {
-            str(index): sorted(values)
-            for index, values in sorted(plan.release_after.items())
-        },
-        "assignments": {
-            name: [a.slot, a.nbytes, a.first_use, a.last_use]
-            for name, a in sorted(plan.assignments.items())
-        },
-        "slot_sizes": list(plan.slot_sizes),
-        "peak_bytes": plan.peak_bytes,
-        "total_activation_bytes": plan.total_activation_bytes,
-        "weight_bytes": plan.weight_bytes,
-    }
 
 
 #: Every weight payload starts on a multiple of this within the blob, and
@@ -242,7 +230,6 @@ def serialize_engine(engine: Engine) -> bytes:
             name: [list(shape), dtype.value]
             for name, (shape, dtype) in engine.value_types.items()
         },
-        "memory_plan": _plan_to_json(engine.memory_plan),
         "weights": weight_index,
         "tuned": engine.tuned,
         "metadata": engine.metadata,
@@ -328,70 +315,6 @@ def _parse_value_types(
                 f"{entry[1]!r}") from None
         parsed[name] = (tuple(entry[0]), dtype)
     return parsed
-
-
-def _parse_memory_plan(raw: Any, schedule_length: int) -> MemoryPlan:
-    table = _str_dict(raw, "memory_plan")
-    for key in ("release_after", "assignments", "slot_sizes", "peak_bytes",
-                "total_activation_bytes", "weight_bytes"):
-        _expect(key in table, f"engine header: memory_plan missing {key!r}")
-
-    release_raw = _str_dict(table["release_after"], "memory_plan.release_after")
-    release_after: dict[int, list[str]] = {}
-    for key, values in release_raw.items():
-        try:
-            index = int(key)
-        except ValueError:
-            raise EngineError(
-                f"engine header: memory_plan.release_after key {key!r} is "
-                f"not an integer") from None
-        _expect(0 <= index < schedule_length,
-                f"engine header: memory_plan.release_after index {index} is "
-                f"outside the {schedule_length}-node schedule")
-        _expect(
-            isinstance(values, list)
-            and all(isinstance(v, str) for v in values),
-            f"engine header: memory_plan.release_after[{key}] must be a "
-            f"list of value names")
-        release_after[index] = list(values)
-
-    assign_raw = _str_dict(table["assignments"], "memory_plan.assignments")
-    assignments: dict[str, SlotAssignment] = {}
-    for name, entry in assign_raw.items():
-        _expect(
-            isinstance(entry, list) and len(entry) == 4
-            and all(isinstance(field, int) for field in entry),
-            f"engine header: memory_plan.assignments[{name!r}] is malformed")
-        slot, nbytes, first_use, last_use = entry
-        _expect(slot >= 0 and nbytes >= 0 and 0 <= first_use <= last_use,
-                f"engine header: memory_plan.assignments[{name!r}] has "
-                f"impossible values")
-        assignments[name] = SlotAssignment(
-            value=name, slot=slot, nbytes=nbytes,
-            first_use=first_use, last_use=last_use)
-
-    slot_sizes = table["slot_sizes"]
-    _expect(
-        isinstance(slot_sizes, list)
-        and all(isinstance(size, int) and size >= 0 for size in slot_sizes),
-        "engine header: memory_plan.slot_sizes must be a list of sizes")
-    for name, assignment in assignments.items():
-        _expect(assignment.slot < len(slot_sizes),
-                f"engine header: memory_plan.assignments[{name!r}] points at "
-                f"slot {assignment.slot} of {len(slot_sizes)}")
-    for key in ("peak_bytes", "total_activation_bytes", "weight_bytes"):
-        value = table[key]
-        _expect(isinstance(value, int) and value >= 0,
-                f"engine header: memory_plan.{key} must be a non-negative int")
-
-    return MemoryPlan(
-        release_after=release_after,
-        assignments=assignments,
-        slot_sizes=list(slot_sizes),
-        peak_bytes=table["peak_bytes"],
-        total_activation_bytes=table["total_activation_bytes"],
-        weight_bytes=table["weight_bytes"],
-    )
 
 
 def _aligned_buffer(nbytes: int) -> np.ndarray:
@@ -583,13 +506,6 @@ def parse_engine(data: "bytes | np.ndarray") -> Engine:
     _expect(set(value_types) <= produced,
             "engine header: value_types names values the graph never produces")
 
-    memory_plan = _parse_memory_plan(header["memory_plan"], len(schedule))
-    for index, values in memory_plan.release_after.items():
-        for value in values:
-            _expect(value in produced,
-                    f"engine header: memory_plan releases unknown value "
-                    f"{value!r} at step {index}")
-
     tuned = _str_dict(header["tuned"], "tuned")
     for name, impl in tuned.items():
         _expect(isinstance(impl, str) and name in node_names,
@@ -613,7 +529,6 @@ def parse_engine(data: "bytes | np.ndarray") -> Engine:
         kernel_plan=dict(kernel_plan),
         fallback_plan=fallback_plan,
         value_types=value_types,
-        memory_plan=memory_plan,
         fingerprint=fingerprint,
         tuned=dict(tuned),
         metadata=metadata,

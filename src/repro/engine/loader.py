@@ -65,6 +65,5 @@ def resolve_prepared(engine: Engine, backend: Backend) -> PreparedGraph:
     return PreparedGraph(
         value_types=dict(engine.value_types),
         schedule_nodes=schedule_nodes,
-        plan=engine.memory_plan,
         schedule=schedule,
     )

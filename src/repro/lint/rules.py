@@ -75,20 +75,11 @@ _CATALOG = (
     Rule("ORV104", "type-inference-mismatch", ERROR,
          "recorded value shapes/dtypes disagree with shape inference run "
          "fresh over the graph"),
-    Rule("ORV105", "memory-plan-overlap", ERROR,
-         "two values with overlapping live ranges share an arena slot; "
-         "executing this plan would alias live tensors"),
-    Rule("ORV106", "memory-plan-slot-overflow", ERROR,
-         "a value is assigned to an arena slot smaller than the value "
-         "(or to a slot that does not exist)"),
     Rule("ORV107", "fallback-chain-incomplete", ERROR,
          "a node has no kernel chain, an empty chain, or a chain that "
          "does not start with the recorded winner"),
     Rule("ORV108", "plan-graph-mismatch", ERROR,
          "schedule/kernel plan does not cover exactly the graph's nodes"),
-    Rule("ORV109", "weight-index-mismatch", ERROR,
-         "the memory plan's weight accounting disagrees with the graph's "
-         "actual initializer payloads"),
     Rule("ORV110", "fingerprint-stale", WARNING,
          "the engine was built by a different host/runtime than the one "
          "verifying it; loads here will fall back to cold prepare"),

@@ -8,10 +8,6 @@ the *semantic* invariants parsing cannot see without doing real work:
   permutation of the node set) — ORV112;
 * re-running shape inference over the embedded graph reproduces the
   recorded ``value_types`` — ORV104;
-* no two values with overlapping live ranges share an arena slot, and
-  every value fits its slot — ORV105/ORV106;
-* the memory plan's weight accounting matches the actual initializer
-  payloads — ORV109;
 * every node's fallback chain is non-empty, starts with the recorded
   winner, and (warning) bottoms out at the reference kernel —
   ORV107/ORV113;
@@ -22,6 +18,10 @@ the *semantic* invariants parsing cannot see without doing real work:
   engine's frozen quantization header agrees with the graph it ships —
   ORV115.
 
+The memory plan has no rule: engines do not store it, and the plan the
+executor derives from an ORV112-clean schedule is correct by
+construction.
+
 All checks are static: no kernel runs, no tensor is allocated. Findings
 use line 0 — artifacts have sections, not lines — with the artifact path
 or graph name as the location.
@@ -30,7 +30,6 @@ or graph name as the location.
 from __future__ import annotations
 
 import os
-from typing import Any
 
 import numpy as np
 
@@ -253,52 +252,6 @@ def _check_value_types(engine: Engine, label: str) -> list[Finding]:
     return findings
 
 
-def _check_memory_plan(engine: Engine, label: str) -> list[Finding]:
-    """Slot aliasing safety and capacity."""
-    findings: list[Finding] = []
-    plan = engine.memory_plan
-
-    by_slot: dict[int, list[Any]] = {}
-    for name in sorted(plan.assignments):
-        assignment = plan.assignments[name]
-        if assignment.slot >= len(plan.slot_sizes) or assignment.slot < 0:
-            findings.append(_f(
-                "ORV106", label,
-                f"value {name!r} is assigned to slot {assignment.slot}, but "
-                f"the arena has {len(plan.slot_sizes)} slots"))
-            continue
-        capacity = plan.slot_sizes[assignment.slot]
-        if assignment.nbytes > capacity:
-            findings.append(_f(
-                "ORV106", label,
-                f"value {name!r} needs {assignment.nbytes} bytes but slot "
-                f"{assignment.slot} holds {capacity}"))
-        by_slot.setdefault(assignment.slot, []).append(assignment)
-
-    for slot in sorted(by_slot):
-        occupants = sorted(by_slot[slot],
-                           key=lambda a: (a.first_use, a.last_use))
-        for prev, cur in zip(occupants, occupants[1:]):
-            # The planner only reuses a slot once its previous occupant is
-            # dead: intervals may touch only as [a, b] then [b+1, c].
-            if cur.first_use <= prev.last_use:
-                findings.append(_f(
-                    "ORV105", label,
-                    f"slot {slot}: {prev.value!r} (live "
-                    f"[{prev.first_use}, {prev.last_use}]) and {cur.value!r} "
-                    f"(live [{cur.first_use}, {cur.last_use}]) overlap — "
-                    f"executing this plan would alias live tensors"))
-
-    actual_weights = sum(
-        int(array.nbytes) for array in engine.graph.initializers.values())
-    if plan.weight_bytes != actual_weights:
-        findings.append(_f(
-            "ORV109", label,
-            f"memory plan records {plan.weight_bytes} weight bytes; the "
-            f"graph's initializers hold {actual_weights}"))
-    return findings
-
-
 def _check_fingerprint(engine: Engine, label: str) -> list[Finding]:
     host = host_fingerprint()
     for key in HOST_KEYS:
@@ -343,7 +296,6 @@ def verify_engine(engine: Engine, label: str | None = None) -> list[Finding]:
     findings.extend(_check_plans(engine, label))
     if not any(f.rule == "ORV104" for f in findings):
         findings.extend(_check_value_types(engine, label))
-    findings.extend(_check_memory_plan(engine, label))
     findings.extend(_check_fingerprint(engine, label))
     findings.extend(_check_quantization_header(engine, label))
     return findings

@@ -13,7 +13,7 @@ from repro.runtime.faults import (
     InjectedFault,
     parse_fault_plan,
 )
-from repro.runtime.memory_planner import MemoryPlan, footprint_report, plan_memory
+from repro.runtime.memory_planner import MemoryPlan, plan_memory
 from repro.parallel import chunk_ranges, parallel_for
 from repro.runtime.profiler import LayerProfile, ProfileResult, collate
 from repro.runtime.session import InferenceSession
@@ -33,7 +33,6 @@ __all__ = [
     "RobustnessReport",
     "chunk_ranges",
     "collate",
-    "footprint_report",
     "parallel_for",
     "parse_fault_plan",
     "plan_memory",

@@ -62,8 +62,8 @@ class PreparedGraph:
 
     The warm-start payload: an engine loader (see :mod:`repro.engine`)
     rebuilds this from a compiled engine file and hands it to the
-    executor, which then skips validation, shape inference, scheduling,
-    memory planning, and kernel selection entirely. The loader is
+    executor, which then skips validation, shape inference, scheduling
+    and kernel selection entirely. The loader is
     responsible for having cross-checked the pieces against the graph —
     the executor trusts a ``PreparedGraph`` blindly; that trust is the
     speedup.
@@ -71,7 +71,6 @@ class PreparedGraph:
 
     value_types: dict[str, tuple]
     schedule_nodes: list[Node]
-    plan: MemoryPlan
     schedule: list["PreparedNode"]
 
 
@@ -182,14 +181,12 @@ class Executor:
             # already in hand, so all the per-node analysis below is skipped.
             self.value_types = prepared.value_types
             self.schedule_nodes = prepared.schedule_nodes
-            self.plan: MemoryPlan = prepared.plan
             self.schedule: list[PreparedNode] = list(prepared.schedule)
         else:
             graph.validate()
             validate_graph_nodes(graph.nodes)
             self.value_types = infer_shapes(graph)
             self.schedule_nodes = graph.toposort()
-            self.plan = plan_memory(graph, self.value_types, self.schedule_nodes)
             self.schedule = []
             for index, node in enumerate(self.schedule_nodes):
                 shapes = [
@@ -199,6 +196,9 @@ class Executor:
                 chain = tuple(backend.candidates(node, shapes))
                 self.schedule.append(PreparedNode(
                     index=index, node=node, impl=chain[0], candidates=chain))
+        # Derived, never stored: a pure function of what both branches hold.
+        self.plan: MemoryPlan = plan_memory(
+            graph, self.value_types, self.schedule_nodes)
         self.context = ExecutionContext(
             threads=config.threads, gemm=backend.gemm_fn)
         self.fallback_events: list[FallbackEvent] = []  # guarded-by: _report_lock

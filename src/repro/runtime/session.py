@@ -198,8 +198,7 @@ class InferenceSession:
             raise MemoryBudgetError(
                 f"model needs {plan.peak_bytes} bytes of peak resident "
                 f"activations, over the budget of {budget} bytes "
-                f"(weights {plan.weight_bytes} bytes, "
-                f"arena {plan.arena_bytes} bytes)",
+                f"(weights {plan.weight_bytes} bytes)",
                 required_bytes=plan.peak_bytes, budget_bytes=budget)
         return MemoryAdmission(
             budget_bytes=budget, required_bytes=plan.peak_bytes)

@@ -74,13 +74,11 @@ class TestMacCounting:
 class TestFootprint:
     def test_planned_less_than_unplanned(self):
         report = footprint(zoo.build("wrn-40-2", image_size=16))
-        assert report.activation_bytes_arena < report.activation_bytes_unplanned
-        assert 0 < report.planner_saving < 1
+        assert 0 < report.peak_live_bytes < report.activation_bytes_unplanned
 
     def test_totals_include_weights(self, tiny_graph):
         report = footprint(tiny_graph)
-        assert report.total_planned_bytes > report.weight_bytes
-        assert report.total_unplanned_bytes >= report.total_planned_bytes
+        assert report.total_unplanned_bytes > report.weight_bytes > 0
 
     def test_summary_readable(self, tiny_graph):
         text = footprint(tiny_graph, "tiny").summary()

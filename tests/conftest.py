@@ -73,3 +73,16 @@ def baked_batch_classifier(target=(4, 256)) -> "Graph":
 @pytest.fixture
 def tiny_graph():
     return tiny_classifier()
+
+
+def assert_release_keeps_inputs_live(graph, plan, schedule):
+    """Walk ``schedule`` applying ``release_after`` as the executor does:
+    every node's non-weight inputs are still live when it runs."""
+    live = set(graph.input_names)
+    for index, node in enumerate(schedule):
+        for name in node.present_inputs:
+            assert name in live or name in graph.initializers, (
+                f"{node.name} reads {name!r} after its release")
+        live.update(node.outputs)
+        live.difference_update(plan.release_after.get(index, ()))
+    assert set(graph.output_names) <= live

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import synthetic_image_batch
 from repro.engine import compile_graph, parse_engine, serialize_engine
 from repro.engine.format import (
     _CRC,
@@ -31,6 +32,8 @@ from repro.engine.format import (
     save_engine,
 )
 from repro.errors import EngineError
+from repro.runtime.memory_planner import plan_memory
+from repro.runtime.session import InferenceSession
 from repro.testing import random_ir_graph
 
 #: One small compiled engine, reused by every fuzz case (compiling inside
@@ -68,8 +71,6 @@ def test_parse_preserves_every_field(seed):
     assert again.fingerprint == first.fingerprint
     assert again.tuned == first.tuned
     assert again.metadata == first.metadata
-    assert again.memory_plan.peak_bytes == first.memory_plan.peak_bytes
-    assert again.memory_plan.assignments == first.memory_plan.assignments
     assert set(again.graph.initializers) == set(first.graph.initializers)
     for name, weight in first.graph.initializers.items():
         np.testing.assert_array_equal(again.graph.initializers[name], weight)
@@ -150,6 +151,7 @@ def _rebuild(header_mutator=None, pad_byte=None):
     offset += graph_len
     (weights_len,) = _SECTION_LEN.unpack_from(_REAL, offset)
     offset += _SECTION_LEN.size
+    offset += -offset % WEIGHT_ALIGN    # the original file's own padding
     if header_mutator is not None:
         header_mutator(header)
     header_bytes = json.dumps(
@@ -239,3 +241,61 @@ class TestSpecificCorruptions:
     def test_load_engine_missing_file(self, tmp_path):
         with pytest.raises(EngineError, match="stat"):
             load_engine(tmp_path / "nope.oeng")
+
+
+# -- files from the previous writer --------------------------------------------
+
+
+def _parent_plan(release_early: bool) -> dict:
+    """The ``memory_plan`` header key as the previous writer emitted it:
+    liveness plus arena slots (here one slot per intermediate). With
+    ``release_early``, one value is freed at its producer's step, before
+    the node that reads it has run."""
+    engine = parse_engine(_REAL)
+    nodes = {node.name: node for node in engine.graph.nodes}
+    schedule = [nodes[name] for name in engine.schedule]
+    plan = plan_memory(engine.graph, engine.value_types, schedule)
+    produced_at = {out: step for step, node in enumerate(schedule)
+                   for out in node.outputs}
+    release = {step: sorted(values)
+               for step, values in plan.release_after.items()}
+    dead_at = {value: step for step, values in release.items()
+               for value in values}
+    assignments = {}
+    for slot, value in enumerate(sorted(dead_at)):
+        shape, dtype = engine.value_types[value]
+        assignments[value] = [slot, int(np.prod(shape)) * dtype.itemsize,
+                              produced_at[value], dead_at[value]]
+    if release_early:
+        value = next(v for v in sorted(dead_at)
+                     if dead_at[v] > produced_at[v])
+        release[dead_at[value]].remove(value)
+        release.setdefault(produced_at[value], []).append(value)
+    return {
+        "release_after": {str(step): values
+                          for step, values in sorted(release.items())},
+        "assignments": assignments,
+        "slot_sizes": [entry[1] for entry in assignments.values()],
+        "peak_bytes": plan.peak_bytes,
+        "total_activation_bytes": plan.total_activation_bytes,
+        "weight_bytes": plan.weight_bytes,
+    }
+
+
+@pytest.mark.parametrize("release_early", [False, True],
+                         ids=["valid-plan", "early-release"])
+def test_parent_layout_header_loads_and_runs_as_cold(release_early):
+    """A stored ``memory_plan`` is ignored: the plan is derived from the
+    schedule, so even a release that frees a value before its reader runs
+    never reaches the executor (it used to, as a ``KeyError`` mid-run)."""
+    data = _rebuild(lambda header: header.update(
+        memory_plan=_parent_plan(release_early)))
+    warm = InferenceSession.from_engine(parse_engine(data))
+    cold = InferenceSession(random_ir_graph(0), backend="orpheus", threads=1)
+    info = cold.graph.inputs[0]
+    feed = {info.name: synthetic_image_batch(tuple(info.shape), seed=0)}
+    want = cold.run(feed)
+    got = warm.run(feed)
+    assert warm.memory_plan == cold.memory_plan
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes()

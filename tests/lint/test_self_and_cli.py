@@ -21,6 +21,22 @@ def test_repo_source_lints_clean():
         "\n" + tests.format_text()
 
 
+def test_rule_catalog_doc_is_the_catalog():
+    """docs/static_analysis.md's ORL and ORV tables list every rule with
+    the catalog's name and severity, and nothing else."""
+    from repro.lint.rules import RULES
+    doc = os.path.join(REPO_SRC, "..", "..", "docs", "static_analysis.md")
+    documented = {}
+    with open(doc, encoding="utf-8") as stream:
+        for line in stream:
+            if line.startswith("| OR"):
+                rule, name, severity = (
+                    cell.strip() for cell in line.strip("|\n").split("|")[:3])
+                documented[rule] = (name, severity)
+    assert documented == {
+        rule.id: (rule.name, rule.severity) for rule in RULES.values()}
+
+
 def test_cli_lint_clean_exit_zero(capsys):
     assert main(["lint", REPO_SRC]) == 0
     assert "clean" in capsys.readouterr().out

@@ -142,49 +142,6 @@ def test_value_type_mismatch_survives_roundtrip(engine, tmp_path):
     assert "ORV104" in rules(verify_target(str(path)))
 
 
-def _doctored_plan(engine, **changes):
-    return dataclasses.replace(
-        engine, memory_plan=dataclasses.replace(engine.memory_plan, **changes))
-
-
-def test_memory_plan_aliasing_flagged(engine):
-    # Force two values with overlapping live ranges into one slot.
-    assignments = dict(engine.memory_plan.assignments)
-    overlapping = sorted(
-        assignments.values(), key=lambda a: (a.first_use, a.last_use))
-    a, b = None, None
-    for i, first in enumerate(overlapping):
-        for second in overlapping[i + 1:]:
-            if second.first_use <= first.last_use and first.slot != second.slot:
-                a, b = first, second
-                break
-        if a is not None:
-            break
-    assert a is not None, "fixture graph must have concurrently-live values"
-    assignments[b.value] = dataclasses.replace(b, slot=a.slot)
-    doctored = _doctored_plan(engine, assignments=assignments)
-    assert "ORV105" in rules(verify_engine(doctored))
-
-
-def test_memory_plan_slot_overflow_survives_roundtrip(engine, tmp_path):
-    name, assignment = next(iter(engine.memory_plan.assignments.items()))
-    assignments = dict(engine.memory_plan.assignments)
-    capacity = engine.memory_plan.slot_sizes[assignment.slot]
-    assignments[name] = dataclasses.replace(assignment, nbytes=capacity + 1)
-    doctored = _doctored_plan(engine, assignments=assignments)
-    path = tmp_path / "overflow.oeng"
-    save_engine(doctored, path)
-    assert "ORV106" in rules(verify_target(str(path)))
-
-
-def test_weight_accounting_mismatch_survives_roundtrip(engine, tmp_path):
-    doctored = _doctored_plan(
-        engine, weight_bytes=engine.memory_plan.weight_bytes + 1)
-    path = tmp_path / "weights.oeng"
-    save_engine(doctored, path)
-    assert "ORV109" in rules(verify_target(str(path)))
-
-
 def test_stale_host_fingerprint_is_a_warning(engine, tmp_path):
     fingerprint = dict(engine.fingerprint)
     fingerprint["machine"] = "pdp11"
