@@ -273,8 +273,9 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch", type=int, default=4,
                         help="max dynamic batch size")
     parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="how long the dispatcher waits to coalesce "
-                             "a batch")
+                        help="how long a batch that already holds two or "
+                             "more requests waits to fill; a lone request "
+                             "never waits")
     parser.add_argument("--queue-capacity", type=int, default=None,
                         help="bounded request queue size (default: "
                              "8 * workers * batch)")

@@ -66,6 +66,13 @@ def calibrate_saturation_rps(service: InferenceService) -> float:
     every dispatcher then times a *full* batch, which is what saturation
     runs. (One request at a time would settle it on the width-1 plan's
     time and overstate the rate about ``batch``-fold on a real model.)
+
+    This rests on each round being queued before a dispatcher wakes: it
+    is submitted from this one thread, and ``submit`` never blocks or
+    releases the GIL, so the round is taken as one batch. A dispatcher
+    that took the round's first request before the rest were queued
+    would dispatch it alone (a lone request never waits for the window)
+    and time a width-1 batch.
     """
     sample = np.zeros(service.sample_shape, dtype=np.float32)
     pool = service.pool

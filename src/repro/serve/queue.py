@@ -18,9 +18,11 @@ latency:
   silently run late or dropped.
 
 The queue also implements the *coalescing* side of dynamic batching: the
-dispatcher takes one request (blocking), then gathers up to ``batch - 1``
-more within a latency window, so single-sample arrivals amortize into one
-batched execution without adding more than the window to anyone's latency.
+dispatcher takes one request (blocking); if nothing else is queued it goes
+alone at once, and if a batch is already forming it gathers up to
+``batch - 1`` more within a latency window. Requests that pile up while a
+batch runs amortize into one batched execution, a lone request never waits
+for company, and no one waits longer than the window to fill a batch.
 """
 
 from __future__ import annotations
@@ -169,8 +171,12 @@ class AdmissionQueue:
         """Take 1..``max_batch`` requests, coalescing within ``window_ms``.
 
         Blocks up to ``poll_s`` for the first request (returns ``[]`` on
-        timeout or shutdown so dispatcher loops stay responsive), then
-        gathers more until the batch is full or the window closes.
+        timeout or shutdown so dispatcher loops stay responsive). If no
+        second request is queued by then, returns the first alone at once:
+        under sparse traffic the next arrival is far away, and waiting for
+        it would only add the window to this request's latency. Otherwise
+        a batch is forming, so it gathers more until the batch is full or
+        the window closes.
         """
         with self._not_empty:
             if not self._items:
@@ -178,11 +184,10 @@ class AdmissionQueue:
             if not self._items:
                 return []
             batch = [self._items.popleft()]
-            if max_batch <= 1 or window_ms <= 0:
-                deadline = None
-            else:
-                deadline = time.monotonic() + window_ms / 1e3
-            while deadline is not None and len(batch) < max_batch:
+            if max_batch <= 1 or window_ms <= 0 or not self._items:
+                return batch
+            deadline = time.monotonic() + window_ms / 1e3
+            while len(batch) < max_batch:
                 if self._items:
                     batch.append(self._items.popleft())
                     continue

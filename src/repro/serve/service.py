@@ -138,8 +138,9 @@ class InferenceService:
             both modes.
         queue_capacity: bound on queued requests; arrivals beyond it are
             shed ``queue-full``.
-        batch_window_ms: how long the dispatcher waits to coalesce a
-            batch — the latency budget of dynamic batching.
+        batch_window_ms: how long a batch that already holds two or more
+            requests waits to fill — the latency budget of dynamic
+            batching. A lone request never waits.
         default_deadline_ms: deadline applied to requests submitted
             without one (``None`` = unbounded).
         breaker_threshold / breaker_cooldown_s: circuit-breaker tuning,

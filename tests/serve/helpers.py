@@ -43,14 +43,21 @@ class FakeSession:
             while its budget lasts, every run raises
             :class:`FallbackExhaustedError` (the error the real executor
             surfaces when a kernel chain is exhausted).
+        gate: optional event every ``run`` blocks on until it is set.
+            ``started`` is set as a run begins, so a test can hold one
+            request in flight, queue a burst behind it, then open the
+            gate: the burst is queued before the dispatcher takes again.
     """
 
     def __init__(self, backend: str, index: int, delay_s: float = 0.0,
-                 failures: FailurePlan | None = None) -> None:
+                 failures: FailurePlan | None = None,
+                 gate: threading.Event | None = None) -> None:
         self.backend = backend
         self.index = index
         self.delay_s = delay_s
         self.failures = failures
+        self.gate = gate
+        self.started = threading.Event()
         self.runs = 0
         self.run_deadlines: list[float | None] = []
         self.batch_shapes: list[tuple[int, ...]] = []
@@ -60,6 +67,9 @@ class FakeSession:
         self.run_deadlines.append(deadline_ms)
         self.batch_shapes.append(
             tuple(np.asarray(next(iter(feeds.values()))).shape))
+        self.started.set()
+        if self.gate is not None:
+            self.gate.wait(timeout=10.0)
         if self.delay_s:
             time.sleep(self.delay_s)
         if self.failures is not None and self.failures.should_fail():
@@ -76,7 +86,8 @@ class FakeSession:
 def make_factory(behaviour: dict | None = None):
     """``session_factory`` building FakeSessions; per-backend behaviour.
 
-    ``behaviour`` maps backend name to ``{"delay_s": ..., "failures": ...}``.
+    ``behaviour`` maps backend name to ``{"delay_s": ..., "failures": ...,
+    "gate": ...}``.
     The created sessions are collected in the returned factory's
     ``.sessions`` list for later inspection.
     """

@@ -111,9 +111,26 @@ class TestBatching:
         batch = queue.take_batch(4, window_ms=0.0)
         assert len(batch) == 1
 
+    def test_lone_request_is_not_held(self):
+        # Nothing else is queued, so there is no batch forming for the
+        # window to fill: the request goes at once, however long the
+        # window, without ever waiting on the condition.
+        queue = AdmissionQueue(capacity=8)
+        queue.try_admit(make_pending("alone"))
+
+        def must_not_wait(timeout=None):
+            raise AssertionError(f"lone request held for {timeout} s")
+
+        queue._not_empty.wait = must_not_wait
+        batch = queue.take_batch(4, window_ms=60_000)
+        assert [p.request.id for p in batch] == ["alone"]
+
     def test_window_picks_up_late_arrival(self):
+        # Two queued requests are a batch already forming: the window
+        # holds it open, and a third that arrives inside it joins.
         queue = AdmissionQueue(capacity=8)
         queue.try_admit(make_pending("first"))
+        queue.try_admit(make_pending("second"))
         late = make_pending("late")
 
         def arrive_late():
@@ -124,7 +141,7 @@ class TestBatching:
         thread.start()
         batch = queue.take_batch(4, window_ms=200.0)
         thread.join()
-        assert [p.request.id for p in batch] == ["first", "late"]
+        assert [p.request.id for p in batch] == ["first", "second", "late"]
 
 
 class TestBookkeeping:

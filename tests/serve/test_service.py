@@ -76,11 +76,28 @@ class TestRoundtrip:
 
 
 class TestBatching:
+    def test_lone_request_is_not_held_for_the_window(self):
+        # Nothing else is queued, so the request goes at once: a minute-long
+        # window never delays it.
+        with make_service(batch=4, batch_window_ms=60_000) as service:
+            outcome = service.submit(sample(5.0)).result(timeout=5.0)
+            stats = service.stats()
+        assert isinstance(outcome, Completed)
+        assert outcome.batch_size == 1
+        assert stats.runs_by_width == {1: 1}
+
     def test_coalesced_batch_slices_per_request_outputs(self):
-        # The dispatcher takes the first request and holds the batch open
-        # for the window; the two that arrive right behind it must join.
-        with make_service(batch=4, batch_window_ms=200.0) as service:
+        # A gated request holds the dispatcher while three more queue up
+        # behind it; when the gate opens they are taken as one batch.
+        gate = threading.Event()
+        with make_service(batch=4,
+                          behaviour={"a": {"gate": gate}}) as service:
+            session = service._factory.sessions[0]
+            holder = service.submit(sample(0.0))
+            assert session.started.wait(timeout=5.0)
             pendings = [service.submit(sample(float(v))) for v in (1, 2, 3)]
+            gate.set()
+            assert isinstance(holder.result(timeout=5.0), Completed)
             outcomes = [p.result(timeout=5.0) for p in pendings]
         assert all(isinstance(o, Completed) for o in outcomes)
         # the three waiting requests coalesced into one batch...
@@ -93,13 +110,19 @@ class TestBatching:
         # What width reaches the session: the smallest bucket that holds
         # the batch. A lone request runs at width 1 — never padded to the
         # pool's batch — and three coalesced requests run at the full
-        # width 4 with one zero row.
-        with make_service(batch=4, batch_window_ms=200.0) as service:
+        # width 4 with one zero row. The lone request holds the gate while
+        # the three queue behind it.
+        gate = threading.Event()
+        with make_service(batch=4,
+                          behaviour={"a": {"gate": gate}}) as service:
             assert service.pool.buckets == (1, 2, 4)
-            alone = service.submit(sample(5.0)).result(timeout=5.0)
-            pendings = [service.submit(sample(float(v))) for v in (1, 2, 3)]
-            outcomes = [p.result(timeout=5.0) for p in pendings]
             session = service._factory.sessions[0]
+            alone = service.submit(sample(5.0))
+            assert session.started.wait(timeout=5.0)
+            pendings = [service.submit(sample(float(v))) for v in (1, 2, 3)]
+            gate.set()
+            alone = alone.result(timeout=5.0)
+            outcomes = [p.result(timeout=5.0) for p in pendings]
             stats = service.stats()
         assert isinstance(alone, Completed)
         assert alone.batch_size == 1
