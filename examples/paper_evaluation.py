@@ -1,7 +1,8 @@
 """Regenerate the paper's evaluation: Table I and Figure 2.
 
 By default runs a reduced grid (3 repeats); pass ``--full`` for the
-full-resolution five-model grid recorded in EXPERIMENTS.md.
+full-resolution five-model grid recorded in EXPERIMENTS.md. The run ends
+with a verdict on each of the paper's Section III claims (a)-(f).
 
 Run with:  python examples/paper_evaluation.py [--full]
 """
@@ -29,12 +30,7 @@ def main() -> None:
     print()
     print(result.chart())
     print()
-    for model in result.models:
-        winner = result.winner(model)
-        against = result.speedup(model, winner, "orpheus")
-        note = "" if winner == "orpheus" else (
-            f" ({against:.2f}x vs Orpheus)" if against else "")
-        print(f"  {model:13s} fastest: {winner}{note}")
+    print(result.claims_table())
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ The paper's evaluation figure plots the inference time of five models
 TVM and PyTorch on one Cortex-A73 core, and explains why DarkNet and
 TF-Lite are excluded. :func:`run_figure2` regenerates the full grid —
 measurements where a framework can run the model, recorded exclusion
-reasons where it cannot.
+reasons where it cannot — and :meth:`Figure2Result.claims` judges the
+paper's Section III claims (a)-(f) on whatever grid was measured.
 """
 
 from __future__ import annotations
@@ -28,6 +29,33 @@ class Exclusion:
     framework: str
     model: str
     reason: str
+
+
+HOLDS, FAILS, NOT_MEASURED = "holds", "fails", "not measured"
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One Section III claim about Figure 2, judged on a measured grid.
+
+    ``value`` is the deciding cell's ratio — seconds for (e), excluded of
+    requested cells for (f) — and ``threshold`` the bar it must clear;
+    ``statistic`` names the per-cell time the ratio compares.
+    """
+
+    label: str
+    statement: str
+    cell: str
+    statistic: str
+    threshold: str
+    value: float | str | None = None
+    verdict: str = NOT_MEASURED
+
+
+def _verdict(value: float | None, op: str, bound: float) -> str:
+    if value is None:
+        return NOT_MEASURED
+    return HOLDS if (value < bound if op == "<" else value > bound) else FAILS
 
 
 @dataclasses.dataclass
@@ -69,14 +97,6 @@ class Figure2Result:
                 best_name, best_time = m.framework, m.median
         return best_name
 
-    def speedup(self, model: str, framework: str, baseline: str) -> float | None:
-        """``baseline`` time / ``framework`` time (>1 means faster)."""
-        mine = self.median_ms(framework, model)
-        theirs = self.median_ms(baseline, model)
-        if mine is None or theirs is None:
-            return None
-        return theirs / mine
-
     def rows(self) -> list[list[object]]:
         table = []
         for model in self.models:
@@ -104,6 +124,86 @@ class Figure2Result:
 
     def csv(self) -> str:
         return format_csv(self.headers(), self.rows())
+
+    def claims(self) -> list[Claim]:
+        """The paper's Section III claims (a)-(f), one verdict each.
+
+        Every timing claim keeps the threshold and statistic (median or
+        best-of-N) its check has always used. A claim spanning several
+        models is decided by its least favourable measured model and
+        reads ``not measured`` when none of its cells were timed.
+        Verdicts are a report, not a gate.
+        """
+        best = f"best-of-{self.repeats}"
+        depthwise = self._ratio_claim(
+            "d", "PyTorch poor on MobileNetV1 depthwise", "pytorch",
+            "orpheus", ("mobilenet-v1",), "median", ">", 1.5)
+        wrn_gap = self._ratio("pytorch", "orpheus", "wrn-40-2", "median")
+        if isinstance(depthwise.value, float) and wrn_gap is not None:
+            # ...and the gap is wider than on WRN-40-2's dense convs.
+            depthwise = dataclasses.replace(
+                depthwise,
+                threshold=f"> 1.5, > {wrn_gap:.2f} (wrn-40-2)",
+                verdict=(HOLDS if depthwise.verdict == HOLDS
+                         and depthwise.value > wrn_gap else FAILS))
+        darknet_ms = self.best_ms("darknet", "resnet18")
+        darknet_s = None if darknet_ms is None else darknet_ms / 1e3
+        tflite_timed = sum(m.framework == "tflite" for m in self.measurements)
+        tflite_excluded = sum(e.framework == "tflite" for e in self.exclusions)
+        tflite = Claim("f", "TF-Lite cannot run 1 thread",
+                       "tflite at 1 thread", "exclusion", "all excluded")
+        if self.threads == 1 and tflite_timed + tflite_excluded:
+            tflite = dataclasses.replace(
+                tflite, value=f"{tflite_excluded}/{tflite_timed + tflite_excluded}",
+                verdict=FAILS if tflite_timed else HOLDS)
+        return [
+            self._ratio_claim(
+                "a", "Orpheus best on big models", "orpheus", "tvm",
+                ("inception-v3",), "median", "<", 1.05),
+            self._ratio_claim(
+                "b", "TVM best on small models", "tvm", "orpheus",
+                ("wrn-40-2", "mobilenet-v1"), best, "<", 1.15),
+            self._ratio_claim(
+                "c", "PyTorch slower than Orpheus everywhere", "pytorch",
+                "orpheus", self.models, best, ">", 1),
+            depthwise,
+            Claim("e", "DarkNet seconds-scale on ResNet-18",
+                  "darknet seconds on resnet18", best, "> 1.0", darknet_s,
+                  _verdict(darknet_s, ">", 1.0)),
+            tflite,
+        ]
+
+    def claims_table(self) -> str:
+        return format_table(
+            ["claim", "verdict", "value", "needs", "statistic",
+             "deciding cell", "paper (Section III)"],
+            [[f"({c.label})", c.verdict, c.value, c.threshold, c.statistic,
+              c.cell, c.statement] for c in self.claims()],
+            title="Figure 2 claims on this grid")
+
+    def _ratio(self, num: str, den: str, model: str,
+               statistic: str) -> float | None:
+        cell_ms = self.median_ms if statistic == "median" else self.best_ms
+        a, b = cell_ms(num, model), cell_ms(den, model)
+        return None if a is None or b is None else a / b
+
+    def _ratio_claim(self, label: str, statement: str, num: str, den: str,
+                     models: tuple[str, ...], statistic: str, op: str,
+                     bound: float) -> Claim:
+        ratios = {model: self._ratio(num, den, model, statistic)
+                  for model in models}
+        measured = {m: r for m, r in ratios.items() if r is not None}
+        claim = Claim(label, statement,
+                      f"{num}/{den} on {', '.join(models)}", statistic,
+                      f"{op} {bound:g}")
+        if not measured:
+            return claim
+        # The least favourable model decides: the largest ratio under a
+        # "<" bar, the smallest over a ">" one.
+        model = (max if op == "<" else min)(measured, key=measured.__getitem__)
+        return dataclasses.replace(
+            claim, cell=f"{num}/{den} on {model}", value=measured[model],
+            verdict=_verdict(measured[model], op, bound))
 
     def chart(self, width: int = 52) -> str:
         """Render the grid as horizontal ASCII bars — the literal figure.

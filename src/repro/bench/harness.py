@@ -2,7 +2,7 @@
 
 This is the "infrastructure to run multiple inference experiments,
 evaluating full networks" from the paper's contribution list, shared by the
-Figure 2 driver, the ablation benchmarks, and the CLI ``bench`` command.
+Figure 2 driver, the sweeps, and the CLI ``bench`` command.
 
 It also hosts the *failure boundary* the whole bench stack shares: partial
 failures — unsupported ops, numerically unstable kernels, unavailable

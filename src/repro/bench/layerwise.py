@@ -4,7 +4,9 @@ The paper's contribution list includes "infrastructure to run multiple
 inference experiments, evaluating full networks, and individual layers".
 This module is the individual-layer half: race every applicable
 implementation of an operator over a set of layer shapes and report the
-grid — the data behind the conv-algorithm ablation benchmarks.
+grid — the data behind the conv-algorithm and depthwise ablations
+(``orpheus bench layers``). ``perchannel_gemm_dw``, the PyTorch
+simulation's depthwise path, applies only to the depthwise row.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class LayerRaceResult:
 def race_conv_impls(
     cases: Sequence[ConvCase] = STANDARD_CONV_CASES,
     impls: Sequence[str] = ("im2col", "direct", "spatial_pack", "winograd",
-                            "direct_dw"),
+                            "direct_dw", "perchannel_gemm_dw"),
     repeats: int = 5,
     threads: int = 1,
     seed: int = 0,

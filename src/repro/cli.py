@@ -953,6 +953,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print()
     print(result.chart() if args.chart else result.table())
+    print("\n" + result.claims_table())
     print(f"\nrobustness: {len(result.measurements)} cell(s) measured, "
           f"{len(result.exclusions)} excluded, "
           f"{len(result.failures)} failed")

@@ -9,9 +9,9 @@ convolution becomes a depthwise k x k followed by a pointwise 1 x 1.
 
 Unlike the simplification passes this is **not** semantics-preserving — in
 Moonshine the substituted network is re-trained by distillation. Here fresh
-He-scaled weights are generated (the evaluation is timing-only, matching
-the paper's use), so the transform lives outside the default pipeline and
-is applied explicitly by the cheap-convolution benchmark and example.
+He-scaled weights are generated (only the network's costs are evaluated,
+matching the paper's use), so the transform lives outside the default
+pipeline and is applied explicitly.
 """
 
 from __future__ import annotations

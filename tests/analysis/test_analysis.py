@@ -11,6 +11,7 @@ from repro.analysis import (
 )
 from repro.ir.builder import GraphBuilder
 from repro.models import zoo
+from repro.passes import default_pipeline
 from tests.conftest import tiny_classifier
 
 
@@ -75,6 +76,13 @@ class TestFootprint:
     def test_planned_less_than_unplanned(self):
         report = footprint(zoo.build("wrn-40-2", image_size=16))
         assert 0 < report.peak_live_bytes < report.activation_bytes_unplanned
+
+    @pytest.mark.parametrize(
+        "model", ["wrn-40-2", "mobilenet-v1", "resnet18", "resnet50"])
+    def test_planner_saves_over_half(self, model):
+        """Canonical resolution, after the pass pipeline (76-95 % here)."""
+        report = footprint(default_pipeline().run(zoo.build(model)), model)
+        assert report.peak_live_bytes < 0.5 * report.activation_bytes_unplanned
 
     def test_totals_include_weights(self, tiny_graph):
         report = footprint(tiny_graph)

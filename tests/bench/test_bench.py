@@ -135,6 +135,8 @@ class TestLayerRace:
     def test_depthwise_only_direct_dw(self, result):
         assert result.times[("depthwise", "direct_dw")] is not None
         assert result.times[("depthwise", "direct")] is None
+        assert result.times[("depthwise", "perchannel_gemm_dw")] is not None
+        assert result.times[("small 3x3", "perchannel_gemm_dw")] is None
 
     def test_best_impl_is_fastest(self, result):
         best = result.best_impl("small 3x3")

@@ -1,7 +1,8 @@
 """Batch and resolution sweeps: points, tables, CSV.
 
-What the sweeps *show* (bigger batches and images take longer) compares
-measured times, so it is asserted in ``benchmarks/test_sweeps.py``.
+What the sweeps *show* (how latency moves with batch and image size)
+compares measured times, so no test asserts it; ``orpheus bench sweep``
+prints it.
 """
 
 import pytest

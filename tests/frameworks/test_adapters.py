@@ -38,8 +38,9 @@ class TestAvailabilityRules:
         get_adapter("darknet").prepare("resnet18", image_size=32)
 
     def test_tflite_cannot_pin_one_thread(self):
-        with pytest.raises(FrameworkUnavailableError, match="maximum number"):
-            get_adapter("tflite").prepare("wrn-40-2", threads=1)
+        for model in ("wrn-40-2", "mobilenet-v1"):
+            with pytest.raises(FrameworkUnavailableError, match="maximum number"):
+                get_adapter("tflite").prepare(model, threads=1)
 
     def test_tflite_runs_multithreaded(self):
         get_adapter("tflite").prepare("wrn-40-2", threads=4)
@@ -116,13 +117,17 @@ class TestTable1Data:
             for criterion in CRITERIA:
                 assert 1 <= SCORES[framework][criterion] <= 3
 
-    def test_exact_paper_values_spot_checks(self):
-        # Transcribed directly from Table I.
-        assert SCORES["Orpheus"]["Low-level modifications"] == 3
-        assert SCORES["TF-Lite"]["Low-level modifications"] == 1
-        assert SCORES["DarkNet"]["Performance (inference time)"] == 1
-        assert SCORES["TVM"]["Codebase accessibility"] == 1
-        assert SCORES["PyTorch"]["Model interoperability"] == 3
+    def test_matches_paper_exactly(self):
+        # All 25 cells, transcribed directly from Table I (CRITERIA order).
+        expected = {
+            "TF-Lite": (1, 2, 3, 1, 2),
+            "PyTorch": (1, 3, 2, 2, 2),
+            "DarkNet": (2, 1, 3, 3, 1),
+            "TVM": (2, 3, 3, 1, 2),
+            "Orpheus": (3, 3, 3, 3, 3),
+        }
+        assert {framework: tuple(SCORES[framework][c] for c in CRITERIA)
+                for framework in FRAMEWORKS} == expected
 
     def test_orpheus_scores_all_threes(self):
         assert all(SCORES["Orpheus"][c] == 3 for c in CRITERIA)

@@ -133,5 +133,6 @@ class TestConvertAndBench:
         out = capsys.readouterr().out
         assert "Figure 2" in out
         assert "excluded darknet/wrn-40-2" in out
+        assert all(f"\n({label}) " in out for label in "abcdef")
         with open(csv_path, encoding="utf-8") as handle:
             assert handle.readline().startswith("model,")

@@ -20,19 +20,26 @@ def outputs_for(graph, shape, optimize_already_done):
 class TestPipelineOnModels:
     """Optimised graphs compute the same function with fewer nodes."""
 
-    @pytest.mark.parametrize("model,size,bn_free", [
-        # WRN is pre-activation (BN feeds the conv), so only the post-conv
-        # BNs fold; the post-activation models lose every BN.
-        ("wrn-40-2", 16, False),
-        ("mobilenet-v1", 64, True),
-        ("resnet18", 64, True),
-        ("resnet50", 64, True),
-        ("inception-v3", 128, True),
-    ])
-    def test_equivalence_and_shrinkage(self, model, size, bn_free):
+    # Node counts before -> after the pipeline do not depend on image size.
+    # WRN is pre-activation (BN feeds the conv), so only the post-conv BNs
+    # fold; the post-activation models lose every BN.
+    _MODELS = (  # model, image size, BN-free after, nodes before, after
+        ("wrn-40-2", 16, False, 136, 98),
+        ("mobilenet-v1", 64, True, 85, 31),
+        ("resnet18", 64, True, 70, 41),
+        ("resnet50", 64, True, 176, 90),
+        ("inception-v3", 128, True, 315, 126),
+    )
+
+    @pytest.mark.parametrize(
+        "model,size,bn_free,nodes_before,nodes_after", _MODELS,
+        ids=[f"{model}-{size}-{bn_free}" for model, size, bn_free, *_ in _MODELS])
+    def test_equivalence_and_shrinkage(self, model, size, bn_free,
+                                       nodes_before, nodes_after):
         graph = zoo.build(model, image_size=size)
         optimized = default_pipeline().run(graph)
-        assert len(optimized.nodes) < len(graph.nodes)
+        assert (len(graph.nodes), len(optimized.nodes)) == (
+            nodes_before, nodes_after)
         bn_before = len(graph.nodes_by_type("BatchNormalization"))
         bn_after = len(optimized.nodes_by_type("BatchNormalization"))
         assert bn_after < bn_before

@@ -190,3 +190,39 @@ class TestGraphQuantization:
         assert report.converted_convs > 0
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         InferenceSession(qgraph, optimize=False).run({"input": x})
+
+
+class TestWrnInt8:
+    """WRN-40-2 at its canonical 32x32, int8 against float32."""
+
+    @pytest.fixture(scope="class")
+    def wrn_pair(self):
+        from repro.bench.workloads import calibration_batches
+        from repro.models import zoo
+        from repro.passes import default_pipeline
+        graph = default_pipeline().run(zoo.build("wrn-40-2"))
+        batches = [{"input": b}
+                   for b in calibration_batches("wrn-40-2", count=3)]
+        qgraph, report = quantize_graph(graph, calibrate(graph, batches))
+        assert report.converted_convs == 40
+        return graph, qgraph
+
+    def test_conv_weights_shrink_exactly_4x(self, wrn_pair):
+        # 4-D weights on both sides: 2,236,848 B int8, 8,947,392 B f32.
+        # The 1-element int8 zero points are not weights.
+        graph, qgraph = wrn_pair
+        f32 = sum(a.nbytes for a in graph.initializers.values() if a.ndim == 4)
+        int8 = sum(a.nbytes for a in qgraph.initializers.values()
+                   if a.dtype == np.int8 and a.ndim == 4)
+        assert int8 * 4 == f32
+
+    def test_top1_agrees_on_seeded_inputs(self, wrn_pair):
+        from repro.bench.workloads import model_input
+        f32, int8 = (InferenceSession(g, optimize=False) for g in wrn_pair)
+        agree = 0
+        for seed in range(100, 108):
+            feed = {"input": model_input("wrn-40-2", seed=seed)}
+            agree += int(f32.run(feed)["output"].argmax()
+                         == int8.run(feed)["output"].argmax())
+        assert agree >= 7
+
