@@ -17,7 +17,9 @@ from repro.bench.figure2 import (
     Figure2Result,
     run_figure2,
 )
+from repro.errors import FrameworkUnavailableError
 from repro.frameworks import base as frameworks_base
+from repro.frameworks import get_adapter
 from repro.frameworks.base import (
     FrameworkAdapter,
     Measurement,
@@ -113,6 +115,19 @@ class TestRoundRobin:
         assert grid.median_ms("scripted-a", "wrn-40-2") == 500.0
         assert grid.winner("wrn-40-2") == "scripted-a"
 
+
+
+class TestQualitativeClaims:
+    """The one Section III observation that needs no clock: claim (f)."""
+
+    def test_tflite_excluded_from_single_thread_grid(self):
+        with pytest.raises(FrameworkUnavailableError):
+            get_adapter("tflite").prepare("mobilenet-v1", threads=1)
+        grid = run_figure2(models=("mobilenet-v1",), frameworks=("tflite",),
+                           repeats=1, warmup=0, image_size=8)
+        assert [(e.framework, e.model) for e in grid.exclusions] == [
+            ("tflite", "mobilenet-v1")]
+        assert _verdicts(grid)["f"] == HOLDS
 
 def _grid(cells, tflite_excluded=(), threads=1):
     """A grid from hand-made cells: ``{(framework, model): times in ms}``."""
