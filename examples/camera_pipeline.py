@@ -37,7 +37,7 @@ def synthetic_camera(frames: int, height: int = 480, width: int = 640):
 
 def main() -> None:
     graph = zoo.build(MODEL)
-    session = InferenceSession(graph, backend="orpheus", threads=1)
+    session = InferenceSession(graph, backend="orpheus")
     print(f"{MODEL}: {len(session.graph.nodes)} nodes after simplification")
 
     # Warm up (also populates the AOT kernel caches).

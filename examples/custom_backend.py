@@ -64,7 +64,7 @@ def main() -> None:
     reference_out = None
     print(f"{'backend':<10} {'median ms':>10}  {'top-1':>6}  max|diff|")
     for backend in ("orpheus", lowp):
-        session = InferenceSession(graph, backend=backend, threads=1)
+        session = InferenceSession(graph, backend=backend)
         out = session.run(feed)["output"]
         times = session.time(feed, repeats=5, warmup=1)
         if reference_out is None:

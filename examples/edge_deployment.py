@@ -81,7 +81,7 @@ def main() -> None:
         ("optimized", optimized, False),
         ("int8", quantized, True),
     ):
-        session = InferenceSession(g, optimize=False, threads=1)
+        session = InferenceSession(g, optimize=False)
         out = session.run(feed)["output"]
         times = sorted(session.time(feed, repeats=7, warmup=2))
         report_fp = footprint(g, label)

@@ -32,7 +32,7 @@ def main() -> None:
     print(f"{'configuration':<16} {'median ms':>10}")
     for backend_name in ("orpheus", "direct", "spatial_pack", "winograd"):
         session = InferenceSession(graph, backend=backend_name,
-                                   optimize=False, threads=1)
+                                   optimize=False)
         times = sorted(session.time(feed, repeats=7, warmup=2))
         print(f"{backend_name:<16} {1e3 * times[len(times) // 2]:>10.2f}")
 
@@ -43,7 +43,7 @@ def main() -> None:
         repeats=3,
     )
     tuned = Backend(name="autotuned", gemm="blas").with_overrides(overrides)
-    session = InferenceSession(graph, backend=tuned, optimize=False, threads=1)
+    session = InferenceSession(graph, backend=tuned, optimize=False)
     times = sorted(session.time(feed, repeats=7, warmup=2))
     print(f"{'autotuned':<16} {1e3 * times[len(times) // 2]:>10.2f}")
 

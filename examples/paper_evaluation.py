@@ -22,7 +22,6 @@ def main() -> None:
     result = run_figure2(
         repeats=7 if full else 3,
         warmup=2 if full else 1,
-        threads=1,
         verbose=True,
     )
     print()

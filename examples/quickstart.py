@@ -19,7 +19,7 @@ def main() -> None:
     # 2. Prepare an inference session. Preparation validates the graph, runs
     #    the simplification passes (BN folding, activation fusion, ...),
     #    selects a kernel implementation per layer, and plans memory.
-    session = InferenceSession(graph, backend="orpheus", threads=1)
+    session = InferenceSession(graph, backend="orpheus")
     print(f"after simplification: {len(session.graph.nodes)} nodes")
 
     # 3. Run on a synthetic image batch.

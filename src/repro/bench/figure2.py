@@ -66,7 +66,6 @@ class Figure2Result:
     exclusions: list[Exclusion]
     models: tuple[str, ...]
     frameworks: tuple[str, ...]
-    threads: int
     repeats: int
     failures: list[FailureRow] = dataclasses.field(default_factory=list)
     resumed: int = 0    # cells answered from a run journal, not re-measured
@@ -113,8 +112,7 @@ class Figure2Result:
     def table(self) -> str:
         body = format_table(
             self.headers(), self.rows(),
-            title=(f"Figure 2: inference time, {self.threads} thread(s), "
-                   f"median of {self.repeats}"))
+            title=f"Figure 2: inference time, 1 thread, median of {self.repeats}")
         notes = [
             f"  excluded {exc.framework}/{exc.model}: {exc.reason}"
             for exc in self.exclusions
@@ -152,7 +150,7 @@ class Figure2Result:
         tflite_excluded = sum(e.framework == "tflite" for e in self.exclusions)
         tflite = Claim("f", "TF-Lite cannot run 1 thread",
                        "tflite at 1 thread", "exclusion", "all excluded")
-        if self.threads == 1 and tflite_timed + tflite_excluded:
+        if tflite_timed + tflite_excluded:
             tflite = dataclasses.replace(
                 tflite, value=f"{tflite_excluded}/{tflite_timed + tflite_excluded}",
                 verdict=FAILS if tflite_timed else HOLDS)
@@ -212,7 +210,7 @@ class Figure2Result:
         paper's clustered columns); excluded cells render as the exclusion
         marker.
         """
-        lines = [f"Figure 2: inference time, {self.threads} thread(s), "
+        lines = ["Figure 2: inference time, 1 thread, "
                  f"median of {self.repeats} (bar scale per model)"]
         label_width = max(len(fw) for fw in self.frameworks)
         for model in self.models:
@@ -238,7 +236,6 @@ class Figure2Result:
 def run_figure2(
     models: tuple[str, ...] = FIGURE2_MODELS,
     frameworks: tuple[str, ...] = EVALUATION_ORDER,
-    threads: int = 1,
     repeats: int = 5,
     warmup: int = 1,
     batch: int = 1,
@@ -291,7 +288,7 @@ def run_figure2(
     def key_for(framework: str, model: str) -> dict:
         return {
             "experiment": "figure2", "framework": framework, "model": model,
-            "batch": batch, "threads": threads, "image_size": image_size,
+            "batch": batch, "image_size": image_size,
             "repeats": repeats, "warmup": warmup,
         }
 
@@ -332,7 +329,7 @@ def run_figure2(
                 runnable, failure = run_guarded(
                     lambda: adapter.prepare(
                         model, batch=batch, image_size=image_size,
-                        threads=threads, engine_cache=engine_cache),
+                        engine_cache=engine_cache),
                     label=f"{framework}/{model}", stage="prepare",
                     retries=retries,
                     reraise=(FrameworkUnavailableError,))
@@ -388,5 +385,5 @@ def run_figure2(
     return Figure2Result(
         measurements=measurements, exclusions=exclusions,
         models=tuple(models), frameworks=tuple(frameworks),
-        threads=threads, repeats=repeats, failures=failures,
+        repeats=repeats, failures=failures,
         resumed=resumed)

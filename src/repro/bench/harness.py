@@ -121,7 +121,6 @@ class RunStats(Samples):
 def time_model(
     model_name: str,
     backend: "str | Backend" = "orpheus",
-    threads: int = 1,
     optimize: bool = True,
     repeats: int = 5,
     warmup: int = 1,
@@ -154,12 +153,12 @@ def time_model(
     graph = zoo.build(model_name, batch=batch, image_size=image_size, seed=seed)
     if engine_cache is not None:
         session, _ = engine_cache.session(
-            graph, model=model_name, backend=backend, threads=threads,
-            optimize=optimize, batch=batch, image_size=image_size,
+            graph, model=model_name, backend=backend, optimize=optimize,
+            batch=batch, image_size=image_size,
             seed=seed, memory_budget_bytes=memory_budget_bytes)
     else:
         session = InferenceSession(
-            graph, backend=backend, threads=threads, optimize=optimize,
+            graph, backend=backend, optimize=optimize,
             memory_budget_bytes=memory_budget_bytes)
     x = model_input(model_name, batch=batch, image_size=image_size, seed=seed)
     times = session.time(
@@ -167,7 +166,7 @@ def time_model(
     max_abs_err: float | None = None
     if accuracy_vs is not None:
         reference = InferenceSession(
-            graph, backend=accuracy_vs, threads=threads, optimize=optimize)
+            graph, backend=accuracy_vs, optimize=optimize)
         got = session.run({"input": x})
         want = reference.run({"input": x})
         max_abs_err = max(
@@ -175,5 +174,5 @@ def time_model(
                                  - want[name].astype(np.float64))))
              for name in want), default=0.0)
     return RunStats(
-        label=f"{model_name}/{backend_name}/t{threads}", times=tuple(times),
+        label=f"{model_name}/{backend_name}", times=tuple(times),
         max_abs_err=max_abs_err)

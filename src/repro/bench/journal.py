@@ -3,7 +3,7 @@
 Multi-config campaigns (Figure 2 grids, batch/resolution sweeps) are long
 enough that losing every partial result to one crash is the dominant cost
 of edge evaluation. The journal makes the *campaign* fault-tolerant: every
-completed cell — a (model, backend, batch, threads, ...) configuration —
+completed cell — a (model, backend, batch, image size, ...) configuration —
 is appended to a JSONL file the moment it finishes, with its stats. A
 killed campaign restarted against the same journal skips every recorded
 cell and re-measures nothing.
@@ -16,7 +16,7 @@ Format — one JSON object per line:
 * ``{"kind": "failure", "key": {...}, "payload": {FailureRow fields}}``
 
 ``key`` identifies the cell *and* its measurement protocol (repeats,
-warmup, threads, image size...), so resuming with different flags never
+warmup, image size...), so resuming with different flags never
 reuses mismatched numbers. Writes are append-and-flush per entry: a kill
 between entries loses at most the in-flight cell. A truncated final line
 (killed mid-write) is tolerated on load *and trimmed from the file*, so

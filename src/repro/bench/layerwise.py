@@ -105,7 +105,6 @@ def race_conv_impls(
     impls: Sequence[str] = ("im2col", "direct", "spatial_pack", "winograd",
                             "direct_dw", "perchannel_gemm_dw"),
     repeats: int = 5,
-    threads: int = 1,
     seed: int = 0,
 ) -> LayerRaceResult:
     """Race convolution implementations over ``cases``."""
@@ -122,6 +121,6 @@ def race_conv_impls(
                 times[(case.label, impl_name)] = None
                 continue
             times[(case.label, impl_name)] = time_kernel(
-                impl, [x, w], node, ExecutionContext(threads=threads), repeats)
+                impl, [x, w], node, ExecutionContext(), repeats)
     return LayerRaceResult(
         cases=tuple(cases), impls=tuple(impls), times=times)

@@ -83,14 +83,14 @@ class SweepResult:
 
 def _time_config(
     model: str, batch: int, image_size: int | None,
-    backend: "str | Backend", threads: int, repeats: int, warmup: int,
+    backend: "str | Backend", repeats: int, warmup: int,
     deadline_ms: float | None = None,
     memory_budget_bytes: int | None = None,
     engine_cache=None,
 ) -> SweepPoint:
     """One sweep cell through :func:`~repro.bench.harness.time_model`."""
     stats = time_model(
-        model, backend=backend, threads=threads, repeats=repeats,
+        model, backend=backend, repeats=repeats,
         warmup=warmup, batch=batch, image_size=image_size,
         deadline_ms=deadline_ms, memory_budget_bytes=memory_budget_bytes,
         engine_cache=engine_cache)
@@ -105,7 +105,6 @@ def _run_sweep(
     parameter: str,
     cells: "tuple[tuple[int, int | None], ...]",  # (batch, image_size) pairs
     backend: "str | Backend",
-    threads: int,
     repeats: int,
     warmup: int,
     retries: int,
@@ -130,7 +129,7 @@ def _run_sweep(
         key = {
             "experiment": f"{parameter}_sweep", "model": model,
             "backend": backend_name, "batch": batch,
-            "image_size": image_size, "threads": threads,
+            "image_size": image_size,
             "repeats": repeats, "warmup": warmup,
         }
         if book is not None:
@@ -149,7 +148,7 @@ def _run_sweep(
                 continue
         point, failure = run_guarded(
             lambda: _time_config(
-                model, batch, image_size, backend, threads, repeats, warmup,
+                model, batch, image_size, backend, repeats, warmup,
                 deadline_ms=deadline_ms,
                 memory_budget_bytes=memory_budget_bytes,
                 engine_cache=engine_cache),
@@ -173,7 +172,6 @@ def batch_sweep(
     batches: tuple[int, ...] = (1, 2, 4, 8),
     image_size: int | None = None,
     backend: "str | Backend" = "orpheus",
-    threads: int = 1,
     repeats: int = 5,
     warmup: int = 1,
     retries: int = 1,
@@ -204,7 +202,7 @@ def batch_sweep(
     """
     return _run_sweep(
         model, "batch", tuple((b, image_size) for b in batches),
-        backend, threads, repeats, warmup, retries,
+        backend, repeats, warmup, retries,
         deadline_ms, memory_budget_bytes, journal,
         engine_cache=engine_cache)
 
@@ -213,7 +211,6 @@ def resolution_sweep(
     model: str,
     image_sizes: tuple[int, ...],
     backend: "str | Backend" = "orpheus",
-    threads: int = 1,
     repeats: int = 5,
     warmup: int = 1,
     retries: int = 1,
@@ -231,6 +228,6 @@ def resolution_sweep(
     """
     return _run_sweep(
         model, "image_size", tuple((1, size) for size in image_sizes),
-        backend, threads, repeats, warmup, retries,
+        backend, repeats, warmup, retries,
         deadline_ms, memory_budget_bytes, journal,
         engine_cache=engine_cache)

@@ -75,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("model", help="zoo model name or .onnx path")
     compile_.add_argument("output", help="output .oeng path")
     compile_.add_argument("--backend", default="orpheus")
-    compile_.add_argument("--threads", type=int, default=1)
     compile_.add_argument("--no-optimize", action="store_true")
     compile_.add_argument("--seed", type=int, default=0)
     compile_.add_argument("--batch", type=int, default=1)
@@ -130,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="per-layer comparison of two backends on one model")
     compare.add_argument("model", help="zoo model name or .onnx path")
     compare.add_argument("backends", nargs=2, help="two backend names")
-    compare.add_argument("--threads", type=int, default=1)
     compare.add_argument("--repeats", type=int, default=5)
     compare.add_argument("--top", type=int, default=15)
     compare.add_argument("--seed", type=int, default=0)
@@ -204,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="experiment", required=True)
     figure2 = bench_sub.add_parser("figure2", help="Figure 2 grid")
     figure2.add_argument("--repeats", type=int, default=5)
-    figure2.add_argument("--threads", type=int, default=1)
     figure2.add_argument("--models", nargs="*", default=None)
     figure2.add_argument("--frameworks", nargs="*", default=None)
     figure2.add_argument("--image-size", type=int, default=None)
@@ -232,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="batch sizes or image sizes to sweep "
                             "(default: 1 2 4 8 batches)")
     sweep.add_argument("--backend", default="orpheus")
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--repeats", type=int, default=5)
     sweep.add_argument("--retries", type=int, default=1)
     sweep.add_argument("--csv", help="also write CSV to this path")
@@ -279,7 +275,6 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-capacity", type=int, default=None,
                         help="bounded request queue size (default: "
                              "8 * workers * batch)")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--image-size", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--breaker-threshold", type=int, default=3,
@@ -298,13 +293,11 @@ def _session_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "model", help="zoo model name, .onnx path, or .oeng engine "
                       "(a strict warm start)")
-    # Unset (None) asserts nothing: a cold MODEL gets orpheus, 1 thread,
-    # optimised; an .oeng MODEL keeps what it was compiled with. A set
-    # flag must match an engine's fingerprint.
+    # Unset (None) asserts nothing: a cold MODEL gets orpheus, optimised;
+    # an .oeng MODEL keeps what it was compiled with. A set flag must
+    # match an engine's fingerprint.
     parser.add_argument("--backend", default=None,
                         help="backend (default: orpheus, or the engine's)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="threads (default: 1, or the engine's)")
     parser.add_argument("--no-optimize", dest="optimize",
                         action="store_const", const=False, default=None,
                         help="skip the pass pipeline")
@@ -459,8 +452,7 @@ def _open_session(args: argparse.Namespace):
     """
     from repro.errors import EngineError
     from repro.runtime.session import InferenceSession
-    knobs = {"threads": args.threads, "optimize": args.optimize,
-             **_session_kwargs(args)}
+    knobs = {"optimize": args.optimize, **_session_kwargs(args)}
     if not args.model.endswith(".oeng"):
         return InferenceSession(
             _load_graph(args.model, seed=args.seed),
@@ -526,7 +518,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     engine = compile_to_file(
         graph, args.output,
-        backend=get_backend(args.backend), threads=args.threads,
+        backend=get_backend(args.backend),
         optimize=not args.no_optimize, tune=args.tune,
         tune_repeats=args.tune_repeats,
         metadata={"model": args.model})
@@ -648,8 +640,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     first, second = args.backends
     profiles = {}
     for name in (first, second):
-        session = InferenceSession(
-            graph, backend=get_backend(name), threads=args.threads)
+        session = InferenceSession(graph, backend=get_backend(name))
         feed = _model_feed(session.graph)
         profiles[name] = session.profile(feed, repeats=args.repeats)
     base = {layer.node_name: layer for layer in profiles[first].layers}
@@ -774,8 +765,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             jitter_seed=args.seed)
         pool_kwargs = dict(
             backends=tuple(args.backends), workers=args.workers,
-            batch=args.batch, threads=args.threads,
-            image_size=args.image_size, seed=args.seed,
+            batch=args.batch, image_size=args.image_size, seed=args.seed,
             engine_cache=args.engine_cache)
         if args.inject_faults:
             # Thread pools take one spec per backend, process workers one
@@ -891,7 +881,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if args.parameter == "batch":
             result = batch_sweep(
                 args.model, batches=tuple(args.values or (1, 2, 4, 8)),
-                backend=args.backend, threads=args.threads,
+                backend=args.backend,
                 repeats=args.repeats, retries=args.retries,
                 journal=journal, engine_cache=args.engine_cache)
         else:
@@ -900,7 +890,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     "--parameter resolution requires --values SIZE...")
             result = resolution_sweep(
                 args.model, image_sizes=tuple(args.values),
-                backend=args.backend, threads=args.threads,
+                backend=args.backend,
                 repeats=args.repeats, retries=args.retries,
                 journal=journal, engine_cache=args.engine_cache)
         print(result.table())
@@ -943,7 +933,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     result = run_figure2(
         models=tuple(args.models or FIGURE2_MODELS),
         frameworks=tuple(args.frameworks or EVALUATION_ORDER),
-        threads=args.threads,
         repeats=args.repeats,
         image_size=args.image_size,
         verbose=True,

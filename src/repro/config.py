@@ -1,8 +1,6 @@
 """Global runtime configuration.
 
-The paper evaluates single-thread inference on an Arm Cortex-A73 core; the
-``threads`` knob here is the stand-in for OpenMP's ``OMP_NUM_THREADS``. A
-:class:`RuntimeConfig` is attached to every :class:`~repro.runtime.session.
+A :class:`RuntimeConfig` is attached to every :class:`~repro.runtime.session.
 InferenceSession`, which builds it from an optional base ``config=`` plus
 keyword overrides (:meth:`RuntimeConfig.overridden`). This docstring is the
 one place the fields are documented; there is no process-wide default.
@@ -22,8 +20,9 @@ class RuntimeConfig:
     """Immutable runtime knobs.
 
     Attributes:
-        threads: worker threads used by ``parallel_for`` kernels (1 = the
-            paper's single-core setting).
+        threads: must be 1: kernels run on one Python thread, the paper's
+            single-core setting. Recorded in engine fingerprints. BLAS
+            threads are set by ``OMP_NUM_THREADS`` / ``OPENBLAS_NUM_THREADS``.
         optimize: run the graph-simplification pass pipeline before execution.
         validate_kernels: re-check kernel output shapes/dtypes against shape
             inference after every node (slow; for debugging). Implied per
@@ -64,8 +63,11 @@ class RuntimeConfig:
     memory_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.threads != 1:
+            raise ValueError(
+                f"threads must be 1, got {self.threads}: kernels run on one "
+                "Python thread; set BLAS threads with OMP_NUM_THREADS / "
+                "OPENBLAS_NUM_THREADS")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}")

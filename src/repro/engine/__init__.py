@@ -12,7 +12,7 @@ fingerprinted file::
     from repro.runtime.session import InferenceSession
 
     graph = models.build("resnet18")
-    compile_to_file(graph, "resnet18.oeng", backend="orpheus", threads=1)
+    compile_to_file(graph, "resnet18.oeng", backend="orpheus")
 
     sess = InferenceSession.from_engine("resnet18.oeng")
 

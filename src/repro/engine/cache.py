@@ -1,7 +1,7 @@
 """The best-effort warm start: a directory of compiled engine files.
 
 :class:`EngineCache` keys each file by the compile request (model,
-backend, threads, batch, ...). The bench harness and the serving pools
+backend, batch, ...). The bench harness and the serving pools
 point ``--engine-cache`` at one directory, and every configuration
 warm-starts after its first compile. A miss, a corrupt file or a stale
 one compiles cold and re-freezes the entry; the strict warm start is
@@ -89,7 +89,7 @@ class EngineCacheEntry:
 class EngineCache:
     """A directory of compiled engine files keyed by compile request.
 
-    The key digests the request (model name, backend, threads, batch,
+    The key digests the request (model name, backend, batch,
     image size, seed, ...); host/config staleness is *not* encoded in the
     key because the engine file's own fingerprint already rejects stale
     loads — a stale hit degrades to a recompile, not a wrong answer.
@@ -123,7 +123,6 @@ class EngineCache:
         *,
         model: str,
         backend: Any = "orpheus",
-        threads: int = 1,
         optimize: bool = True,
         batch: int = 1,
         image_size: int | None = None,
@@ -140,6 +139,7 @@ class EngineCache:
         # Imported here: the session module imports this package lazily,
         # and a module-level import would close the cycle.
         from repro.backends import get_backend
+        from repro.config import RuntimeConfig
         from repro.engine.compiler import compile_graph
         from repro.engine.fingerprint import fingerprint_mismatch, graph_digest
         from repro.engine.format import load_engine, save_engine
@@ -148,8 +148,8 @@ class EngineCache:
         backend_obj = get_backend(backend) if isinstance(backend, str) \
             else backend
         entry = self.entry(
-            model=model, backend=backend_obj.name, threads=threads,
-            optimize=optimize, batch=batch, image_size=image_size, seed=seed)
+            model=model, backend=backend_obj.name, optimize=optimize,
+            batch=batch, image_size=image_size, seed=seed)
 
         def try_load(warn: bool) -> Any:
             reason = None
@@ -159,7 +159,8 @@ class EngineCache:
                 reason = str(exc)
             else:
                 reason = fingerprint_mismatch(
-                    engine.fingerprint, backend_obj, threads, optimize,
+                    engine.fingerprint, backend_obj,
+                    RuntimeConfig(optimize=optimize),
                     source_digest=graph_digest(graph))
                 if reason is None:
                     return engine
@@ -184,8 +185,7 @@ class EngineCache:
                 if engine is not None:
                     return engine, True
             engine = compile_graph(
-                graph, backend=backend_obj, threads=threads,
-                optimize=optimize,
+                graph, backend=backend_obj, optimize=optimize,
                 metadata={"model": model, "cache_key": entry.key})
             try:
                 save_engine(engine, entry.path)
@@ -199,7 +199,6 @@ class EngineCache:
         *,
         model: str,
         backend: Any = "orpheus",
-        threads: int = 1,
         optimize: bool = True,
         batch: int = 1,
         image_size: int | None = None,
@@ -214,8 +213,8 @@ class EngineCache:
         from repro.runtime.session import InferenceSession
 
         engine, hit = self.load_or_compile(
-            graph, model=model, backend=backend, threads=threads,
-            optimize=optimize, batch=batch, image_size=image_size, seed=seed)
+            graph, model=model, backend=backend, optimize=optimize,
+            batch=batch, image_size=image_size, seed=seed)
         session = InferenceSession.from_engine(
             engine, backend=backend, **session_kwargs)
         return session, hit

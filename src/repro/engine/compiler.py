@@ -66,9 +66,10 @@ def compile_graph(
 
     Args:
         graph: the source model; not mutated (a copy is lowered).
-        backend / threads / optimize: the prepare-time knobs
+        backend / optimize: the prepare-time knobs
             :class:`~repro.runtime.session.InferenceSession` takes — the
             engine's fingerprint records them, and loads demand a match.
+        threads: must be 1 (see :class:`~repro.config.RuntimeConfig`).
         tune: ``True`` races every registered implementation for
             :data:`DEFAULT_TUNE_OPS`; a mapping races exactly those
             candidates; ``False`` keeps the backend's static policy.
@@ -86,8 +87,7 @@ def compile_graph(
     # Fingerprint the *source* graph: that is what a later
     # `EngineCache.load_or_compile(graph, ...)` has in hand to compare
     # against.
-    fingerprint = make_fingerprint(
-        graph, backend, config.threads, config.optimize)
+    fingerprint = make_fingerprint(graph, backend, config)
 
     # A quantize=True backend calibrates and quantizes here, *at compile
     # time*, freezing scales, zero points and int8 weights into the
@@ -98,9 +98,8 @@ def compile_graph(
     if tune:
         candidates = (tuning_candidates(backend) if tune is True
                       else {op: tuple(names) for op, names in tune.items()})
-        tuned = autotune(
-            working, candidates, threads=config.threads, repeats=tune_repeats,
-            registry=backend.registry)
+        tuned = autotune(working, candidates, repeats=tune_repeats,
+                         registry=backend.registry)
         if tuned:
             backend = backend.with_overrides(tuned)
 
@@ -157,8 +156,7 @@ def rebatch(engine: Engine, batch: int) -> Engine:
     graph.initializers = source.initializers    # shared, not copied
     fingerprint = engine.fingerprint
     backend = get_backend(fingerprint["backend"]).with_overrides(engine.tuned)
-    config = RuntimeConfig().overridden(
-        threads=fingerprint["threads"], optimize=fingerprint["optimize"])
+    config = RuntimeConfig(optimize=fingerprint["optimize"])
     rebatched = _freeze(
         graph, backend, config, fingerprint=fingerprint, tuned=engine.tuned,
         metadata=engine.metadata, quantization=engine.quantization)

@@ -6,7 +6,7 @@ them. The fingerprint captures exactly that pair, plus a digest of the
 source model, so a load can answer three questions cheaply:
 
 * was this file built by a compatible runtime on a compatible machine?
-* was it built for the backend/threads/optimize the session is asking for?
+* was it built for the backend/optimize the session is asking for?
 * was it built from *this* model (same structure, same weights)?
 
 Any "no" makes the engine *stale* — never an excuse to crash. Callers turn
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro import __version__
 from repro.backends.backend import Backend
+from repro.config import RuntimeConfig
 from repro.ir.graph import Graph
 
 #: Host keys whose mismatch marks an engine stale. ``python`` tracks only
@@ -42,14 +43,14 @@ def host_fingerprint() -> dict[str, str]:
     }
 
 
-def config_fingerprint(backend: Backend, threads: int,
-                       optimize: bool) -> dict[str, object]:
+def config_fingerprint(backend: Backend,
+                       config: RuntimeConfig) -> dict[str, object]:
     """The prepare-time knobs an engine's frozen plans depend on."""
     return {
         "backend": backend.name,
         "gemm": backend.gemm,
-        "threads": int(threads),
-        "optimize": bool(optimize),
+        "threads": config.threads,     # always 1; another value is stale
+        "optimize": config.optimize,
     }
 
 
@@ -94,11 +95,11 @@ def graph_digest(graph: Graph) -> str:
     return hasher.hexdigest()
 
 
-def make_fingerprint(graph: Graph, backend: Backend, threads: int,
-                     optimize: bool) -> dict[str, object]:
+def make_fingerprint(graph: Graph, backend: Backend,
+                     config: RuntimeConfig) -> dict[str, object]:
     """The full fingerprint block stored in an engine header."""
     fingerprint: dict[str, object] = dict(host_fingerprint())
-    fingerprint.update(config_fingerprint(backend, threads, optimize))
+    fingerprint.update(config_fingerprint(backend, config))
     fingerprint["source_digest"] = graph_digest(graph)
     return fingerprint
 
@@ -106,8 +107,7 @@ def make_fingerprint(graph: Graph, backend: Backend, threads: int,
 def fingerprint_mismatch(
     fingerprint: dict[str, object],
     backend: Backend,
-    threads: int,
-    optimize: bool,
+    config: RuntimeConfig,
     source_digest: str | None = None,
 ) -> str | None:
     """Why ``fingerprint`` does not match the current host/request, or None.
@@ -120,7 +120,7 @@ def fingerprint_mismatch(
         if fingerprint.get(key) != host[key]:
             return (f"host mismatch: {key} was {fingerprint.get(key)!r} at "
                     f"compile time, is {host[key]!r} now")
-    wanted = config_fingerprint(backend, threads, optimize)
+    wanted = config_fingerprint(backend, config)
     for key, value in wanted.items():
         if fingerprint.get(key) != value:
             return (f"config mismatch: {key} was {fingerprint.get(key)!r} at "

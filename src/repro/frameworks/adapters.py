@@ -6,9 +6,11 @@ the real framework (Section III); see DESIGN.md for the substitution table.
 
 from __future__ import annotations
 
+from typing import NoReturn
+
 from repro.backends.backend import Backend
 from repro.errors import FrameworkUnavailableError
-from repro.frameworks.base import register_adapter
+from repro.frameworks.base import FrameworkAdapter, register_adapter
 from repro.frameworks.session_adapter import SessionAdapter, SessionModel
 from repro.models import zoo
 from repro.runtime.session import InferenceSession
@@ -56,7 +58,7 @@ class TVMAdapter(SessionAdapter):
         )
 
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
+                image_size: int | None = None,
                 engine_cache=None) -> SessionModel:
         # Autotuning is TVM's prepare; it stays cold whatever the cache
         # holds. Imported here: autotune sits above the backends layer.
@@ -65,11 +67,9 @@ class TVMAdapter(SessionAdapter):
 
         graph = zoo.build(model_name, batch=batch, image_size=image_size)
         simplified = default_pipeline().run(graph)  # "compile" the graph
-        overrides = autotune(
-            simplified, self._CANDIDATES, threads=threads, repeats=2)
+        overrides = autotune(simplified, self._CANDIDATES, repeats=2)
         tuned = self.backend.with_overrides(overrides)
-        session = InferenceSession(
-            simplified, backend=tuned, threads=threads, optimize=False)
+        session = InferenceSession(simplified, backend=tuned, optimize=False)
         return SessionModel(session)
 
 
@@ -107,10 +107,10 @@ class PyTorchAdapter(SessionAdapter):
         )
 
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
+                image_size: int | None = None,
                 engine_cache=None) -> SessionModel:
         prepared = super().prepare(
-            model_name, batch=batch, image_size=image_size, threads=threads,
+            model_name, batch=batch, image_size=image_size,
             engine_cache=engine_cache)
         node_count = len(prepared.session.graph.nodes)
         prepared.per_run_overhead_s = _EAGER_DISPATCH_S_PER_NODE * node_count
@@ -148,14 +148,14 @@ class DarknetAdapter(SessionAdapter):
         )
 
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
+                image_size: int | None = None,
                 engine_cache=None) -> SessionModel:
         if model_name not in self._AVAILABLE:
             raise FrameworkUnavailableError(
                 f"DarkNet: model {model_name!r} is not available "
                 f"(only the ResNet models ship with the framework)")
         return super().prepare(
-            model_name, batch=batch, image_size=image_size, threads=threads,
+            model_name, batch=batch, image_size=image_size,
             engine_cache=engine_cache)
 
 
@@ -165,45 +165,29 @@ DARKNET_ADAPTER = register_adapter(DarknetAdapter())
 # -- TF-Lite: cannot pin a single thread ---------------------------------------------
 
 
-class TFLiteAdapter(SessionAdapter):
-    """TF-Lite simulation.
+class TFLiteAdapter(FrameworkAdapter):
+    """TF-Lite simulation: every prepare is the paper's exclusion.
 
     The paper: "the Python API always selects the maximum number of
-    threads, so we could not select one" — single-thread measurements are
-    impossible, and the ResNet models failed to import. Multi-thread
-    requests do run (on the default Orpheus kernels), matching "all the
-    models excepting ResNets were available".
+    threads, so we could not select one" — and every run here is
+    single-thread, so no TF-Lite cell is ever measured. The ResNet models
+    also failed to import, which is the reason reported for them.
     """
 
+    name = "tflite"
+    display_name = "TF-Lite (sim)"
     _UNIMPORTABLE = ("resnet18", "resnet50")
 
-    def __init__(self) -> None:
-        super().__init__(
-            name="tflite",
-            display_name="TF-Lite (sim)",
-            backend=Backend(
-                name="tflite-sim",
-                description="max-threads-only runtime",
-                preferences={"Conv": ("direct_dw", "im2col")},
-                gemm="blas",
-            ),
-            optimize=True,
-        )
-
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
-                engine_cache=None) -> SessionModel:
+                image_size: int | None = None,
+                engine_cache=None) -> NoReturn:
         if model_name in self._UNIMPORTABLE:
             raise FrameworkUnavailableError(
                 f"TF-Lite: importing {model_name!r} failed "
                 "(unsupported operations in the converted model)")
-        if threads == 1:
-            raise FrameworkUnavailableError(
-                "TF-Lite: the Python API always selects the maximum number "
-                "of threads; a single-thread run cannot be requested")
-        return super().prepare(
-            model_name, batch=batch, image_size=image_size, threads=threads,
-            engine_cache=engine_cache)
+        raise FrameworkUnavailableError(
+            "TF-Lite: the Python API always selects the maximum number "
+            "of threads; a single-thread run cannot be requested")
 
 
 TFLITE_ADAPTER = register_adapter(TFLiteAdapter())

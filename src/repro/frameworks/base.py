@@ -39,7 +39,7 @@ class FrameworkAdapter(abc.ABC):
 
     @abc.abstractmethod
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
+                image_size: int | None = None,
                 engine_cache: "EngineCache | None" = None) -> "PreparedModel":
         """Load + ready a zoo model for repeated inference.
 
@@ -49,7 +49,7 @@ class FrameworkAdapter(abc.ABC):
 
         Raises:
             FrameworkUnavailableError: the framework cannot run this
-                workload (missing model, unsupported thread count, ...).
+                workload (missing model, no single-thread run, ...).
         """
 
 

@@ -54,17 +54,15 @@ class SessionAdapter(FrameworkAdapter):
         self.optimize = optimize
 
     def prepare(self, model_name: str, batch: int = 1,
-                image_size: int | None = None, threads: int = 1,
+                image_size: int | None = None,
                 engine_cache: "EngineCache | None" = None) -> SessionModel:
         graph = zoo.build(model_name, batch=batch, image_size=image_size)
         if engine_cache is not None:
             # Warm-start from (and on miss, populate) the engine cache.
             session, _ = engine_cache.session(
                 graph, model=model_name, backend=self.backend,
-                threads=threads, optimize=self.optimize,
-                batch=batch, image_size=image_size)
+                optimize=self.optimize, batch=batch, image_size=image_size)
         else:
             session = InferenceSession(
-                graph, backend=self.backend, threads=threads,
-                optimize=self.optimize)
+                graph, backend=self.backend, optimize=self.optimize)
         return SessionModel(session)

@@ -7,8 +7,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.parallel import parallel_for
-
 
 def gemm_blas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """BLAS-backed matrix multiply (numpy's ``@``).
@@ -25,7 +23,6 @@ class ExecutionContext:
     """Per-executor kernel environment.
 
     Attributes:
-        threads: worker-thread budget for ``parallel_for`` (1 = paper setting).
         gemm: the matrix-multiply primitive kernels should use. Backends
             swap this to route *all* GEMM work through an alternative
             implementation (e.g. the blocked pure-numpy GEMM used by the
@@ -37,7 +34,6 @@ class ExecutionContext:
             AOT weight-layout pass.
     """
 
-    threads: int = 1
     gemm: Callable | None = None
     cache: dict = dataclasses.field(default_factory=dict)
 
@@ -89,9 +85,6 @@ class ExecutionContext:
         if buffer is None or buffer.size < floats:
             buffer = self.cache[key] = np.empty(floats, dtype=dtype)
         return buffer
-
-    def parallel_for(self, total: int, body: Callable[[int, int], None]) -> None:
-        parallel_for(total, body, threads=self.threads)
 
     def matmul(self, a, b, out=None):
         """``a @ b`` via the configured GEMM primitive (BLAS by default).

@@ -41,21 +41,6 @@ from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
 
-def _gemm(ctx: ExecutionContext, a: np.ndarray, b: np.ndarray,
-          out: np.ndarray) -> None:
-    """``out = a @ b``, chunked over ``a``'s rows when threads allow.
-
-    OpenMP-style: BLAS releases the GIL, so the chunks genuinely overlap.
-    """
-    if ctx.threads > 1 and a.shape[0] >= 2 * ctx.threads:
-        def chunk(start: int, stop: int) -> None:
-            ctx.matmul(a[start:stop], b, out=out[start:stop])
-
-        ctx.parallel_for(a.shape[0], chunk)
-    else:
-        ctx.matmul(a, b, out=out)
-
-
 @kernel("Conv", "im2col", priority=100)
 def conv_im2col(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
@@ -116,9 +101,9 @@ def conv_im2col(
         matrix = source.reshape(rows, pixels)
         result = out[n].reshape(out_channels, pixels)
         for g in range(group):
-            _gemm(ctx, w_matrix[g * o_g:(g + 1) * o_g],
-                  matrix[g * k_g:(g + 1) * k_g],
-                  result[g * o_g:(g + 1) * o_g])
+            ctx.matmul(w_matrix[g * o_g:(g + 1) * o_g],
+                       matrix[g * k_g:(g + 1) * k_g],
+                       out=result[g * o_g:(g + 1) * o_g])
         finalize_conv(out[n:n + 1], bias, node)
     return [out]
 
@@ -145,8 +130,8 @@ def conv_im2col_loops(
         w_slice = weight[g * out_per_group:(g + 1) * out_per_group]
         w_matrix = w_slice.reshape(out_per_group, -1)  # (O/g, C/g*KH*KW)
         for n in range(params.batch):
-            _gemm(ctx, w_matrix, columns[n],
-                  out[n, g * out_per_group:(g + 1) * out_per_group])
+            ctx.matmul(w_matrix, columns[n],
+                       out=out[n, g * out_per_group:(g + 1) * out_per_group])
     result = out.reshape(
         params.batch, params.out_channels, params.out_h, params.out_w)
     return [finalize_conv(result, bias, node)]

@@ -50,7 +50,7 @@ class ConstantFolding(GraphPass):
 
     def apply(self, graph: Graph) -> int:
         folded = 0
-        ctx = ExecutionContext(threads=1)
+        ctx = ExecutionContext()
         output_names = set(graph.output_names)
         changed = True
         while changed:

@@ -14,7 +14,6 @@ from repro.runtime.faults import (
     parse_fault_plan,
 )
 from repro.runtime.memory_planner import MemoryPlan, plan_memory
-from repro.parallel import chunk_ranges, parallel_for
 from repro.runtime.profiler import LayerProfile, ProfileResult, collate
 from repro.runtime.session import InferenceSession
 
@@ -31,9 +30,7 @@ __all__ = [
     "PreparedNode",
     "ProfileResult",
     "RobustnessReport",
-    "chunk_ranges",
     "collate",
-    "parallel_for",
     "parse_fault_plan",
     "plan_memory",
 ]

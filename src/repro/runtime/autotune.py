@@ -60,7 +60,6 @@ def _random_inputs(
 def autotune(
     graph: Graph,
     candidates: Mapping[str, Sequence[str]],
-    threads: int = 1,
     repeats: int = 2,
     registry: KernelRegistry = REGISTRY,
     seed: int = 0,
@@ -71,7 +70,6 @@ def autotune(
         graph: the (already simplified) graph to tune.
         candidates: op type -> implementation names to race. Ops not listed
             are left to the backend's static policy.
-        threads: thread budget used during measurement (match deployment).
         repeats: timed runs per candidate (see :func:`time_kernel`).
         registry: kernel registry to resolve names against.
         seed: RNG seed for synthetic activations.
@@ -81,7 +79,7 @@ def autotune(
         :meth:`repro.backends.Backend.with_overrides`.
     """
     value_types = infer_shapes(graph)
-    ctx = ExecutionContext(threads=threads)
+    ctx = ExecutionContext()
     rng = np.random.default_rng(seed)
     measured: dict[tuple, str] = {}
     overrides: dict[str, str] = {}

@@ -199,8 +199,7 @@ class Executor:
         # Derived, never stored: a pure function of what both branches hold.
         self.plan: MemoryPlan = plan_memory(
             graph, self.value_types, self.schedule_nodes)
-        self.context = ExecutionContext(
-            threads=config.threads, gemm=backend.gemm_fn)
+        self.context = ExecutionContext(gemm=backend.gemm_fn)
         self.fallback_events: list[FallbackEvent] = []  # guarded-by: _report_lock
         self._runs_completed = 0                        # guarded-by: _report_lock
         # Guards the robustness ledger only. An executor is single-threaded

@@ -2,7 +2,7 @@
 
     >>> from repro import InferenceSession, models
     >>> graph = models.build("resnet18")
-    >>> sess = InferenceSession(graph, backend="orpheus", threads=1)
+    >>> sess = InferenceSession(graph, backend="orpheus")
     >>> logits = sess.run({"input": image})["output"]
 
 A session owns a prepared executor: the graph is validated, optionally
@@ -98,7 +98,7 @@ class InferenceSession:
             config: base runtime configuration (defaults to
                 ``RuntimeConfig()``).
             **overrides: any :class:`~repro.config.RuntimeConfig` field by
-                name (``threads=1``, ``optimize=False``,
+                name (``optimize=False``,
                 ``memory_budget_bytes=...``; documented there), applied
                 over ``config``; ``None`` leaves the field alone.
 
@@ -129,7 +129,7 @@ class InferenceSession:
         """Strict warm start: a session from a compiled engine, or an error.
 
         The engine supplies the graph *and* the prepare-time knobs it was
-        compiled with (backend, ``threads``, ``optimize``); passing one of
+        compiled with (backend, ``optimize``); passing one of
         those only asserts an expectation — a disagreement with the
         fingerprint is an :class:`~repro.errors.EngineError`, never a
         silent re-prepare. Every other ``RuntimeConfig`` field (numerics,
@@ -150,11 +150,6 @@ class InferenceSession:
         loaded = (source if isinstance(source, EngineType)
                   else load_engine(source))
         fingerprint = loaded.fingerprint
-        try:
-            threads = int(fingerprint["threads"])
-        except (KeyError, TypeError, ValueError):
-            raise EngineError(
-                "engine fingerprint has no usable thread count") from None
         if backend is None:
             backend = fingerprint.get("backend")
             if not isinstance(backend, str):
@@ -165,13 +160,10 @@ class InferenceSession:
         base = config or RuntimeConfig()
         session = cls.__new__(cls)
         session.config = base.replace(
-            threads=threads,
             optimize=bool(fingerprint.get("optimize", base.optimize)),
         ).overridden(**overrides)
         session.backend = backend
-        reason = fingerprint_mismatch(
-            fingerprint, backend, session.config.threads,
-            session.config.optimize)
+        reason = fingerprint_mismatch(fingerprint, backend, session.config)
         if reason is not None:
             raise EngineError(reason)
         session.graph = loaded.graph

@@ -37,6 +37,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.config import RuntimeConfig
 from repro.errors import EngineError, ShapeInferenceError
 from repro.runtime.executor import RobustnessReport
 from repro.runtime.faults import parse_fault_plan
@@ -115,6 +116,7 @@ class SessionPool:
         backends: ordered backend chain; the service's dispatcher walks it
             when circuit breakers trip.
         workers: sessions per backend (= dispatcher thread count).
+        threads: must be 1 (see :class:`~repro.config.RuntimeConfig`).
         batch: the widest batch sessions are prepared at — the dynamic
             batcher coalesces up to this many single-sample requests, and
             a smaller batch runs the smallest of :attr:`buckets` that
@@ -162,6 +164,7 @@ class SessionPool:
         session_kwargs: Mapping[str, Any] | None = None,
         session_factory: Callable[[str, int], Any] | None = None,
     ) -> None:
+        RuntimeConfig(threads=threads)  # any other value raises here
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if not backends:
@@ -195,7 +198,7 @@ class SessionPool:
                     for _ in range(workers)
                 ]
         else:
-            self._build(model, threads=threads, batch=batch,
+            self._build(model, batch=batch,
                         image_size=image_size, seed=seed, optimize=optimize,
                         engine_cache=engine_cache)
         # Per-sample input shape. Every real session carries its graph;
@@ -206,7 +209,7 @@ class SessionPool:
 
     # -- construction ----------------------------------------------------------
 
-    def _build(self, model: Any, threads: int, batch: int,
+    def _build(self, model: Any, batch: int,
                image_size: int | None, seed: int, optimize: bool,
                engine_cache: Any) -> None:
         from repro.engine.cache import EngineCache
@@ -226,12 +229,11 @@ class SessionPool:
             if engine_cache is not None:
                 engine, hit = engine_cache.load_or_compile(
                     graph, model=self.model_name, backend=backend,
-                    threads=threads, optimize=optimize, batch=batch,
+                    optimize=optimize, batch=batch,
                     image_size=image_size, seed=seed)
             else:
                 engine = compile_graph(
-                    graph, backend=backend, threads=threads,
-                    optimize=optimize,
+                    graph, backend=backend, optimize=optimize,
                     metadata={"model": self.model_name, "pool": "serve"})
                 hit = False
             self.engine_hits[backend] = hit

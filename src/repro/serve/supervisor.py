@@ -43,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.config import RuntimeConfig
 from repro.errors import PoisonRequestError, WorkerCrashError
 from repro.serve import worker as worker_mod
 from repro.serve.protocol import pack_arrays, read_frame, unpack_arrays, \
@@ -141,12 +142,14 @@ class WorkerSupervisor:
         model: zoo model name (or ``"@loopback"`` for the diagnostic
             session) — workers rebuild it themselves; graphs are never
             pickled.
-        backends / workers / batch / threads / image_size / seed /
+        backends / workers / batch / image_size / seed /
             optimize / engine_cache / fault_spec / fault_seed /
             session_kwargs: forwarded to every worker's init spec (see
             :mod:`repro.serve.worker`). ``engine_cache`` is a directory
             (``str`` or ``os.PathLike``) or an ``EngineCache``; workers
             are handed its directory so all share the artifact.
+        threads: must be 1 (:class:`~repro.config.RuntimeConfig`); checked
+            before any process spawns.
         heartbeat_interval_s: how often workers beat.
         heartbeat_timeout_s: silence after which a worker is declared
             hung and killed.
@@ -188,6 +191,7 @@ class WorkerSupervisor:
         quarantine_threshold: int = 2,
         spawn_timeout_s: float = 120.0,
     ) -> None:
+        RuntimeConfig(threads=threads)  # any other value raises here
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if not isinstance(model, str):
@@ -219,7 +223,6 @@ class WorkerSupervisor:
             "model": model,
             "backends": list(self.backends),
             "batch": batch,
-            "threads": threads,
             "image_size": image_size,
             "seed": seed,
             "optimize": optimize,

@@ -99,7 +99,6 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
         model,
         backends=backends,
         workers=1,
-        threads=int(spec.get("threads", 1)),
         batch=batch,
         image_size=spec.get("image_size"),
         seed=int(spec.get("seed", 0)),

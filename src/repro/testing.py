@@ -177,8 +177,7 @@ def check_backend(
             continue
         try:
             actual = impl.fn(list(inputs), node,
-                             ExecutionContext(threads=1,
-                                              gemm=backend.gemm_fn))[0]
+                             ExecutionContext(gemm=backend.gemm_fn))[0]
             expected = _reference_output(case, inputs, node)
         except Exception as exc:
             results.append(CaseResult(

@@ -91,7 +91,7 @@ class _PoisonedPrepare(FrameworkAdapter):
     name = "poisoned-prepare"
     display_name = "Poisoned (prepare)"
 
-    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+    def prepare(self, model_name, batch=1, image_size=None,
                 engine_cache=None):
         raise ExecutionError("adapter exploded during prepare")
 
@@ -116,7 +116,7 @@ class _PoisonedRun(FrameworkAdapter):
     name = "poisoned-run"
     display_name = "Poisoned (run)"
 
-    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+    def prepare(self, model_name, batch=1, image_size=None,
                 engine_cache=None):
         return _CrashingModel()
 

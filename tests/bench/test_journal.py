@@ -146,7 +146,7 @@ class TestSweepResume:
         path = tmp_path / "run.jsonl"
         measured = []
 
-        def stub(model, batch, image_size, backend, threads,
+        def stub(model, batch, image_size, backend,
                  repeats, warmup, **kwargs):
             if batch == 4:
                 raise KeyboardInterrupt  # the campaign is killed here
@@ -160,7 +160,7 @@ class TestSweepResume:
                         repeats=1, warmup=0, retries=0, journal=RunJournal(path))
         assert measured == [1, 2]
 
-        def healthy(model, batch, image_size, backend, threads,
+        def healthy(model, batch, image_size, backend,
                     repeats, warmup, **kwargs):
             measured.append(batch)
             return SweepPoint(model=model, batch=batch, image_size=8,
@@ -181,7 +181,7 @@ class TestSweepResume:
         path = tmp_path / "run.jsonl"
         from repro.errors import ExecutionError
 
-        def poisoned(model, batch, image_size, backend, threads,
+        def poisoned(model, batch, image_size, backend,
                      repeats, warmup, **kwargs):
             if batch == 2:
                 raise ExecutionError("poisoned configuration")
@@ -206,7 +206,7 @@ class TestSweepResume:
     def test_changed_protocol_does_not_reuse_cells(self, tmp_path, monkeypatch):
         path = tmp_path / "run.jsonl"
 
-        def stub(model, batch, image_size, backend, threads,
+        def stub(model, batch, image_size, backend,
                  repeats, warmup, **kwargs):
             return SweepPoint(model=model, batch=batch, image_size=8,
                               times=tuple([0.001] * repeats))

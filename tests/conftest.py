@@ -17,7 +17,7 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def ctx() -> ExecutionContext:
-    return ExecutionContext(threads=1)
+    return ExecutionContext()
 
 
 def make_conv_node(

@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import compile_to_file
 from repro.engine.cache import EngineCache, _FileLock
-from repro.engine.format import load_engine
+from repro.engine.format import load_engine, save_engine
 from repro.errors import EngineError, EngineFallbackWarning, MemoryBudgetError
 from repro.runtime.session import InferenceSession
 from tests.conftest import tiny_classifier
@@ -60,10 +60,6 @@ class TestFromEngineStrict:
         """Asserting a different backend is an error, never a re-prepare."""
         with pytest.raises(EngineError):
             InferenceSession.from_engine(engine_path, backend="direct")
-
-    def test_thread_disagreement_raises(self, engine_path):
-        with pytest.raises(EngineError):
-            InferenceSession.from_engine(engine_path, threads=4)
 
     def test_unresolvable_frozen_kernel_raises(self, engine_path):
         """An engine whose frozen kernels vanished is stale, not runnable."""
@@ -109,6 +105,15 @@ class TestFromEngineStrict:
         with pytest.raises(EngineError, match="stale engine"):
             InferenceSession.from_engine(aged)
 
+    def test_two_thread_engine_is_stale(self, engine_path):
+        """An engine whose fingerprint records ``threads: 2`` (older
+        builds could make one) is an EngineError, not a ValueError."""
+        engine = load_engine(engine_path)
+        aged = dataclasses.replace(
+            engine, fingerprint={**engine.fingerprint, "threads": 2})
+        with pytest.raises(EngineError, match="threads"):
+            InferenceSession.from_engine(aged)
+
     def test_budget_admission_runs_on_warm_load(self, engine_path):
         """A warm start must not smuggle an over-budget plan past admission."""
         with pytest.raises(MemoryBudgetError):
@@ -144,7 +149,7 @@ class TestEngineCacheSession:
         cache = EngineCache(tmp_path / "engines")
         cache.session(tiny_classifier(), model="tiny", backend="orpheus")
         _, hit = cache.session(
-            tiny_classifier(), model="tiny", backend="orpheus", threads=2)
+            tiny_classifier(), model="tiny", backend="orpheus", optimize=False)
         assert not hit
         assert len(cache.entries()) == 2
 
@@ -171,7 +176,7 @@ class TestEngineCacheSession:
         """A file compiled from another model under this request's key is
         caught by the source digest, never served."""
         cache = EngineCache(tmp_path / "engines")
-        entry = cache.entry(model="tiny", backend="orpheus", threads=1,
+        entry = cache.entry(model="tiny", backend="orpheus",
                             optimize=True, batch=1, image_size=None, seed=0)
         cache.prepare_dir()
         compile_to_file(tiny_classifier(seed=1, image=16, channels=8),
@@ -185,6 +190,25 @@ class TestEngineCacheSession:
         for name, expected in cold.run(feed).items():
             assert session.run(feed)[name].tobytes() == expected.tobytes()
         _, hit = cache.session(
+            tiny_classifier(), model="tiny", backend="orpheus")
+        assert hit
+
+    def test_two_thread_entry_recompiles(self, tmp_path):
+        """A cached engine whose fingerprint records ``threads: 2`` is a
+        miss: it warns, recompiles, and the re-frozen entry then hits."""
+        cache = EngineCache(tmp_path / "engines")
+        engine, _ = cache.load_or_compile(
+            tiny_classifier(), model="tiny", backend="orpheus")
+        (name,) = cache.entries()
+        save_engine(dataclasses.replace(
+            engine, fingerprint={**engine.fingerprint, "threads": 2}),
+            tmp_path / "engines" / name)
+        with pytest.warns(EngineFallbackWarning, match="threads"):
+            fresh, hit = cache.load_or_compile(
+                tiny_classifier(), model="tiny", backend="orpheus")
+        assert not hit
+        assert fresh.fingerprint["threads"] == 1
+        _, hit = cache.load_or_compile(
             tiny_classifier(), model="tiny", backend="orpheus")
         assert hit
 

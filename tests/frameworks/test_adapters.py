@@ -39,14 +39,11 @@ class TestAvailabilityRules:
 
     def test_tflite_cannot_pin_one_thread(self):
         with pytest.raises(FrameworkUnavailableError, match="maximum number"):
-            get_adapter("tflite").prepare("wrn-40-2", threads=1)
-
-    def test_tflite_runs_multithreaded(self):
-        get_adapter("tflite").prepare("wrn-40-2", threads=4)
+            get_adapter("tflite").prepare("wrn-40-2")
 
     def test_tflite_cannot_import_resnets(self):
         with pytest.raises(FrameworkUnavailableError, match="import"):
-            get_adapter("tflite").prepare("resnet18", threads=4)
+            get_adapter("tflite").prepare("resnet18")
 
     def test_orpheus_tvm_pytorch_run_everything(self):
         for name in ("orpheus", "tvm", "pytorch"):

@@ -86,7 +86,7 @@ class _ScriptedAdapter(FrameworkAdapter):
         self.name = self.display_name = name
         self.samples, self.log = samples, log
 
-    def prepare(self, model_name, batch=1, image_size=None, threads=1,
+    def prepare(self, model_name, batch=1, image_size=None,
                 engine_cache=None):
         return _ScriptedModel(self.name, self.samples, self.log)
 
@@ -122,14 +122,14 @@ class TestQualitativeClaims:
 
     def test_tflite_excluded_from_single_thread_grid(self):
         with pytest.raises(FrameworkUnavailableError):
-            get_adapter("tflite").prepare("mobilenet-v1", threads=1)
+            get_adapter("tflite").prepare("mobilenet-v1")
         grid = run_figure2(models=("mobilenet-v1",), frameworks=("tflite",),
                            repeats=1, warmup=0, image_size=8)
         assert [(e.framework, e.model) for e in grid.exclusions] == [
             ("tflite", "mobilenet-v1")]
         assert _verdicts(grid)["f"] == HOLDS
 
-def _grid(cells, tflite_excluded=(), threads=1):
+def _grid(cells, tflite_excluded=()):
     """A grid from hand-made cells: ``{(framework, model): times in ms}``."""
     measurements = [
         Measurement(framework=framework, model=model,
@@ -141,7 +141,7 @@ def _grid(cells, tflite_excluded=(), threads=1):
                     for model in tflite_excluded],
         models=("wrn-40-2", "mobilenet-v1", "resnet18", "inception-v3"),
         frameworks=("orpheus", "tvm", "pytorch", "darknet", "tflite"),
-        threads=threads, repeats=3)
+        repeats=3)
 
 
 #: The paper's shape: TVM ahead on the small models, Orpheus on
@@ -219,9 +219,6 @@ class TestClaims:
         empty = _grid({})
         assert _verdicts(empty) == dict.fromkeys("abcdef", NOT_MEASURED)
         assert all(claim.value is None for claim in empty.claims())
-        multi_thread = _grid(_PAPER_SHAPE, tflite_excluded=("resnet18",),
-                             threads=4)
-        assert _verdicts(multi_thread)["f"] == NOT_MEASURED
 
     def test_table_prints_one_row_per_claim(self):
         lines = _grid(_PAPER_SHAPE).claims_table().splitlines()

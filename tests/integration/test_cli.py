@@ -88,7 +88,7 @@ class TestWarmRunProfile:
         assert "argmax" in capsys.readouterr().out
 
     def test_flag_the_engine_disagrees_with_exits_1(self, engines, capsys):
-        assert main(["run", engines["orpheus"], "--threads", "2"]) == 1
+        assert main(["run", engines["orpheus"], "--backend", "direct"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()

@@ -41,14 +41,6 @@ class TestFullPipeline:
         np.testing.assert_allclose(
             base["output"], other["output"], rtol=1e-3, atol=1e-5)
 
-    def test_multithreaded_matches_single_thread(self):
-        graph = zoo.build("wrn-40-2")
-        x = model_input("wrn-40-2")
-        one = InferenceSession(graph, threads=1).run({"input": x})
-        four = InferenceSession(graph, threads=4).run({"input": x})
-        np.testing.assert_allclose(one["output"], four["output"],
-                                   rtol=1e-4, atol=1e-6)
-
     def test_validate_kernels_mode_full_model(self):
         from repro.config import RuntimeConfig
         graph = zoo.build("wrn-40-2", image_size=16)

@@ -1,63 +1,8 @@
-"""The parallel_for substrate and the per-layer autotuner."""
+"""The per-layer autotuner."""
 
-import threading
-
-import numpy as np
-import pytest
-
-from repro.parallel import chunk_ranges, parallel_for
 from repro.passes import default_pipeline
 from repro.runtime.autotune import autotune
 from tests.conftest import tiny_classifier
-
-
-class TestChunkRanges:
-    def test_covers_range_exactly(self):
-        spans = chunk_ranges(10, 3)
-        covered = [i for start, stop in spans for i in range(start, stop)]
-        assert covered == list(range(10))
-
-    def test_at_most_requested_chunks(self):
-        assert len(chunk_ranges(10, 3)) == 3
-        assert len(chunk_ranges(2, 8)) == 2
-
-    def test_empty(self):
-        assert chunk_ranges(0, 4) == []
-
-    def test_balanced(self):
-        sizes = [stop - start for start, stop in chunk_ranges(10, 3)]
-        assert max(sizes) - min(sizes) <= 1
-
-
-class TestParallelFor:
-    def test_single_thread_runs_inline(self):
-        thread_ids = []
-        parallel_for(100, lambda a, b: thread_ids.append(
-            threading.get_ident()), threads=1)
-        assert thread_ids == [threading.get_ident()]
-
-    def test_multi_thread_covers_all_work(self):
-        done = np.zeros(1000, dtype=np.int64)
-
-        def body(start, stop):
-            done[start:stop] += 1
-
-        parallel_for(1000, body, threads=4)
-        assert (done == 1).all()
-
-    def test_worker_exception_propagates(self):
-        def body(start, stop):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            parallel_for(10, body, threads=2)
-
-    def test_zero_items_is_noop(self):
-        parallel_for(0, lambda a, b: pytest.fail("should not run"), threads=2)
-
-    def test_invalid_threads_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_for(5, lambda a, b: None, threads=0)
 
 
 class TestAutotune:

@@ -19,7 +19,6 @@ from tests.conftest import tiny_classifier
 #: A non-default value per field. Keyed by name so that a new field without
 #: an entry fails `test_every_field_has_a_value` instead of going untested.
 _VALUES = {
-    "threads": 2,
     "optimize": False,
     "validate_kernels": True,
     "kernel_fallback": False,
@@ -29,15 +28,17 @@ _VALUES = {
     "node_timeout_ms": 30_000.0,
     "memory_budget_bytes": 1 << 30,
 }
-_FIELDS = [field.name for field in dataclasses.fields(RuntimeConfig)]
+#: Every field but ``threads``, which has no second legal value.
+_FIELDS = [field.name for field in dataclasses.fields(RuntimeConfig)
+           if field.name != "threads"]
 #: Frozen into an engine's fingerprint; `from_engine` only asserts them.
-_PREPARE_TIME = ("threads", "optimize")
+_PREPARE_TIME = ("optimize",)
 _RUN_TIME = [name for name in _FIELDS if name not in _PREPARE_TIME]
 
 
 @pytest.fixture(scope="module")
 def engine():
-    """tiny_classifier compiled at the defaults: 1 thread, optimised."""
+    """tiny_classifier compiled at the defaults: optimised."""
     return compile_graph(tiny_classifier(), backend="orpheus", threads=1)
 
 
@@ -63,8 +64,9 @@ class TestInferenceSession:
 
     def test_keyword_beats_base_config(self):
         session = InferenceSession(
-            tiny_classifier(), config=RuntimeConfig(threads=4), threads=2)
-        assert session.config.threads == 2
+            tiny_classifier(), config=RuntimeConfig(deadline_ms=1e3),
+            deadline_ms=2e3)
+        assert session.config.deadline_ms == 2e3
 
 
 class TestFromEngine:
@@ -92,8 +94,8 @@ class TestFromEngine:
     def test_prepare_time_fields_come_from_the_engine_not_the_config(
             self, engine):
         session = InferenceSession.from_engine(
-            engine, config=RuntimeConfig(threads=4, optimize=False))
-        assert (session.config.threads, session.config.optimize) == (1, True)
+            engine, config=RuntimeConfig(optimize=False))
+        assert session.config.optimize
 
 
 class TestRejected:

@@ -61,11 +61,6 @@ class TestSession:
                     outputs[key], base[key], rtol=1e-3, atol=1e-5,
                     err_msg=f"backend {name} diverges")
 
-    def test_threads_override(self, feed):
-        session = InferenceSession(tiny_classifier(), threads=2)
-        assert session.config.threads == 2
-        session.run(feed)
-
     def test_config_object_respected(self, feed):
         config = RuntimeConfig(threads=1, validate_kernels=True)
         session = InferenceSession(tiny_classifier(), config=config)
