@@ -19,18 +19,18 @@ Layout (all integers little-endian)::
     30+H+G+P+W  4     crc32 over everything before this field (u32)
 
 Weights deliberately do not ride inside the ONNX bytes: the from-scratch
-protobuf reader walks messages in Python, which is fine for structure
-(kilobytes) and hopeless for payloads (ResNet-50 carries ~100 MB). The
-header's ``weights`` index maps each initializer to ``[offset, nbytes,
-dtype, shape]`` inside the raw section, and loading reconstructs arrays as
-views into one buffer — this is what makes warm startup an order of
-magnitude faster than cold prepare. Because the file pads the weight
-section to a :data:`WEIGHT_ALIGN` boundary, :func:`load_engine` can read
-the whole file straight into one aligned buffer and hand out *zero-copy*
-views; :func:`parse_engine` on arbitrary ``bytes`` falls back to a single
-bulk copy when the buffer happens to be misaligned. Either way every view
-is read-only, which doubles as a guarantee: nothing can silently mutate a
-loaded engine's weights.
+protobuf reader decodes without copying, but then copies each payload once
+into an array of its own (ResNet-50 carries ~100 MB); the raw section needs
+no copy at all. The header's ``weights`` index maps each initializer to
+``[offset, nbytes, dtype, shape]`` inside the raw section, and loading
+reconstructs arrays as views into one buffer — this is what makes warm
+startup an order of magnitude faster than cold prepare. Because the file
+pads the weight section to a :data:`WEIGHT_ALIGN` boundary,
+:func:`load_engine` can read the whole file straight into one aligned
+buffer and hand out *zero-copy* views; :func:`parse_engine` on arbitrary
+``bytes`` falls back to a single bulk copy when the buffer happens to be
+misaligned. Either way every view is read-only, which doubles as a
+guarantee: nothing can silently mutate a loaded engine's weights.
 
 The JSON header carries everything else prepare computes: the execution
 schedule, per-node kernel choice and fallback chain, inferred value

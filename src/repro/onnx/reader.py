@@ -89,8 +89,12 @@ def graph_from_proto(proto: GraphProto) -> Graph:
     return graph
 
 
-def load_model_bytes(data: bytes) -> Graph:
-    """Parse serialized ONNX ``ModelProto`` bytes into a framework graph."""
+def load_model_bytes(data: "bytes | bytearray | memoryview") -> Graph:
+    """Parse serialized ONNX ``ModelProto`` bytes into a framework graph.
+
+    Decoding copies nothing; each initializer is then copied out once, so
+    the returned graph shares no memory with ``data``.
+    """
     model = ModelProto.parse(data)
     if model.graph is None:
         raise OnnxError("model has no graph")

@@ -33,15 +33,15 @@ def _expect(wire_type: int, expected: int, message: str, field: int) -> None:
             f"expected {expected}")
 
 
-def _string(value: "int | bytes", message: str, field: int) -> str:
-    if not isinstance(value, bytes):
+def _string(value: "int | memoryview", message: str, field: int) -> str:
+    if not isinstance(value, memoryview):
         raise OnnxError(f"{message}: field {field} is not length-delimited")
-    return value.decode("utf-8")
+    return str(value, "utf-8")
 
 
-def _bytes(value: "int | bytes", message: str, field: int) -> bytes:
+def _bytes(value: "int | memoryview", message: str, field: int) -> memoryview:
     """Nested-message payload: must be length-delimited."""
-    if not isinstance(value, bytes):
+    if not isinstance(value, memoryview):
         raise OnnxError(f"{message}: field {field} is not a submessage")
     return value
 
@@ -82,7 +82,7 @@ class TensorProto:
     double_data: list[float] = dataclasses.field(default_factory=list)
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "TensorProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "TensorProto":
         proto = cls()
         dims: list[int] = []
         for field, wire_type, value in iter_fields(data, depth):
@@ -94,7 +94,8 @@ class TensorProto:
                 else:
                     raise OnnxError(
                         f"TensorProto.dims: invalid wire type {wire_type}")
-            elif field == 2 and wire_type == VARINT:
+            elif field == 2:
+                _expect(wire_type, VARINT, "TensorProto.data_type", field)
                 proto.data_type = value
             elif field == 4:  # float_data (packed)
                 _expect(wire_type, LENGTH_DELIMITED, "TensorProto.float_data", field)
@@ -109,7 +110,7 @@ class TensorProto:
                 proto.name = _string(value, "TensorProto.name", field)
             elif field == 9:
                 _expect(wire_type, LENGTH_DELIMITED, "TensorProto.raw_data", field)
-                proto.raw_data = bytes(value)
+                proto.raw_data = value  # a view; to_numpy makes the copy
             elif field == 10:
                 _expect(wire_type, LENGTH_DELIMITED, "TensorProto.double_data", field)
                 proto.double_data.extend(wire.decode_packed_doubles(value))
@@ -182,6 +183,11 @@ class TensorProto:
         if array.size != count:
             raise OnnxError(
                 f"tensor {self.name!r}: {array.size} elements, dims say {count}")
+        # The one copy of each weight a load makes, kept on purpose: raw_data
+        # is a view at an arbitrary file offset, so an array over it would be
+        # misaligned (BLAS takes differently rounded paths on such buffers,
+        # see engine/format.py::_aligned_blob), read-only, and would pin the
+        # whole file buffer for as long as any one initializer lives.
         return array.reshape(self.dims).copy()
 
     @classmethod
@@ -227,14 +233,16 @@ class AttributeProto:
     strings: list[bytes] = dataclasses.field(default_factory=list)
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "AttributeProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "AttributeProto":
         proto = cls()
         for field, wire_type, value in iter_fields(data, depth):
             if field == 1:
                 proto.name = _string(value, "AttributeProto.name", field)
-            elif field == 2 and wire_type == FIXED32:
+            elif field == 2:
+                _expect(wire_type, FIXED32, "AttributeProto.f", field)
                 proto.f = wire.fixed32_to_float(value)
-            elif field == 3 and wire_type == VARINT:
+            elif field == 3:
+                _expect(wire_type, VARINT, "AttributeProto.i", field)
                 proto.i = wire.varint_to_int64(value)
             elif field == 4:
                 _expect(wire_type, LENGTH_DELIMITED, "AttributeProto.s", field)
@@ -262,7 +270,8 @@ class AttributeProto:
             elif field == 9:
                 _expect(wire_type, LENGTH_DELIMITED, "AttributeProto.strings", field)
                 proto.strings.append(bytes(value))
-            elif field == 20 and wire_type == VARINT:
+            elif field == 20:
+                _expect(wire_type, VARINT, "AttributeProto.type", field)
                 proto.type = value
         return proto
 
@@ -364,7 +373,7 @@ class NodeProto:
     domain: str = ""
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "NodeProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "NodeProto":
         proto = cls()
         for field, _wire_type, value in iter_fields(data, depth):
             if field == 1:
@@ -411,7 +420,7 @@ class ValueInfoProto:
     dims: list["int | str"] = dataclasses.field(default_factory=list)
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "ValueInfoProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "ValueInfoProto":
         proto = cls()
         for field, _wire_type, value in iter_fields(data, depth):
             if field == 1:
@@ -421,27 +430,29 @@ class ValueInfoProto:
                     _bytes(value, "ValueInfoProto.type", field), depth + 1)
         return proto
 
-    def _parse_type(self, data: bytes, depth: int) -> None:
+    def _parse_type(self, data: memoryview, depth: int) -> None:
         for field, _wire_type, value in iter_fields(data, depth):
             if field == 1:  # TypeProto.Tensor
                 for tfield, twire, tvalue in iter_fields(
                         _bytes(value, "TypeProto.tensor_type", field),
                         depth + 1):
-                    if tfield == 1 and twire == VARINT:
+                    if tfield == 1:
+                        _expect(twire, VARINT, "TypeProto.elem_type", tfield)
                         self.elem_type = tvalue
                     elif tfield == 2:  # TensorShapeProto
                         self._parse_shape(
                             _bytes(tvalue, "TensorShapeProto", tfield),
                             depth + 2)
 
-    def _parse_shape(self, data: bytes, depth: int) -> None:
+    def _parse_shape(self, data: memoryview, depth: int) -> None:
         for field, _wire_type, value in iter_fields(data, depth):
             if field == 1:  # Dimension
                 dim: int | str = -1
                 for dfield, dwire, dvalue in iter_fields(
                         _bytes(value, "TensorShapeProto.dim", field),
                         depth + 1):
-                    if dfield == 1 and dwire == VARINT:
+                    if dfield == 1:
+                        _expect(dwire, VARINT, "Dimension.dim_value", dfield)
                         dim = wire.varint_to_int64(dvalue)
                     elif dfield == 2:
                         dim = _string(dvalue, "Dimension.dim_param", dfield)
@@ -483,7 +494,7 @@ class GraphProto:
     output: list[ValueInfoProto] = dataclasses.field(default_factory=list)
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "GraphProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "GraphProto":
         proto = cls()
         for field, _wire_type, value in iter_fields(data, depth):
             if field == 1:
@@ -527,12 +538,13 @@ class OperatorSetIdProto:
     version: int = 13
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "OperatorSetIdProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "OperatorSetIdProto":
         proto = cls()
         for field, wire_type, value in iter_fields(data, depth):
             if field == 1:
                 proto.domain = _string(value, "OperatorSetIdProto.domain", field)
-            elif field == 2 and wire_type == VARINT:
+            elif field == 2:
+                _expect(wire_type, VARINT, "OperatorSetIdProto.version", field)
                 proto.version = wire.varint_to_int64(value)
         return proto
 
@@ -554,17 +566,19 @@ class ModelProto:
     opset_import: list[OperatorSetIdProto] = dataclasses.field(default_factory=list)
 
     @classmethod
-    def parse(cls, data: bytes, depth: int = 0) -> "ModelProto":
+    def parse(cls, data: "bytes | memoryview", depth: int = 0) -> "ModelProto":
         proto = cls(producer_name="", producer_version="", opset_import=[])
         for field, wire_type, value in iter_fields(data, depth):
-            if field == 1 and wire_type == VARINT:
+            if field == 1:
+                _expect(wire_type, VARINT, "ModelProto.ir_version", field)
                 proto.ir_version = wire.varint_to_int64(value)
             elif field == 2:
                 proto.producer_name = _string(value, "ModelProto.producer_name", field)
             elif field == 3:
                 proto.producer_version = _string(
                     value, "ModelProto.producer_version", field)
-            elif field == 5 and wire_type == VARINT:
+            elif field == 5:
+                _expect(wire_type, VARINT, "ModelProto.model_version", field)
                 proto.model_version = wire.varint_to_int64(value)
             elif field == 7:
                 proto.graph = GraphProto.parse(

@@ -179,15 +179,22 @@ class MessageWriter:
         return b"".join(self._chunks)
 
 
-Field = tuple[int, int, "int | bytes"]
+#: (field_number, wire_type, value): an int for varint and fixed fields, a
+#: ``memoryview`` slice sharing the input's memory for length-delimited ones.
+Field = tuple[int, int, "int | memoryview"]
 
 
-def iter_fields(data: bytes, depth: int = 0) -> Iterator[Field]:
+def iter_fields(data: "bytes | bytearray | memoryview",
+                depth: int = 0) -> Iterator[Field]:
     """Yield (field_number, wire_type, raw_value) for each field in ``data``.
 
-    Varint/fixed values come out as ints (fixed ones as raw little-endian
-    ints — reinterpret with :func:`fixed32_to_float` etc.); length-delimited
-    values come out as bytes.
+    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview``. Varint/fixed
+    values come out as ints (fixed ones as raw little-endian ints —
+    reinterpret with :func:`fixed32_to_float` etc.); length-delimited values
+    come out as ``memoryview`` slices that share the input's memory, so a
+    nested message or a tensor payload is never copied by decoding it. A
+    kept view keeps the whole input alive; ``bytes(value)`` keeps only its
+    own bytes.
 
     ``depth`` is the message-nesting level: callers recursing into a
     submessage pass ``depth + 1``, and depths beyond
@@ -205,6 +212,7 @@ def iter_fields(data: bytes, depth: int = 0) -> Iterator[Field]:
     # once per field), so the overwhelmingly common single-byte varints —
     # field numbers below 16, values and lengths below 128 — are decoded
     # inline instead of through decode_tag/decode_varint calls.
+    data = memoryview(data)
     pos = 0
     end = len(data)
     while pos < end:

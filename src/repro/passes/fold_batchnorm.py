@@ -78,7 +78,11 @@ class FoldBatchNorm(GraphPass):
         multiplier = scale / np.sqrt(var + epsilon)
 
         shaped = multiplier.reshape((-1,) + (1,) * (weight.ndim - 1))
-        new_weight = (weight.astype(np.float64) * shaped).astype(weight.dtype)
+        # Multiplied in float64 and rounded once into the weight's dtype,
+        # with no float64 copy of the weight: numpy casts it block by block.
+        new_weight = np.empty_like(weight)
+        np.multiply(weight, shaped, out=new_weight, dtype=np.float64,
+                    casting="same_kind")
 
         if len(upstream.inputs) > 2 and upstream.inputs[2]:
             old_bias = graph.initializers.get(upstream.inputs[2])

@@ -20,6 +20,7 @@ from repro.onnx.schema import (
     TensorProto,
     ValueInfoProto,
 )
+from repro.onnx.wire import MessageWriter
 
 
 class TestTensorProto:
@@ -177,3 +178,65 @@ class TestModelProto:
         data = model.serialize() + MessageWriter().varint(63, 9).finish()
         back = ModelProto.parse(data)
         assert back.graph.name == "g"
+
+
+def _scalar_as(field, wire_type):
+    """One field ``field``, encoded with ``wire_type`` whatever it should be."""
+    writer = MessageWriter()
+    if wire_type == "bytes":
+        return writer.bytes_field(field, b"\x05").finish()
+    if wire_type == "fixed32":
+        return writer.fixed32(field, 1.0).finish()
+    return writer.varint(field, 1).finish()
+
+
+def _value_info(tensor_type):
+    """A ValueInfoProto named "x" around a TypeProto.Tensor body."""
+    type_proto = MessageWriter().message(1, tensor_type)
+    return MessageWriter().string(1, "x").message(2, type_proto).finish()
+
+
+class TestScalarWireTypes:
+    """A scalar field with the wrong wire type is an error, not a default."""
+
+    @pytest.mark.parametrize("cls, field, wire_type, name", [
+        (TensorProto, 2, "bytes", "TensorProto.data_type"),
+        (OperatorSetIdProto, 2, "bytes", "OperatorSetIdProto.version"),
+        (AttributeProto, 2, "bytes", "AttributeProto.f"),
+        (AttributeProto, 2, "varint", "AttributeProto.f"),
+        (AttributeProto, 3, "bytes", "AttributeProto.i"),
+        (AttributeProto, 3, "fixed32", "AttributeProto.i"),
+        (AttributeProto, 20, "bytes", "AttributeProto.type"),
+        (ModelProto, 1, "bytes", "ModelProto.ir_version"),
+        (ModelProto, 5, "bytes", "ModelProto.model_version"),
+    ])
+    def test_mistyped_scalar_rejected(self, cls, field, wire_type, name):
+        with pytest.raises(OnnxError, match=f"{name}: field {field} has wire type"):
+            cls.parse(_scalar_as(field, wire_type))
+
+    def test_mistyped_elem_type_rejected(self):
+        tensor_type = MessageWriter().bytes_field(1, b"\x05")
+        with pytest.raises(OnnxError, match="TypeProto.elem_type"):
+            ValueInfoProto.parse(_value_info(tensor_type))
+
+    def test_mistyped_dim_value_rejected(self):
+        shape = MessageWriter().message(1, MessageWriter().bytes_field(1, b"\x05"))
+        tensor_type = MessageWriter().varint(1, 1).message(2, shape)
+        with pytest.raises(OnnxError, match="Dimension.dim_value"):
+            ValueInfoProto.parse(_value_info(tensor_type))
+
+    def test_load_rejects_length_delimited_opset_version(self):
+        """Once parsed as the default opset 13 and passed the range check."""
+        from repro.onnx import load_model_bytes
+        model = ModelProto(graph=GraphProto(name="g"))
+        opset = MessageWriter().bytes_field(2, b"\x63")  # "version 99"
+        data = model.serialize() + MessageWriter().message(8, opset).finish()
+        with pytest.raises(OnnxError, match="OperatorSetIdProto.version"):
+            load_model_bytes(data)
+
+    def test_length_delimited_data_type_not_read_as_float(self):
+        """Once decoded these 8 bytes as two float32 values."""
+        data = (MessageWriter().varint(1, 2).bytes_field(2, b"\x07")
+                .bytes_field(9, bytes(8)).finish())
+        with pytest.raises(OnnxError, match="TensorProto.data_type"):
+            TensorProto.parse(data)

@@ -106,6 +106,45 @@ class TestWriterFootprint:
                 graph.initializers[name].shape
 
 
+_ZOO_MODELS = ["inception-v3", "mobilenet-v1", "resnet18", "resnet50",
+               "squeezenet", "wrn-40-2"]
+
+
+class TestReaderFootprint:
+    """What ``load_model_bytes`` allocates and keeps, counted, not timed."""
+
+    @pytest.mark.parametrize("model", _ZOO_MODELS)
+    def test_reader_copies_each_weight_once(self, model):
+        """The load's peak is the initializers it returns plus small change.
+
+        Copying every length-delimited slice (graph, tensor, raw_data)
+        before the initializer copy peaked at 2.08-2.44x these bytes.
+        """
+        import tracemalloc
+
+        from repro.models import zoo
+        data = save_model_bytes(zoo.build(model))
+        tracemalloc.start()
+        try:
+            graph = load_model_bytes(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weight_bytes = sum(a.nbytes for a in graph.initializers.values())
+        assert peak <= 1.10 * weight_bytes + 64 * 1024, (peak, weight_bytes)
+
+    @pytest.mark.parametrize("model", _ZOO_MODELS)
+    def test_initializers_own_their_memory(self, model):
+        """No initializer is a view of the file bytes, and all are writeable."""
+        from repro.models import zoo
+        data = save_model_bytes(zoo.build(model))
+        graph = load_model_bytes(data)
+        source = np.frombuffer(data, dtype=np.uint8)
+        for name, array in graph.initializers.items():
+            assert not np.shares_memory(array, source), name
+            assert array.flags.writeable, name
+
+
 class TestReaderValidation:
     def test_unsupported_op_rejected(self):
         graph = GraphProto(

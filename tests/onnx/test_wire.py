@@ -112,7 +112,7 @@ class TestMessageWriterAndIter:
     def test_string_field(self):
         data = MessageWriter().string(3, "héllo").finish()
         [(field, _, value)] = list(iter_fields(data))
-        assert value.decode("utf-8") == "héllo"
+        assert str(value, "utf-8") == "héllo"
 
     def test_fixed32_field(self):
         data = MessageWriter().fixed32(4, 1.5).finish()
@@ -172,6 +172,38 @@ class TestMessageWriterAndIter:
         data = encode_tag(1, wire.FIXED32) + b"\x00\x00"
         with pytest.raises(WireFormatError, match="truncated fixed32"):
             list(iter_fields(data))
+
+
+_BUFFER_TYPES = [bytes, bytearray, memoryview]
+
+
+class TestZeroCopy:
+    """Length-delimited values are views of the input, never copies."""
+
+    @pytest.mark.parametrize("kind", _BUFFER_TYPES)
+    def test_slice_shares_the_input_buffer(self, kind):
+        payload = bytes(range(200))
+        inner = MessageWriter().bytes_field(9, payload)
+        data = kind(MessageWriter().varint(1, 3).message(7, inner).finish())
+        owner = data.obj if isinstance(data, memoryview) else data
+        [_, (_, wtype, graph)] = list(iter_fields(data))
+        [(_, _, tensor)] = list(iter_fields(graph))
+        assert wtype == wire.LENGTH_DELIMITED
+        assert isinstance(graph, memoryview) and isinstance(tensor, memoryview)
+        assert graph.obj is owner and tensor.obj is owner
+        assert tensor == payload
+
+    @pytest.mark.parametrize("kind", _BUFFER_TYPES)
+    def test_overrun_guard_on_every_buffer_type(self, kind):
+        data = kind(encode_tag(1, wire.LENGTH_DELIMITED) + encode_varint(100))
+        with pytest.raises(WireFormatError, match="overruns"):
+            list(iter_fields(data))
+
+    @pytest.mark.parametrize("kind", _BUFFER_TYPES)
+    def test_depth_guard_on_every_buffer_type(self, kind):
+        data = kind(MessageWriter().varint(1, 7).finish())
+        with pytest.raises(WireFormatError, match="nesting"):
+            list(iter_fields(data, depth=wire.MAX_MESSAGE_DEPTH + 1))
 
 
 class TestPacked:
