@@ -85,13 +85,15 @@ def graph_digest(graph: Graph) -> str:
             value = attrs[key]
             if isinstance(value, np.ndarray):
                 feed("attr", key, value.shape, value.dtype.str,
-                     zlib.adler32(np.ascontiguousarray(value).tobytes()))
+                     zlib.adler32(np.ascontiguousarray(value)))
             else:
                 feed("attr", key, value)
     for name in sorted(graph.initializers):
+        # adler32 reads the contiguous array's own buffer: no copy of the
+        # weights. ``array.shape`` is the contiguous one (``(1,)`` for a 0-d
+        # initializer), kept so that existing digests do not change.
         array = np.ascontiguousarray(graph.initializers[name])
-        feed("init", name, array.shape, array.dtype.str,
-             zlib.adler32(array.tobytes()))
+        feed("init", name, array.shape, array.dtype.str, zlib.adler32(array))
     return hasher.hexdigest()
 
 

@@ -32,6 +32,16 @@ buffer and hand out *zero-copy* views; :func:`parse_engine` on arbitrary
 misaligned. Either way every view is read-only, which doubles as a
 guarantee: nothing can silently mutate a loaded engine's weights.
 
+Writing streams. The weight index (offsets and padding) is computed
+without touching a payload, and every check that can fail — dtypes and
+the three size caps — runs before the first byte goes out. The chunks
+then follow in file order: prefix, header, graph section, padding, and
+each payload as a byte view of its C-contiguous array, with
+``zlib.crc32(chunk, crc)`` folded in once per chunk. :func:`save_engine`
+therefore holds at most one initializer's worth of copies (a
+non-contiguous one, made contiguous as it is reached) and
+:func:`serialize_engine`'s result is its only full-size allocation.
+
 The JSON header carries everything else prepare computes: the execution
 schedule, per-node kernel choice and fallback chain, inferred value
 types, tuned overrides, and the host/config fingerprint. Keys are sorted
@@ -54,11 +64,13 @@ verified before any JSON or protobuf decoding happens, and every failure
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -165,18 +177,21 @@ class Engine:
 WEIGHT_ALIGN = 64
 
 
-def _pack_weights(graph: Graph) -> tuple[dict[str, list], bytes]:
-    """Build the raw weight section and its header index.
+def _index_weights(
+    graph: Graph,
+) -> tuple[dict[str, list], list[tuple[int, np.ndarray]], int]:
+    """Lay out the raw weight section without copying a payload.
 
-    Payloads are concatenated in sorted-name order — a deterministic
-    layout is half of the byte-stability contract — and zero-padded so
-    each starts :data:`WEIGHT_ALIGN`-aligned within the blob.
+    Payloads go in sorted-name order — a deterministic layout is half of
+    the byte-stability contract — each zero-padded to start
+    :data:`WEIGHT_ALIGN`-aligned within the section. Returns the header
+    index, ``(padding, array)`` pairs in that order, and the section length.
     """
     index: dict[str, list] = {}
-    chunks: list[bytes] = []
+    payloads: list[tuple[int, np.ndarray]] = []
     offset = 0
     for name in sorted(graph.initializers):
-        array = np.ascontiguousarray(graph.initializers[name])
+        array = np.asarray(graph.initializers[name])
         try:
             dtype = DType.from_numpy(array.dtype)
         except ValueError as exc:
@@ -184,14 +199,12 @@ def _pack_weights(graph: Graph) -> tuple[dict[str, list], bytes]:
                 f"initializer {name!r} has unserializable dtype "
                 f"{array.dtype}: {exc}") from exc
         padding = -offset % WEIGHT_ALIGN
-        if padding:
-            chunks.append(b"\x00" * padding)
-            offset += padding
-        payload = array.tobytes()
-        index[name] = [offset, len(payload), dtype.value, list(array.shape)]
-        chunks.append(payload)
-        offset += len(payload)
-    return index, b"".join(chunks)
+        offset += padding
+        # The array's own shape: a 0-d initializer must reload as 0-d.
+        index[name] = [offset, array.nbytes, dtype.value, list(array.shape)]
+        payloads.append((padding, array))
+        offset += array.nbytes
+    return index, payloads, offset
 
 
 def _structure_only(graph: Graph) -> Graph:
@@ -216,9 +229,13 @@ def _structure_only(graph: Graph) -> Graph:
     )
 
 
-def serialize_engine(engine: Engine) -> bytes:
-    """Engine -> container bytes. Deterministic for a given engine."""
-    weight_index, weights_blob = _pack_weights(engine.graph)
+def _container(engine: Engine) -> Iterator[bytes | memoryview]:
+    """The container's bytes before the crc, as a stream of chunks.
+
+    Every check that can fail runs here, before the stream is returned;
+    iterating it only hands out the chunks (see the module docstring).
+    """
+    weight_index, payloads, weights_len = _index_weights(engine.graph)
     header = {
         "fingerprint": engine.fingerprint,
         "schedule": list(engine.schedule),
@@ -246,38 +263,80 @@ def serialize_engine(engine: Engine) -> bytes:
         raise EngineError(
             f"embedded graph is {len(graph_bytes)} bytes, over the "
             f"{MAX_GRAPH_BYTES}-byte cap")
-    if len(weights_blob) > MAX_WEIGHT_BYTES:
+    if weights_len > MAX_WEIGHT_BYTES:
         raise EngineError(
-            f"weight section is {len(weights_blob)} bytes, over the "
+            f"weight section is {weights_len} bytes, over the "
             f"{MAX_WEIGHT_BYTES}-byte cap")
     blob_start = (_PREFIX.size + len(header_bytes) + 2 * _SECTION_LEN.size
                   + len(graph_bytes))
-    body = b"".join((
+    head = (
         _PREFIX.pack(MAGIC, ENGINE_FORMAT_VERSION, len(header_bytes)),
         header_bytes,
         _SECTION_LEN.pack(len(graph_bytes)),
         graph_bytes,
-        _SECTION_LEN.pack(len(weights_blob)),
+        _SECTION_LEN.pack(weights_len),
         # File-level alignment: with the weight section starting on a
         # WEIGHT_ALIGN boundary *in the file*, a loader that reads into an
         # aligned buffer gets aligned zero-copy weight views for free.
         b"\x00" * (-blob_start % WEIGHT_ALIGN),
-        weights_blob,
-    ))
-    return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+    )
+    return _stream(head, payloads)
+
+
+def _stream(
+    head: tuple[bytes, ...], payloads: list[tuple[int, np.ndarray]],
+) -> Iterator[bytes | memoryview]:
+    """``head``, then each payload's padding and byte view, in order."""
+    yield from head
+    for padding, array in payloads:
+        if padding:
+            yield b"\x00" * padding
+        if array.size:
+            yield memoryview(np.ascontiguousarray(array)).cast("B")
+
+
+def serialize_engine(engine: Engine) -> bytes:
+    """Engine -> container bytes. Deterministic for a given engine.
+
+    The result is the one full-size allocation: it is joined once from
+    views of the weights' own memory.
+    """
+    chunks = list(_container(engine))
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    chunks.append(_CRC.pack(crc))
+    return b"".join(chunks)
 
 
 def save_engine(engine: Engine, path: str | os.PathLike[str]) -> int:
-    """Write ``engine`` to ``path`` atomically; returns bytes written."""
-    data = serialize_engine(engine)
+    """Write ``engine`` to ``path`` atomically; returns bytes written.
+
+    The container streams into ``<path>.tmp.<pid>`` chunk by chunk, the
+    crc updated as each goes out, so no full-file buffer exists; the tmp
+    file then replaces ``path``. Any failure — an unwritable dtype or an
+    oversized section before the tmp file is opened, a write or fsync
+    error after — leaves ``path`` as it was and no tmp file behind.
+    """
+    chunks = _container(engine)
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return len(data)
+    crc = written = 0
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+                written += len(chunk)
+            handle.write(_CRC.pack(crc))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+    return written + _CRC.size
 
 
 # -- parsing ---------------------------------------------------------------------
