@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.ir.graph import Graph, ValueInfo
 from repro.ir.node import Node
-from repro.ir.shape_inference import infer_shapes
+from repro.ir.shape_inference import InferenceContext, ValueType, infer_node
 from repro.tensor.dtype import DType
 
 
@@ -36,13 +36,19 @@ class GraphBuilder:
     Weight tensors are drawn from a seeded generator so any model built with
     the same seed is bit-identical — the reproducibility requirement for the
     benchmark harness.
+
+    Types are tracked in linear time: inputs and constants record their own
+    (shape, dtype), and each appended node is typed once by
+    :func:`~repro.ir.shape_inference.infer_node` from the values defined so
+    far, so building never re-infers the whole graph.
     """
 
     def __init__(self, name: str = "graph", seed: int = 0) -> None:
         self._graph = Graph(name=name)
         self._rng = np.random.default_rng(seed)
         self._counter = 0
-        self._shapes: dict[str, tuple[int, ...]] = {}
+        self._types: dict[str, ValueType] = {}
+        self._ctx = InferenceContext(self._graph)
 
     # -- naming & values -------------------------------------------------------
 
@@ -54,20 +60,24 @@ class GraphBuilder:
     def input(
         self, name: str, shape: Sequence[int], dtype: DType = DType.FLOAT32
     ) -> str:
-        self._graph.inputs.append(ValueInfo(name, tuple(shape), dtype))
-        self._shapes[name] = tuple(int(dim) for dim in shape)
+        info = ValueInfo(name, tuple(shape), dtype)
+        self._graph.inputs.append(info)
+        self._types[name] = (info.shape, dtype)
         return name
 
     def output(self, value: str, dtype: DType = DType.FLOAT32) -> str:
-        shape = self._shapes.get(value, ())
+        shape = self._types[value][0] if value in self._types else ()
         self._graph.outputs.append(ValueInfo(value, shape, dtype))
         return value
 
     def constant(self, array: np.ndarray, hint: str = "const") -> str:
         """Register ``array`` as a named initializer and return the name."""
         name = self.fresh(hint)
-        self._graph.add_initializer(name, np.ascontiguousarray(array))
-        self._shapes[name] = tuple(array.shape)
+        # asarray, not ascontiguousarray: the latter turns a 0-d array into (1,).
+        array = np.asarray(array, order="C")
+        self._graph.add_initializer(name, array)
+        self._types[name] = (array.shape, DType.from_numpy(array.dtype))
+        self._ctx.add_constant(name, array)
         return name
 
     def weight(
@@ -78,12 +88,15 @@ class GraphBuilder:
         if scale is None:
             fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
             scale = float(np.sqrt(2.0 / max(fan_in, 1)))
-        data = (self._rng.standard_normal(shape) * scale).astype(np.float32)
-        return self.constant(data, hint)
+        # Scale the float64 draw in place: the same values as ``draw * scale``
+        # without a second weight-sized float64 temporary on the heap.
+        draw = self._rng.standard_normal(shape)
+        draw *= scale
+        return self.constant(draw.astype(np.float32), hint)
 
     def shape_of(self, value: str) -> tuple[int, ...]:
         """Statically known shape of ``value`` (tracked incrementally)."""
-        return self._shapes[value]
+        return self._types[value][0]
 
     # -- generic node ------------------------------------------------------------
 
@@ -97,15 +110,12 @@ class GraphBuilder:
     ) -> str | list[str]:
         """Append a node; returns its output name (or names)."""
         outputs = [self.fresh(op_type.lower()) for _ in range(num_outputs)]
-        self._graph.add_node(Node(op_type, list(inputs), outputs, attrs, name=name))
-        self._track_shapes()
+        node = self._graph.add_node(
+            Node(op_type, list(inputs), outputs, attrs, name=name))
+        self._types.update(zip(outputs, infer_node(node, self._types, self._ctx)))
+        if op_type == "Constant":
+            self._ctx.add_constant(outputs[0], node.attrs.get_tensor("value"))
         return outputs[0] if num_outputs == 1 else outputs
-
-    def _track_shapes(self) -> None:
-        # Re-infer incrementally; graphs under construction have no declared
-        # outputs yet, so inference runs over all defined values.
-        values = infer_shapes(self._graph)
-        self._shapes = {name: shape for name, (shape, _dtype) in values.items()}
 
     # -- convolution family --------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Static shape inference over the IR.
 
-Each supported operator registers a shape function; :func:`infer_shapes`
-walks a graph in topological order and returns the shape and dtype of every
-value. Unknown (symbolic) dimensions are represented as ``-1`` and flow
-through ops that merely carry them (e.g. the batch dimension); ops that must
-*compute* with an unknown dimension raise
+Each supported operator registers a shape function; :func:`infer_node`
+types one node's outputs from the types defined so far, and
+:func:`infer_shapes` runs it over a graph in topological order, returning
+the shape and dtype of every value. Unknown (symbolic) dimensions are
+represented as ``-1`` and flow through ops that merely carry them (e.g. the
+batch dimension); ops that must *compute* with an unknown dimension raise
 :class:`~repro.errors.ShapeInferenceError`.
 
 This is also the single source of truth the executor uses to validate kernel
@@ -14,7 +15,7 @@ outputs and the memory planner uses to size buffers.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ class InferenceContext:
     """Gives shape functions access to constant values (e.g. Reshape targets)."""
 
     def __init__(self, graph: Graph) -> None:
-        self._graph = graph
         self._constants: dict[str, np.ndarray] = dict(graph.initializers)
         for node in graph.nodes:
             if node.op_type == "Constant":
@@ -43,6 +43,10 @@ class InferenceContext:
     def constant_value(self, name: str) -> np.ndarray | None:
         """The compile-time value of ``name``, if it is a constant."""
         return self._constants.get(name)
+
+    def add_constant(self, name: str, value: np.ndarray) -> None:
+        """Register ``name``'s compile-time value (graphs built incrementally)."""
+        self._constants[name] = value
 
 
 def register_shape_fn(op_type: str) -> Callable[[ShapeFn], ShapeFn]:
@@ -66,6 +70,52 @@ def supported_ops() -> list[str]:
     return sorted(_SHAPE_FNS)
 
 
+def infer_node(
+    node: Node, values: Mapping[str, ValueType], ctx: InferenceContext
+) -> list[ValueType]:
+    """Output (shape, dtype) of one node, given the types defined so far.
+
+    ``values`` must hold every value ``node`` reads; ``ctx`` every constant
+    among them. This is the per-node step of :func:`infer_shapes`, and what
+    :class:`~repro.ir.builder.GraphBuilder` calls once per appended node.
+
+    Raises:
+        UnsupportedOpError: the op type has no registered shape function.
+        ShapeInferenceError: an input's type is unknown, or operator
+            constraints are violated.
+    """
+    fn = _SHAPE_FNS.get(node.op_type)
+    if fn is None:
+        raise UnsupportedOpError(
+            f"no shape inference for op {node.op_type!r} (node {node.name!r})"
+        )
+    input_types = []
+    for inp in node.inputs:
+        if not inp:
+            input_types.append(((), DType.FLOAT32))  # absent optional input
+        elif inp in values:
+            input_types.append(values[inp])
+        else:
+            raise ShapeInferenceError(
+                f"node {node.name!r} reads value {inp!r} with unknown type"
+            )
+    try:
+        output_types = fn(node, input_types, ctx)
+    except ShapeInferenceError:
+        raise
+    except Exception as exc:
+        raise ShapeInferenceError(
+            f"shape inference failed for node {node.name!r} "
+            f"({node.op_type}): {exc}"
+        ) from exc
+    if len(output_types) != len(node.outputs):
+        raise ShapeInferenceError(
+            f"node {node.name!r}: shape fn returned {len(output_types)} "
+            f"outputs, node declares {len(node.outputs)}"
+        )
+    return output_types
+
+
 def infer_shapes(graph: Graph) -> dict[str, ValueType]:
     """Infer (shape, dtype) for every value in ``graph``.
 
@@ -80,37 +130,7 @@ def infer_shapes(graph: Graph) -> dict[str, ValueType]:
     for name, array in graph.initializers.items():
         values[name] = (tuple(array.shape), DType.from_numpy(array.dtype))
     for node in graph.toposort():
-        fn = _SHAPE_FNS.get(node.op_type)
-        if fn is None:
-            raise UnsupportedOpError(
-                f"no shape inference for op {node.op_type!r} (node {node.name!r})"
-            )
-        input_types = []
-        for inp in node.inputs:
-            if not inp:
-                input_types.append(((), DType.FLOAT32))  # absent optional input
-            elif inp in values:
-                input_types.append(values[inp])
-            else:
-                raise ShapeInferenceError(
-                    f"node {node.name!r} reads value {inp!r} with unknown type"
-                )
-        try:
-            output_types = fn(node, input_types, ctx)
-        except ShapeInferenceError:
-            raise
-        except Exception as exc:
-            raise ShapeInferenceError(
-                f"shape inference failed for node {node.name!r} "
-                f"({node.op_type}): {exc}"
-            ) from exc
-        if len(output_types) != len(node.outputs):
-            raise ShapeInferenceError(
-                f"node {node.name!r}: shape fn returned {len(output_types)} "
-                f"outputs, node declares {len(node.outputs)}"
-            )
-        for out, vtype in zip(node.outputs, output_types):
-            values[out] = vtype
+        values.update(zip(node.outputs, infer_node(node, values, ctx)))
     return values
 
 

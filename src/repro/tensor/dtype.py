@@ -57,6 +57,10 @@ class DType(enum.Enum):
         Raises:
             ValueError: for dtypes outside the supported set.
         """
+        try:
+            return _FROM_NUMPY[dtype]
+        except (KeyError, TypeError):
+            pass  # e.g. '>f4' or 'float32': not a key, but may map by name
         name = np.dtype(dtype).name
         try:
             return cls(name)
@@ -88,3 +92,7 @@ _TO_ONNX: dict[DType, int] = {
     DType.FLOAT64: 11,
 }
 _FROM_ONNX: dict[int, DType] = {code: dt for dt, code in _TO_ONNX.items()}
+# Native numpy dtypes and their scalar types, the common arguments of
+# ``DType.from_numpy``; anything else maps by name.
+_FROM_NUMPY: dict[object, DType] = {
+    key: dt for dt in DType for key in (dt.np, dt.np.type)}

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.errors import ShapeInferenceError
 from repro.ir.builder import GraphBuilder
 from repro.ir.shape_inference import infer_shapes
+from repro.runtime.session import InferenceSession
+from repro.tensor.dtype import DType
 
 
 class TestBasics:
@@ -62,6 +65,15 @@ class TestWeights:
         weights2 = [v for k, v in sorted(g2.initializers.items()) if "conv_w" in k]
         assert not np.array_equal(weights1[0], weights2[0])
 
+    def test_weights_equal_the_scaled_draw_bit_for_bit(self):
+        builder = GraphBuilder(seed=3)
+        weight = builder._graph.initializers[builder.weight((8, 4, 3, 3))]
+        scale = float(np.sqrt(2.0 / 36))
+        expected = (np.random.default_rng(3).standard_normal((8, 4, 3, 3))
+                    * scale).astype(np.float32)
+        assert weight.dtype == np.float32
+        assert weight.tobytes() == expected.tobytes()
+
     def test_he_scale_shrinks_with_fan_in(self):
         builder = GraphBuilder(seed=0)
         small = builder._graph.initializers[builder.weight((8, 4, 3, 3))]
@@ -117,3 +129,62 @@ class TestLayerHelpers:
         graph = builder.finish()
         values = infer_shapes(graph)
         assert values[graph.output_names[0]][0] == (1, 4, 8, 8)
+
+
+class TestIncrementalTypes:
+    """Each node is typed once, when added, from the values defined so far."""
+
+    def test_zero_d_constant_keeps_its_rank(self):
+        builder = GraphBuilder()
+        x = builder.input("x", (3, 4))
+        index = builder.constant(np.array(1, dtype=np.int64))
+        y = builder.node("Gather", [x, index], {"axis": 0})
+        assert builder._graph.initializers[index].shape == ()
+        assert builder.shape_of(index) == ()
+        assert builder.shape_of(y) == (4,)
+        builder.output(y)
+        graph = builder.finish()
+        assert infer_shapes(graph)[y] == ((4,), DType.FLOAT32)
+        data = np.arange(12, dtype=np.float32).reshape(3, 4)
+        out = InferenceSession(graph).run({"x": data})[y]
+        np.testing.assert_array_equal(out, np.take(data, 1, axis=0))
+
+    def test_constant_is_stored_c_contiguous(self):
+        builder = GraphBuilder()
+        name = builder.constant(np.arange(6, dtype=np.float32).reshape(2, 3).T)
+        stored = builder._graph.initializers[name]
+        assert stored.flags.c_contiguous
+        assert builder.shape_of(name) == stored.shape == (3, 2)
+
+    def test_reshape_target_from_constant(self):
+        builder = GraphBuilder()
+        x = builder.input("x", (2, 3, 4))
+        target = builder.constant(np.array([0, -1], dtype=np.int64))
+        y = builder.node("Reshape", [x, target])
+        assert builder.shape_of(y) == (2, 12)
+        builder.output(y)
+        graph = builder.finish()
+        assert builder._types == infer_shapes(graph)
+        out = InferenceSession(graph).run(
+            {"x": np.zeros((2, 3, 4), np.float32)})[y]
+        assert out.shape == (2, 12)
+
+    def test_reshape_target_from_constant_node(self):
+        builder = GraphBuilder()
+        x = builder.input("x", (2, 3, 4))
+        target = builder.node(
+            "Constant", [], {"value": np.array([-1, 4], dtype=np.int64)})
+        y = builder.node("Reshape", [x, target])
+        assert builder.shape_of(target) == (2,)
+        assert builder.shape_of(y) == (6, 4)
+        builder.output(y)
+        graph = builder.finish()
+        assert builder._types == infer_shapes(graph)
+        out = InferenceSession(graph).run(
+            {"x": np.zeros((2, 3, 4), np.float32)})[y]
+        assert out.shape == (6, 4)
+
+    def test_reading_an_undefined_value_raises(self):
+        builder = GraphBuilder()
+        with pytest.raises(ShapeInferenceError, match="'missing' with unknown type"):
+            builder.relu("missing")

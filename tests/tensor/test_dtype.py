@@ -1,5 +1,7 @@
 """DType: numpy and ONNX mappings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,24 @@ class TestNumpyMapping:
     def test_unsupported_numpy_dtype_raises(self):
         with pytest.raises(ValueError, match="unsupported numpy dtype"):
             DType.from_numpy(np.complex64)
+
+    @pytest.mark.parametrize("spec", [
+        spec
+        for dtype in DType
+        for spec in (dtype.value, dtype.np, dtype.np.type,
+                     dtype.np.newbyteorder(">"), dtype.np.newbyteorder("<"))
+    ] + [bool, int, float, "f4", "i8", "=f8", ">i4"])
+    def test_every_accepted_spelling_maps_by_name(self, spec):
+        assert DType.from_numpy(spec) is DType(np.dtype(spec).name)
+
+    @pytest.mark.parametrize("spec", [
+        np.complex64, ">c8", np.uint16, "U4", "S3", object, "datetime64[s]",
+        [("a", "f4")],
+    ])
+    def test_every_other_dtype_raises_the_same_error(self, spec):
+        message = f"unsupported numpy dtype: {np.dtype(spec).name!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DType.from_numpy(spec)
 
     def test_itemsize(self):
         assert DType.FLOAT32.itemsize == 4
