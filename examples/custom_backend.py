@@ -19,15 +19,20 @@ import numpy as np
 from repro import Backend, InferenceSession, register_backend
 from repro.bench.workloads import model_input
 from repro.kernels import REGISTRY, KernelImpl
-from repro.kernels.common import conv_params, finalize_conv, im2col, pad_input
+from repro.kernels.common import (
+    conv_geometry,
+    conv_operands,
+    finalize_conv,
+    im2col,
+    pad_input,
+)
 from repro.models import zoo
 
 
 def lowp_conv(inputs, node, ctx):
     """'Third-party' conv: GEMM convolution with float16 accumulation."""
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     if params.group != 1:  # the 'library' only ships ungrouped kernels
         raise NotImplementedError
     columns = im2col(pad_input(x, params.pads), params).astype(np.float16)
@@ -35,7 +40,7 @@ def lowp_conv(inputs, node, ctx):
     out = np.matmul(w_matrix, columns).astype(np.float32)
     result = out.reshape(params.batch, params.out_channels,
                          params.out_h, params.out_w)
-    return [finalize_conv(result, bias, node)]
+    return [finalize_conv(result, bias, residual, activation)]
 
 
 def main() -> None:

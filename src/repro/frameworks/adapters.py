@@ -13,7 +13,7 @@ from repro.errors import FrameworkUnavailableError
 from repro.frameworks.base import FrameworkAdapter, register_adapter
 from repro.frameworks.session_adapter import SessionAdapter, SessionModel
 from repro.models import zoo
-from repro.runtime.session import InferenceSession
+from repro.runtime.session import InferenceSession, lower
 
 # -- Orpheus: GEMM convolution, fused graph, BLAS ---------------------------------
 
@@ -62,14 +62,15 @@ class TVMAdapter(SessionAdapter):
                 engine_cache=None) -> SessionModel:
         # Autotuning is TVM's prepare; it stays cold whatever the cache
         # holds. Imported here: autotune sits above the backends layer.
-        from repro.passes import default_pipeline
+        # The graph is "compiled" by Orpheus' own lowering, epilogue fusion
+        # included: real TVM fuses elementwise epilogues into its kernels.
         from repro.runtime.autotune import autotune
 
         graph = zoo.build(model_name, batch=batch, image_size=image_size)
-        simplified = default_pipeline().run(graph)  # "compile" the graph
-        overrides = autotune(simplified, self._CANDIDATES, repeats=2)
+        lowered, _ = lower(graph, self.backend, optimize=True)
+        overrides = autotune(lowered, self._CANDIDATES, repeats=2)
         tuned = self.backend.with_overrides(overrides)
-        session = InferenceSession(simplified, backend=tuned, optimize=False)
+        session = InferenceSession(lowered, backend=tuned, optimize=False)
         return SessionModel(session)
 
 

@@ -253,7 +253,12 @@ def _conv_shape(node: Node, inputs: list[ValueType], ctx: InferenceContext) -> l
         bias_shape = inputs[2][0]
         if bias_shape != (out_ch,):
             raise _fail(node, f"bias shape {bias_shape} != ({out_ch},)")
-    return [((batch, out_ch, out_h, out_w), x_dtype)]
+    out_shape = (batch, out_ch, out_h, out_w)
+    if len(node.inputs) > 3 and node.inputs[3]:
+        residual_shape = inputs[3][0]
+        if residual_shape != out_shape:
+            raise _fail(node, f"residual shape {residual_shape} != output shape {out_shape}")
+    return [(out_shape, x_dtype)]
 
 
 def _pool_shape(node: Node, inputs: list[ValueType]) -> list[ValueType]:

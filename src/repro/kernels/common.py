@@ -7,11 +7,13 @@ in the paper's C++ implementation.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.ir.node import Node
 from repro.ir.shape_inference import resolve_conv_pads
+from repro.kernels.context import ExecutionContext
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,22 +136,49 @@ def im2col_loops(x: np.ndarray, params: ConvParams) -> np.ndarray:
     return columns.reshape(batch, channels * kh * kw, out_h * out_w)
 
 
-def add_conv_bias(out: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Add a per-output-channel bias to an NCHW activation, in place."""
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
+def _present(inputs: Sequence[np.ndarray], index: int) -> np.ndarray | None:
+    """``inputs[index]``, or None when the slot is missing or empty.
 
-
-def finalize_conv(out: np.ndarray, bias: np.ndarray | None, node: Node) -> np.ndarray:
-    """Conv epilogue: bias add plus any fused activation.
-
-    The fuse-activations graph pass records a following Relu/Clip in the
-    Conv node's ``activation`` attribute; applying it here, while the output
-    tile is still hot, is the entire point of the fusion.
+    The executor (and ``autotune``) feed ``np.empty(0)`` for an input named
+    ``""``, so an empty array is an absent optional input, never a value.
     """
-    add_conv_bias(out, bias)
-    activation = node.attrs.get_str("activation", "")
+    if len(inputs) > index and inputs[index] is not None and inputs[index].size:
+        return inputs[index]
+    return None
+
+
+def conv_operands(
+    inputs: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """A Conv's operands: ``(x, weight, bias | None, residual | None)``.
+
+    Slot 2 is ONNX's optional bias. Slot 3 is framework-internal: the
+    residual the epilogue fusion pass moved in from a following ``Add``
+    (``FuseEpilogues``), which leaves the bias slot ``""`` when the conv
+    has none.
+    """
+    return inputs[0], inputs[1], _present(inputs, 2), _present(inputs, 3)
+
+
+def conv_geometry(node: Node, x_shape: tuple[int, ...], w_shape: tuple[int, ...],
+                  ctx: ExecutionContext) -> tuple[ConvParams, str]:
+    """``(conv_params(...), fused activation)``, resolved once per context.
+
+    Keyed by node name and input/weight shapes in ``ctx.geometry``; the
+    entry also holds the node itself and is served only to that same
+    object, so two nodes that share a name never see each other's.
+    """
+    key = (node.name, x_shape, w_shape)
+    entry = ctx.geometry.get(key)
+    if entry is None or entry[0] is not node:
+        entry = ctx.geometry[key] = (
+            node, conv_params(node, x_shape, w_shape),
+            node.attrs.get_str("activation", ""))
+    return entry[1], entry[2]
+
+
+def apply_activation(out: np.ndarray, activation: str) -> np.ndarray:
+    """Apply a fused ``activation`` attribute to ``out`` in place."""
     if not activation:
         return out
     if activation == "relu":
@@ -159,3 +188,21 @@ def finalize_conv(out: np.ndarray, bias: np.ndarray | None, node: Node) -> np.nd
         np.clip(out, 0, 6, out=out)
         return out
     raise ValueError(f"unknown fused activation {activation!r}")
+
+
+def finalize_conv(out: np.ndarray, bias: np.ndarray | None,
+                  residual: np.ndarray | None, activation: str) -> np.ndarray:
+    """Conv epilogue, in place: bias, then residual, then activation.
+
+    The fuse-activations pass records a following Relu/Clip in the Conv
+    node's ``activation`` attribute, and ``FuseEpilogues`` a following
+    residual ``Add`` as a fourth input; applying them here, while the
+    output tile is still hot, is the entire point of the fusion. The order
+    is the unfused graph's (``relu(conv + bias + residual)``), so a fused
+    conv's output is bitwise the unfused nodes' output.
+    """
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    if residual is not None:
+        out += residual
+    return apply_activation(out, activation)

@@ -32,10 +32,19 @@ class ExecutionContext:
             on first execution and reuse across runs. The executor keeps one
             context for its lifetime, so this is the moral equivalent of an
             AOT weight-layout pass.
+        geometry: each conv node's resolved geometry and fused activation,
+            keyed by node name and input/weight shapes
+            (:func:`repro.kernels.common.conv_geometry`), so a conv pays
+            its attribute parsing once per context, not once per call.
+        views: views carved from the workspace
+            (:meth:`workspace_views`); emptied whenever the workspace is
+            replaced, so no view keeps a superseded buffer alive.
     """
 
     gemm: Callable | None = None
     cache: dict = dataclasses.field(default_factory=dict)
+    geometry: dict = dataclasses.field(default_factory=dict)
+    views: dict = dataclasses.field(default_factory=dict)
 
     def cached(self, key, compute: Callable):
         """Return ``cache[key]``, computing and storing it on first use.
@@ -84,7 +93,21 @@ class ExecutionContext:
         buffer = self.cache.get(key)
         if buffer is None or buffer.size < floats:
             buffer = self.cache[key] = np.empty(floats, dtype=dtype)
+            self.views.clear()
         return buffer
+
+    def workspace_views(self, key, floats: int, dtype, build: Callable):
+        """``build(buffer)`` over :meth:`workspace`, built once per buffer.
+
+        ``ctx.derived(key, (buffer,), ...)`` with one difference: growing
+        the workspace drops every entry at once, instead of leaving each
+        to pin its old buffer until its kernel next runs.
+        """
+        buffer = self.workspace(floats, dtype)
+        entry = self.views.get(key)
+        if entry is None or entry[0] is not buffer:
+            entry = self.views[key] = (buffer, build(buffer))
+        return entry[1]
 
     def matmul(self, a, b, out=None):
         """``a @ b`` via the configured GEMM primitive (BLAS by default).

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.ir.node import Node
-from repro.kernels.common import finalize_conv, conv_params, pad_input
+from repro.kernels.common import conv_geometry, conv_operands, finalize_conv, pad_input
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
@@ -36,9 +36,8 @@ def conv_direct(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
 ) -> list[np.ndarray]:
     """Kernel-offset direct convolution (group == 1)."""
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     padded = pad_input(x, params.pads)
     kh, kw = params.kernel
     sh, sw = params.strides
@@ -54,4 +53,4 @@ def conv_direct(
             w_off = weight[:, :, ky, kx]  # (O, C)
             acc += np.matmul(w_off, patch)
     result = acc.reshape(params.batch, params.out_channels, out_h, out_w)
-    return [finalize_conv(result, bias, node)]
+    return [finalize_conv(result, bias, residual, activation)]

@@ -12,11 +12,11 @@ Two variants are registered:
 * ``im2col`` — writes only its output. Per image, the zero-padded planes
   and the column matrix are carved from the context's one workspace
   (:meth:`~repro.kernels.context.ExecutionContext.workspace`, shared with
-  ``direct_dw``) with one copy per kernel tap; BLAS writes the product
-  straight into the output; bias and fused activation are applied in place
-  to that image's slice while it is still in cache. A 1x1 stride-1 conv
-  multiplies the input itself. Steady-state calls allocate nothing but the
-  output.
+  ``direct_dw``), and one strided copy of a tap view fills the columns;
+  BLAS writes the product straight into the output; bias, fused residual
+  and fused activation are applied in place to that image's slice while it
+  is still in cache. A 1x1 stride-1 conv multiplies the input itself.
+  Steady-state calls allocate nothing but the output.
 * ``im2col_loops`` — the same math with a freshly padded input and a
   freshly allocated, loop-built lowering of the whole batch per group, and
   the epilogue as passes over the finished output: the memory-traffic
@@ -32,13 +32,63 @@ import numpy as np
 
 from repro.ir.node import Node
 from repro.kernels.common import (
-    conv_params,
+    ConvParams,
+    conv_geometry,
+    conv_operands,
     finalize_conv,
     im2col_loops,
     pad_input,
 )
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
+
+
+def _taps(source: np.ndarray, params: ConvParams) -> np.ndarray:
+    """``(C, KH, KW, OH, OW)`` strided view of every kernel tap of one
+    (already padded) ``(C, H, W)`` image: the column block, uncopied."""
+    kh, kw = params.kernel
+    sh, sw = params.strides
+    dh, dw = params.dilations
+    s_c, s_h, s_w = source.strides
+    return np.lib.stride_tricks.as_strided(
+        source, (source.shape[0], kh, kw, params.out_h, params.out_w),
+        (s_c, dh * s_h, dw * s_w, sh * s_h, sw * s_w), writeable=False)
+
+
+def _workspace_views(buffer: np.ndarray, params: ConvParams, cut: int,
+                     lowered: bool):
+    """``(borders, interior, taps, cols, matrix)`` carved from one workspace.
+
+    ``borders`` are the padded planes' zero strips and ``interior`` the
+    window each image is copied into (``()`` and None when unpadded);
+    ``taps`` is :func:`_taps` over the planes (None when unpadded, where it
+    must view each image itself) and ``cols`` the column block it is
+    copied into (None when not lowered). ``matrix`` is the ``(C*KH*KW,
+    OH*OW)`` operand the GEMM reads: the columns, else the planes, else
+    None (the image itself).
+    """
+    channels, in_h, in_w = params.in_channels, params.in_h, params.in_w
+    top, left, bottom, right = params.pads
+    kh, kw = params.kernel
+    pixels = params.out_h * params.out_w
+    borders, interior, taps, cols, matrix = (), None, None, None, None
+    if cut:
+        planes = buffer[:cut].reshape(
+            channels, in_h + top + bottom, in_w + left + right)
+        rows = planes[:, top:top + in_h]
+        strips = (planes[:, :top], planes[:, top + in_h:],
+                  rows[:, :, :left], rows[:, :, left + in_w:])
+        borders = tuple(strip for strip in strips if strip.size)
+        interior = rows[:, :, left:left + in_w]
+        if lowered:
+            taps = _taps(planes, params)
+        else:
+            matrix = planes.reshape(channels, pixels)
+    if lowered:
+        cols = buffer[cut:cut + channels * kh * kw * pixels].reshape(
+            channels, kh, kw, params.out_h, params.out_w)
+        matrix = cols.reshape(channels * kh * kw, pixels)
+    return borders, interior, taps, cols, matrix
 
 
 @kernel("Conv", "im2col", priority=100)
@@ -48,33 +98,32 @@ def conv_im2col(
     """im2col + GEMM convolution (the Orpheus default).
 
     Per image: the input is copied into the workspace's padded planes
-    (only the border is zeroed, the interior is overwritten), each of the
-    ``KH*KW`` taps is one strided copy into the ``(C, KH, KW, OH, OW)``
-    column block, and ``W.reshape(O, C*KH*KW) @ cols`` lands in
-    ``out[n]``. Group ``g`` multiplies its slice of the weight by rows
-    ``g*K/G .. (g+1)*K/G`` of that one lowering, which are exactly its
-    channels' taps. The weight is used as stored: bias is a separate
-    in-place add rather than a row of ones, which would need a second,
-    augmented copy of every conv weight.
+    (only the border is zeroed, the interior is overwritten), one strided
+    copy of the ``(C, KH, KW, OH, OW)`` tap view fills the column block,
+    and ``W.reshape(O, C*KH*KW) @ cols`` lands in ``out[n]``. Group ``g``
+    multiplies its slice of the weight by rows ``g*K/G .. (g+1)*K/G`` of
+    that one lowering, which are exactly its channels' taps. The weight is
+    used as stored: bias is a separate in-place add rather than a row of
+    ones, which would need a second, augmented copy of every conv weight.
+    The planes, columns and tap view are built once per workspace buffer
+    (:meth:`~repro.kernels.context.ExecutionContext.workspace_views`), the
+    geometry once per context.
     """
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     kh, kw = params.kernel
-    sh, sw = params.strides
-    dh, dw = params.dilations
     top, left, bottom, right = params.pads
-    channels, in_h, in_w = params.in_channels, params.in_h, params.in_w
+    channels = params.in_channels
     out_h, out_w = params.out_h, params.out_w
-    pad_h, pad_w = in_h + top + bottom, in_w + left + right
     rows, pixels = channels * kh * kw, out_h * out_w
-    lowered = (kh, kw, sh, sw) != (1, 1, 1, 1)
+    lowered = (kh, kw, *params.strides) != (1, 1, 1, 1)
 
-    cut = channels * pad_h * pad_w if any(params.pads) else 0
-    buffer = ctx.workspace(cut + (rows * pixels if lowered else 0), x.dtype)
-    planes = buffer[:cut].reshape(channels, pad_h, pad_w) if cut else None
-    cols = buffer[cut:cut + rows * pixels].reshape(
-        channels, kh, kw, out_h, out_w) if lowered else None
+    cut = (channels * (params.in_h + top + bottom) * (params.in_w + left + right)
+           if any(params.pads) else 0)
+    borders, interior, taps, cols, matrix = ctx.workspace_views(
+        ("im2col", node.name, x.shape, weight.shape),
+        cut + (rows * pixels if lowered else 0), x.dtype,
+        lambda buffer: _workspace_views(buffer, params, cut, lowered))
 
     group = params.group
     out_channels = params.out_channels
@@ -82,29 +131,21 @@ def conv_im2col(
     w_matrix = weight.reshape(out_channels, k_g)
     out = np.empty((params.batch, out_channels, out_h, out_w), dtype=x.dtype)
     for n in range(params.batch):
-        source = x[n]
-        if planes is not None:
-            planes[:, :top] = 0
-            planes[:, top + in_h:] = 0
-            planes[:, top:top + in_h, :left] = 0
-            planes[:, top:top + in_h, left + in_w:] = 0
-            planes[:, top:top + in_h, left:left + in_w] = source
-            source = planes
+        if interior is not None:
+            for strip in borders:
+                strip.fill(0)
+            np.copyto(interior, x[n])
         if cols is not None:
-            for ky in range(kh):
-                for kx in range(kw):
-                    y0, x0 = ky * dh, kx * dw
-                    np.copyto(cols[:, ky, kx],
-                              source[:, y0:y0 + sh * out_h:sh,
-                                     x0:x0 + sw * out_w:sw])
-            source = cols
-        matrix = source.reshape(rows, pixels)
+            np.copyto(cols, taps if taps is not None else _taps(x[n], params))
+        source = matrix if matrix is not None else x[n].reshape(rows, pixels)
         result = out[n].reshape(out_channels, pixels)
         for g in range(group):
             ctx.matmul(w_matrix[g * o_g:(g + 1) * o_g],
-                       matrix[g * k_g:(g + 1) * k_g],
+                       source[g * k_g:(g + 1) * k_g],
                        out=result[g * o_g:(g + 1) * o_g])
-        finalize_conv(out[n:n + 1], bias, node)
+        finalize_conv(out[n:n + 1], bias,
+                      None if residual is None else residual[n:n + 1],
+                      activation)
     return [out]
 
 
@@ -113,9 +154,8 @@ def conv_im2col_loops(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
 ) -> list[np.ndarray]:
     """im2col built with explicit per-offset copies + GEMM."""
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     padded = pad_input(x, params.pads)
     group = params.group
     out = np.empty(
@@ -134,4 +174,4 @@ def conv_im2col_loops(
                        out=out[n, g * out_per_group:(g + 1) * out_per_group])
     result = out.reshape(
         params.batch, params.out_channels, params.out_h, params.out_w)
-    return [finalize_conv(result, bias, node)]
+    return [finalize_conv(result, bias, residual, activation)]

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.ir.node import Node
-from repro.kernels.common import finalize_conv, conv_params, pad_input
+from repro.kernels.common import conv_geometry, conv_operands, finalize_conv, pad_input
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
@@ -24,9 +24,8 @@ def conv_reference(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
 ) -> list[np.ndarray]:
     """Naive loop-nest convolution supporting every attribute combination."""
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     padded = pad_input(x, params.pads)
     kh, kw = params.kernel
     sh, sw = params.strides
@@ -54,4 +53,4 @@ def conv_reference(
                                     weight[oc, ic, ky, kx])
                     out[n, oc, oy, ox] = acc
     result = out.astype(x.dtype, copy=False)
-    return [finalize_conv(result, bias, node)]
+    return [finalize_conv(result, bias, residual, activation)]

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.ir.node import Node
-from repro.kernels.common import conv_params, finalize_conv, pad_input
+from repro.kernels.common import conv_geometry, conv_operands, finalize_conv, pad_input
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
@@ -79,9 +79,8 @@ def conv_winograd(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
 ) -> list[np.ndarray]:
     """F(2x2, 3x3) Winograd convolution with cached filter transform."""
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     padded = pad_input(x, params.pads)
     batch, channels = params.batch, params.in_channels
     out_ch = params.out_channels
@@ -127,4 +126,4 @@ def conv_winograd(
                 for px in range(2):
                     scratch[:, py::2, px::2] = y[py * 2 + px]
             out[n] = scratch[:, :out_h, :out_w]
-    return [finalize_conv(out, bias, node)]
+    return [finalize_conv(out, bias, residual, activation)]

@@ -31,7 +31,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.ir.node import Node
-from repro.kernels.common import conv_params, finalize_conv, im2col, pad_input
+from repro.kernels.common import (
+    conv_geometry,
+    conv_operands,
+    conv_params,
+    finalize_conv,
+    im2col,
+    pad_input,
+)
 from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
@@ -93,9 +100,8 @@ def conv_direct_depthwise(
     The tap pack is derived from *these* weight and bias arrays and is
     rebuilt if the node is ever handed different ones.
     """
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     channels = params.out_channels
     kh, kw = params.kernel
     sh, sw = params.strides
@@ -148,10 +154,13 @@ def conv_direct_depthwise(
                                            x0:x0 + sw * out_w:sw])
                 result = out[image, c0:c1].reshape(n, 1, width)
             np.matmul(w_aug[c0:c1], cols_n, out=result)
-            finalize_conv(result, None, node)  # bias rode in the GEMV
             if flat:
                 np.copyto(out[image, c0:c1],
                           rows[:n].reshape(n, out_h, pad_w)[:, :, :out_w])
+            finalize_conv(  # bias rode in the GEMV
+                out[image, c0:c1], None,
+                None if residual is None else residual[image, c0:c1],
+                activation)
     return [out]
 
 
@@ -166,9 +175,8 @@ def conv_perchannel_gemm_depthwise(
     with hundreds of channels the per-call overhead dominates, reproducing
     the PyTorch MobileNetV1 pathology from the paper's Figure 2.
     """
-    x, weight = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    params = conv_params(node, x.shape, weight.shape)
+    x, weight, bias, residual = conv_operands(inputs)
+    params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
     padded = pad_input(x, params.pads)
     single = conv_params(
         node, (params.batch, 1, params.in_h, params.in_w),
@@ -184,4 +192,4 @@ def conv_perchannel_gemm_depthwise(
         product = np.matmul(w_row, columns)  # (N, 1, OH*OW)
         out[:, channel] = product.reshape(
             params.batch, params.out_h, params.out_w)
-    return [finalize_conv(out, bias, node)]
+    return [finalize_conv(out, bias, residual, activation)]

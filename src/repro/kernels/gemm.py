@@ -79,6 +79,24 @@ GEMM_PRIMITIVES = {
 # ---------------------------------------------------------------------------
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
+    """2-D ``a @ b`` as one ``(1, K) @ (K, N)`` call per row of ``a``.
+
+    BLAS takes a differently rounded path for ``M = 1`` than for a larger
+    ``M``, so a whole-batch call gives row ``i`` other bits than a batch-1
+    run of the same row; one call shape per row makes a row's bits
+    independent of its batch companions (a served answer must not depend
+    on its batch bucket). Raced on one x86-64 core against the whole-batch
+    call and a zero-padded block of 4 rows: equal at ``M = 1``, 2.2-4.4x
+    faster at ``M = 2..4`` on a (K, 1000) head, 8 us slower at ``M = 4``
+    on wrn-40-2's (128, 10) head; the padded block was slowest throughout.
+    """
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a.dtype, b.dtype))
+    for row in range(a.shape[0]):
+        ctx.matmul(a[row:row + 1], b, out=out[row:row + 1])
+    return out
+
+
 @kernel("Gemm", "default", priority=100)
 def gemm_op(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
@@ -94,7 +112,7 @@ def gemm_op(
         b = b.T
     # Transposed views go straight to BLAS (it takes transpose flags);
     # forcing contiguity here would copy the weight matrix on every run.
-    out = ctx.matmul(a, b)
+    out = matmul_rows(a, b, ctx)
     if alpha != 1.0:
         out = out * np.asarray(alpha, dtype=out.dtype)
     if c is not None and beta != 0.0:
@@ -107,8 +125,11 @@ def gemm_op(
 def matmul_op(
     inputs: Sequence[np.ndarray], node: Node, ctx: ExecutionContext
 ) -> list[np.ndarray]:
-    """Batched matrix multiply with numpy broadcasting semantics."""
+    """Batched matrix multiply with numpy broadcasting semantics.
+
+    The 2-D case goes row by row (:func:`matmul_rows`).
+    """
     a, b = inputs[0], inputs[1]
     if a.ndim == 2 and b.ndim == 2:
-        return [ctx.matmul(a, b)]
+        return [matmul_rows(a, b, ctx)]
     return [np.matmul(a, b)]

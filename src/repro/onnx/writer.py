@@ -38,7 +38,8 @@ def graph_to_proto(graph: Graph, internal: bool = False) -> GraphProto:
     """Convert a framework graph into a GraphProto.
 
     ``internal=True`` permits framework-private attributes (the fused
-    ``activation`` marker) in the output — used by the engine serializer
+    ``activation`` marker) and inputs (a Conv's fused residual) in the
+    output — used by the engine serializer
     (:mod:`repro.engine`), whose files never leave the framework. Plain
     ONNX export keeps rejecting them so optimised graphs cannot leak
     non-standard attributes into ``.onnx`` files.
@@ -46,6 +47,10 @@ def graph_to_proto(graph: Graph, internal: bool = False) -> GraphProto:
     graph.validate()
     proto = GraphProto(name=graph.name)
     for node in graph.nodes:
+        if node.op_type == "Conv" and len(node.inputs) > 3 and not internal:
+            raise OnnxError(
+                f"node {node.name!r} carries a framework-internal residual "
+                f"input; export the unoptimised graph")
         attrs = []
         for name in sorted(node.attrs.keys()):
             if name in _INTERNAL_ATTRS and not internal:

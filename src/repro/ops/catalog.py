@@ -1,7 +1,8 @@
 """The schema catalog: one :class:`OpSchema` per supported operator.
 
 Attribute names, kinds, and defaults follow ONNX opset 13 (plus the
-quantization ops and the framework-internal ``activation`` attribute).
+quantization ops, the framework-internal ``activation`` attribute, and
+Conv's framework-internal fourth input).
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ def _conv_attrs() -> dict[str, AttrSpec]:
     }
 
 
-register_op(OpSchema("Conv", 2, 3, attrs=_conv_attrs()))
+# Conv's inputs are (x, w[, bias[, residual]]). The residual is internal:
+# FuseEpilogues moves a following Add's other operand there (bias ``""``
+# when absent), and ONNX export rejects a 4-input Conv.
+register_op(OpSchema("Conv", 2, 4, attrs=_conv_attrs()))
 register_op(OpSchema("QLinearConv", 8, 9, attrs=_conv_attrs()))
 register_op(OpSchema("QuantizeLinear", 2, 3, attrs={
     "axis": AttrSpec(_I, default=1)}))

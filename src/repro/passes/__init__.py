@@ -7,7 +7,7 @@ from repro.passes.dead_code import EliminateDeadNodes
 from repro.passes.eliminate_identity import EliminateIdentity
 from repro.passes.fold_batchnorm import FoldBatchNorm
 from repro.passes.fold_pad import FoldPadIntoConv
-from repro.passes.fuse_activations import FuseConvActivation
+from repro.passes.fuse_activations import FuseConvActivation, FuseEpilogues
 from repro.passes.pass_manager import GraphPass, PassManager, PassReport
 from repro.passes.qdq import CancelQDQ, CommuteQDQPooling
 
@@ -22,6 +22,7 @@ __all__ = [
     "FoldBatchNorm",
     "FoldPadIntoConv",
     "FuseConvActivation",
+    "FuseEpilogues",
     "GraphPass",
     "MaterializeConstants",
     "PassManager",

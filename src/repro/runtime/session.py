@@ -38,22 +38,29 @@ def lower(graph: Graph, backend: Backend,
           optimize: bool) -> "tuple[Graph, dict[str, int] | None]":
     """The cold lowering: source graph -> the graph an executor is bound to.
 
-    Returns ``(working graph, quantization report or None)`` and leaves
-    ``graph`` untouched. A cold session and the engine compiler both call
-    this and nothing else, which is what makes a warm start
-    indistinguishable from a cold one by construction.
+    In order: the pass pipeline (``optimize``), auto-quantization
+    (``backend.quantize``), then epilogue fusion (``optimize``) — after
+    quantization, so int8's QDQ islands are never offered a residual, and
+    outside the pipeline, so its exportable graphs stay ONNX. Returns
+    ``(working graph, quantization report or None)`` and leaves ``graph``
+    untouched. A cold session and the engine compiler both call this and
+    nothing else, which is what makes a warm start indistinguishable from
+    a cold one by construction.
     """
+    report = None
     if optimize:
         # Imported lazily: passes import ops/kernels, which import ir.
-        from repro.passes import default_pipeline
+        from repro.passes import FuseEpilogues, default_pipeline
         working = default_pipeline().run(graph)  # runs on its own copy
     else:
         working = graph.copy()
-    if not backend.quantize:
-        return working, None
-    from repro.quant.auto import auto_quantize
-    working, report = auto_quantize(working)
-    return working, report.as_dict()
+    if backend.quantize:
+        from repro.quant.auto import auto_quantize
+        working, quantized = auto_quantize(working)
+        report = quantized.as_dict()
+    if optimize:
+        FuseEpilogues().apply(working)
+    return working, report
 
 
 @dataclasses.dataclass(frozen=True)

@@ -85,6 +85,23 @@ def test_warm_session_bitwise_equals_cold(model, backend, tmp_path):
         assert cold_out[name].tobytes() == warm_out[name].tobytes()
 
 
+@pytest.mark.parametrize("model", ["wrn-40-2", "resnet18"])
+def test_residual_conv_engines_load_warm_equal_cold(model, tmp_path):
+    """The engines the property above covers do carry fused residual
+    convs (``""`` bias slots included), and round-trip them bitwise."""
+    path = tmp_path / f"{model}.oeng"
+    compile_to_file(_build(model), path, backend="orpheus", threads=1)
+    warm = InferenceSession.from_engine(path)
+    residual = [n for n in warm.graph.nodes
+                if n.op_type == "Conv" and len(n.inputs) == 4]
+    assert len(residual) == {"wrn-40-2": 18, "resnet18": 8}[model]
+    cold = InferenceSession(_build(model), backend="orpheus", threads=1)
+    assert [n.inputs for n in cold.graph.nodes] == [n.inputs for n in warm.graph.nodes]
+    feed = _feed(cold.graph)
+    for _ in range(2):
+        assert cold.run(feed)["output"].tobytes() == warm.run(feed)["output"].tobytes()
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_plans_survive_round_trip(model, tmp_path):
     """kernel/fallback/memory plans and schedule match the cold prepare."""
@@ -200,6 +217,25 @@ def test_rebatched_rows_equal_single_sample_outputs(seed):
             for name in rows:
                 np.testing.assert_allclose(
                     rows[name][index], alone[name][0], rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_row_is_bitwise_its_batch_1_answer_whatever_its_companions(model):
+    """The serving pool's path (compile at batch 4, ``rebatch`` to 1):
+    row i of a batch-4 run equals the batch-1 run of sample i bit for bit,
+    and changing its three companions changes none of its bits."""
+    size = 16 if model == "wrn-40-2" else _SIZES.get(model, 32)
+    source = compile_graph(
+        zoo.build(model, batch=4, image_size=size, softmax=False), threads=1)
+    wide = InferenceSession.from_engine(source)
+    single = InferenceSession.from_engine(rebatch(source, 1))
+    samples = synthetic_image_batch((7, 3, size, size), seed=5)
+    rows = wide.run({"input": samples[:4]})["output"]
+    for index in range(4):
+        alone = single.run({"input": samples[index:index + 1]})["output"]
+        assert rows[index:index + 1].tobytes() == alone.tobytes(), index
+    others = np.concatenate([samples[:1], samples[4:]])
+    assert wide.run({"input": others})["output"][0].tobytes() == rows[0].tobytes()
 
 
 class TestRebatchRefuses:

@@ -237,9 +237,9 @@ class TestDirectDwBlocking:
         finalize = depthwise.finalize_conv
         calls = []
 
-        def spy(out, bias, spied_node):     # runs once per channel block
+        def spy(out, *epilogue):            # runs once per channel block
             calls.append(out.shape[0])
-            return finalize(out, bias, spied_node)
+            return finalize(out, *epilogue)
 
         with monkeypatch.context() as patch:
             patch.setattr(depthwise, "finalize_conv", spy)
@@ -292,12 +292,15 @@ class TestDirectDwBlocking:
     activation=st.sampled_from(["", "relu", "relu6"]),
     dtype=st.sampled_from([np.float32, np.float64]),
     blocked=st.booleans(),
+    with_residual=st.booleans(),
 )
 def test_im2col_geometry_battery(batch, group_kind, channels, out_per_group,
                                  kernel, strides, dilations, pads, slack,
-                                 with_bias, activation, dtype, blocked):
+                                 with_bias, activation, dtype, blocked,
+                                 with_residual):
     """Generated geometry against the loop reference, on BLAS and on the
-    rerouted blocked GEMM the DarkNet simulation uses.
+    rerouted blocked GEMM the DarkNet simulation uses, with and without a
+    fused residual (whose bias slot is then empty when there is no bias).
 
     ``slack == (0, 0)`` is the smallest legal input (``OH == OW == 1``
     unless the pads alone exceed the dilated kernel).
@@ -320,8 +323,64 @@ def test_im2col_geometry_battery(batch, group_kind, channels, out_per_group,
         kernel=kernel, strides=strides, pads=pads, dilations=dilations,
         group=group, with_bias=with_bias,
         extra_attrs={"activation": activation} if activation else None)
+    if with_residual:
+        _add_residual(inputs, node, rng)
     ctx = ExecutionContext(gemm=gemm_blocked if blocked else None)
     conv_reference_check("im2col", inputs, node, ctx=ctx)
+
+
+def _add_residual(inputs, node, rng):
+    """Give ``node`` a fused residual of its output's shape (bias slot
+    ``""`` and an empty array if it has no bias, as the executor feeds it)."""
+    from repro.kernels.common import conv_params
+    params = conv_params(node, inputs[0].shape, inputs[1].shape)
+    if len(inputs) == 2:
+        inputs.append(np.empty(0, dtype=inputs[0].dtype))
+        node.inputs.append("")
+    inputs.append(rng.standard_normal(
+        (params.batch, params.out_channels, params.out_h, params.out_w)
+    ).astype(inputs[0].dtype))
+    node.inputs.append("r")
+
+
+#: (x shape, weight shape, node geometry): a padded 3x3 every group-1 impl
+#: (winograd included) takes, a strided 1x1 the unpadded im2col path
+#: lowers from the image itself, and a depthwise 3x3 for the dw impls.
+_RESIDUAL_GEOMETRIES = {
+    "3x3": ((2, 3, 7, 6), (4, 3, 3, 3), {}),
+    "1x1-stride-2": ((2, 3, 7, 6), (4, 3, 1, 1),
+                     {"kernel": (1, 1), "strides": (2, 2), "pads": (0, 0, 0, 0)}),
+    "depthwise": ((2, 5, 7, 6), (5, 1, 3, 3), {"group": 5}),
+}
+
+
+@pytest.mark.parametrize("activation", ["", "relu", "relu6"])
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("geometry", list(_RESIDUAL_GEOMETRIES))
+@pytest.mark.parametrize("impl_name", all_conv_impls())
+def test_every_conv_impl_honours_a_fused_residual(impl_name, geometry, with_bias,
+                                                  activation):
+    """``relu(conv + bias + residual)`` on every registered fp32 Conv impl
+    against the loop reference, and bitwise the impl's own unfused output
+    plus the residual, then the activation (the unfused graph's order)."""
+    x_shape, w_shape, geometry_attrs = _RESIDUAL_GEOMETRIES[geometry]
+    rng = np.random.default_rng(11)
+    inputs = [rng.standard_normal(x_shape).astype(np.float32),
+              rng.standard_normal(w_shape).astype(np.float32)]
+    if with_bias:
+        inputs.append(rng.standard_normal(w_shape[0]).astype(np.float32))
+    node = make_conv_node(
+        with_bias=with_bias, **geometry_attrs,
+        extra_attrs={"activation": activation} if activation else None)
+    plain = make_conv_node(with_bias=with_bias, **geometry_attrs)
+    unfused = run_impl(impl_name, list(inputs), plain)
+    _add_residual(inputs, node, rng)
+    conv_reference_check(impl_name, inputs, node)
+    expected = unfused + inputs[3]
+    if activation:
+        expected = (np.maximum(expected, 0) if activation == "relu"
+                    else np.clip(expected, 0, 6))
+    assert run_impl(impl_name, inputs, node).tobytes() == expected.tobytes()
 
 
 def _wrn_im2col_convs():
@@ -341,12 +400,19 @@ def _wrn_im2col_convs():
         if plan.get(node.name) != "im2col":
             continue
         x_shape = types[node.inputs[0]][0]
-        weights = [graph.initializers[name] for name in node.inputs[1:]]
-        key = (conv_params(node, x_shape, weights[0].shape), len(weights),
+        # Weight and bias are initializers; an absent bias is fed as the
+        # executor feeds it, and a fused residual as a fresh activation.
+        operands = [
+            graph.initializers[name] if name in graph.initializers
+            else np.empty(0, np.float32) if not name
+            else rng.standard_normal(types[name][0]).astype(np.float32)
+            for name in node.inputs[1:]]
+        key = (conv_params(node, x_shape, operands[0].shape),
+               tuple(bool(name) for name in node.inputs),
                node.attrs.get_str("activation", ""))
         if key not in cases:
             x = rng.standard_normal(x_shape).astype(np.float32)
-            cases[key] = ([x, *weights], node)
+            cases[key] = ([x, *operands], node)
     return list(cases.values())
 
 

@@ -164,3 +164,32 @@ def test_every_zoo_model_name_resolves():
     # we only pin that the target resolution path handles each name.
     for entry in zoo.list_models():
         assert entry.name  # registry sanity
+
+
+# -- engines with fused residual convs -------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["wrn-40-2", "resnet18"])
+def test_residual_conv_engine_verifies_clean_and_rejects_a_misshapen_residual(
+        model, tmp_path):
+    engine = compile_graph(zoo.build(model, image_size=16))
+    residual = [n for n in engine.graph.nodes
+                if n.op_type == "Conv" and len(n.inputs) == 4]
+    assert residual
+    path = tmp_path / f"{model}.oeng"
+    save_engine(engine, path)
+    report = verify_target(str(path))
+    assert report.exit_code() == 0 and len(report) == 0
+
+    # Point one residual at the graph input: a structurally valid file
+    # whose residual no longer has the conv output's shape.
+    graph = engine.graph.copy()
+    target = next(n for n in graph.nodes if n.name == residual[0].name)
+    target.inputs[3] = graph.input_names[0]
+    mutated = tmp_path / f"{model}-mutated.oeng"
+    save_engine(dataclasses.replace(engine, graph=graph), mutated)
+    findings = verify_target(str(mutated))
+    assert findings.exit_code() != 0
+    assert any(f.rule == "ORV104" and "residual shape" in f.message
+               for f in findings)
+

@@ -98,6 +98,33 @@ class TestFallbackExecution:
                           if e.op_type == "Conv"}
         assert recovered_with == {"reference"}
 
+    def test_residual_conv_recovers_with_the_fused_epilogue(self, rng):
+        """``im2col`` raising on every residual conv of wrn-40-2: each
+        recovers on its next candidate, which honours the fused residual
+        and activation too — the output is bitwise a session that picks
+        that candidate first, and within rounding of the clean run."""
+        graph = zoo.build("wrn-40-2", image_size=8)
+        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
+        clean = InferenceSession(graph)
+        residual = [n.name for n in clean.graph.nodes
+                    if n.op_type == "Conv" and len(n.inputs) == 4]
+        assert len(residual) == 18
+        plan = FaultPlan([FaultSpec(mode="raise", node=name, impl="im2col")
+                          for name in residual], seed=0)
+        session = InferenceSession(graph, fault_plan=plan)
+        faulted = session.run({"input": x})["output"]
+        events = session.robustness_report().fallback_events
+        assert sorted(e.node_name for e in events) == sorted(residual)
+        [recovered] = {e.recovered_impl for e in events}
+        chains = session.fallback_plan()
+        assert all(chains[name][:2] == ("im2col", recovered) for name in residual)
+        second = get_backend("orpheus").with_overrides(
+            {name: recovered for name in residual})
+        assert InferenceSession(graph, second).run(
+            {"input": x})["output"].tobytes() == faulted.tobytes()
+        np.testing.assert_allclose(clean.run({"input": x})["output"], faulted,
+                                   rtol=1e-4, atol=1e-5)
+
     def test_exhausted_chain_raises_with_full_story(self, rng):
         specs = [FaultSpec(mode="raise", op_type="Conv")]  # reference too
         executor = make_executor(fault_plan=FaultPlan(specs, seed=0))
