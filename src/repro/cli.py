@@ -268,10 +268,6 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
                              "poison-request quarantine)")
     parser.add_argument("--batch", type=int, default=4,
                         help="max dynamic batch size")
-    parser.add_argument("--batch-window-ms", type=float, default=2.0,
-                        help="how long a batch that already holds two or "
-                             "more requests waits to fill; a lone request "
-                             "never waits")
     parser.add_argument("--queue-capacity", type=int, default=None,
                         help="bounded request queue size (default: "
                              "8 * workers * batch)")
@@ -349,9 +345,6 @@ def _guardrail_flags(parser: argparse.ArgumentParser) -> None:
         help="wall-clock budget per run; expiry raises "
              "DeadlineExceededError with the partial per-layer timeline")
     parser.add_argument(
-        "--node-timeout-ms", type=float, default=None,
-        help="soft per-node timeout (flagged at the next node boundary)")
-    parser.add_argument(
         "--memory-budget-mb", type=float, default=None,
         help="reject runs whose planned peak resident activations exceed "
              "this budget (admission control, before anything executes)")
@@ -371,8 +364,6 @@ def _session_kwargs(args: argparse.Namespace) -> dict:
         "fault_plan": (parse_fault_plan(args.inject_faults,
                                         seed=args.fault_seed)
                        if args.inject_faults else None),
-        "deadline_ms": args.deadline_ms,
-        "node_timeout_ms": args.node_timeout_ms,
         "memory_budget_bytes": (None if budget_mb is None
                                 else int(budget_mb * (1 << 20))),
     }
@@ -469,7 +460,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     session = _open_session(args)
     if session is None:
         return 1
-    outputs = session.run(_model_feed(session.graph))
+    outputs = session.run(_model_feed(session.graph),
+                          deadline_ms=args.deadline_ms)
     for name, array in outputs.items():
         flat = array.reshape(-1)
         top = int(flat.argmax())
@@ -483,7 +475,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     session = _open_session(args)
     if session is None:
         return 1
-    profile = session.profile(_model_feed(session.graph), repeats=args.repeats)
+    profile = session.profile(_model_feed(session.graph), repeats=args.repeats,
+                              deadline_ms=args.deadline_ms)
     print(profile.table(count=args.top))
     print("\nby op type (ms):")
     for op, seconds in profile.by_op_type().items():
@@ -758,7 +751,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service_kwargs = dict(
             queue_capacity=capacity,
-            batch_window_ms=args.batch_window_ms,
             default_deadline_ms=args.deadline_ms,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown_s,
@@ -768,13 +760,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch=args.batch, image_size=args.image_size, seed=args.seed,
             engine_cache=args.engine_cache)
         if args.inject_faults:
-            # Thread pools take one spec per backend, process workers one
-            # spec for their primary; either way the primary is faulted.
-            if args.worker_mode == "process":
-                pool_kwargs["fault_spec"] = args.inject_faults
-            else:
-                pool_kwargs["fault_specs"] = {
-                    args.backends[0]: args.inject_faults}
+            # Both pool kinds fault the primary backend, backends[0].
+            pool_kwargs["fault_spec"] = args.inject_faults
             pool_kwargs["fault_seed"] = args.fault_seed
         if args.no_fallback:
             pool_kwargs["session_kwargs"] = {"kernel_fallback": False}
@@ -790,7 +777,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             service, rps=args.rps, duration_s=args.duration,
             clients=args.clients, deadline_ms=args.deadline_ms,
             seed=args.seed)
-        robustness = service.robustness_report()
         health = service.health()
         service.close()
     except OrpheusError as exc:
@@ -805,18 +791,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for signum, handler in previous_handlers.items():
             signal_mod.signal(signum, handler)
     healthy = report.completed > 0 and report.silent_drops == 0
+    stats = health["stats"]
+    robustness = {
+        "sheds": stats["rejected"],
+        "breaker_trips": sum(b["trips"] for b in stats["breakers"]),
+        "breaker_recoveries": sum(b["recoveries"] for b in stats["breakers"]),
+        "reroutes": stats["reroutes"],
+        "deadline_misses": stats["deadline_misses"],
+        "failed_requests": stats["failed"],
+    }
     if args.json:
         print(json.dumps({
             "health": health,
             "load": report.to_dict(),
-            "robustness": {
-                "sheds": dict(robustness.sheds),
-                "breaker_trips": robustness.breaker_trips,
-                "breaker_recoveries": robustness.breaker_recoveries,
-                "reroutes": robustness.reroutes,
-                "deadline_misses": robustness.deadline_misses,
-                "failed_requests": robustness.failed_requests,
-            },
+            "robustness": robustness,
             "healthy": healthy,
         }, sort_keys=True))
     else:
@@ -829,11 +817,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  latency ms: p50 {report.latency_ms(50):.2f} "
               f"p99 {report.latency_ms(99):.2f}")
         widths = " ".join(
-            f"{width}x{runs}"
-            for width, runs in health["stats"]["runs_by_width"].items())
+            f"{width}x{runs}" for width, runs in stats["runs_by_width"].items())
         print(f"  batches by width {widths or 'none'}, "
-              f"padded rows {health['stats']['padded_rows']}")
-        print(robustness.summary())
+              f"padded rows {stats['padded_rows']}")
+        print(f"  robustness: {sum(robustness['sheds'].values())} shed, "
+              f"{robustness['breaker_trips']} breaker trip(s), "
+              f"{robustness['breaker_recoveries']} recover(ies), "
+              f"{robustness['reroutes']} rerouted batch(es), "
+              f"{robustness['deadline_misses']} deadline miss(es), "
+              f"{robustness['failed_requests']} failed request(s)")
+        for reason, count in sorted(robustness["sheds"].items()):
+            print(f"    shed[{reason}] x{count}")
         print(f"health: {health['status']}")
     return 0 if healthy else EXIT_DEGRADED
 

@@ -38,14 +38,6 @@ class RuntimeConfig:
         fault_plan: optional :class:`~repro.runtime.faults.FaultPlan`
             injecting deterministic faults into kernel invocations (tests
             and chaos benchmarking); ``None`` disables injection.
-        deadline_ms: wall-clock budget for one ``run``; the executor checks
-            a monotonic deadline between nodes and raises
-            :class:`~repro.errors.DeadlineExceededError` (carrying the
-            partial per-layer timeline) once it is spent. ``None`` = no
-            deadline.
-        node_timeout_ms: soft per-node timeout — a single node that takes
-            longer is reported as a deadline violation after it returns
-            (kernels cannot be preempted mid-call). ``None`` disables it.
         memory_budget_bytes: admission-control budget; a session whose
             memory plan needs more peak resident activation bytes
             (``plan.peak_bytes``) is rejected at prepare time with
@@ -58,8 +50,6 @@ class RuntimeConfig:
     kernel_fallback: bool = True
     check_numerics: bool = False
     fault_plan: "FaultPlan | None" = None
-    deadline_ms: float | None = None
-    node_timeout_ms: float | None = None
     memory_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
@@ -68,12 +58,6 @@ class RuntimeConfig:
                 f"threads must be 1, got {self.threads}: kernels run on one "
                 "Python thread; set BLAS threads with OMP_NUM_THREADS / "
                 "OPENBLAS_NUM_THREADS")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}")
-        if self.node_timeout_ms is not None and self.node_timeout_ms <= 0:
-            raise ValueError(
-                f"node_timeout_ms must be > 0, got {self.node_timeout_ms}")
         if (self.memory_budget_bytes is not None
                 and self.memory_budget_bytes <= 0):
             raise ValueError(

@@ -68,12 +68,11 @@ class FallbackExhaustedError(ExecutionError):
 
 
 class DeadlineExceededError(ExecutionError):
-    """A run overran its wall-clock budget (``RuntimeConfig.deadline_ms``).
+    """A run overran its wall-clock budget (the per-call ``deadline_ms``).
 
-    The executor checks a monotonic deadline between nodes (and, with
-    ``node_timeout_ms``, flags any single node that overstays its soft
-    timeout). The exception carries the partial per-layer timeline so a
-    killed run is still diagnosable:
+    The executor checks a monotonic deadline between nodes. The exception
+    carries the partial per-layer timeline so a killed run is still
+    diagnosable:
 
     Attributes:
         partial_timings: the :class:`~repro.runtime.executor.NodeTiming`

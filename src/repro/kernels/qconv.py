@@ -8,9 +8,8 @@ in :mod:`repro.quant.qops`:
   weight matrix's constant column), with a pointwise fast path that
   skips the gather entirely. All temporaries live in scratch arenas;
   the GEMM computes the requantization affine directly, leaving only a
-  clip and a truncating cast as the epilogue. At batch inference,
-  several images are regrouped into one wide GEMM block
-  (:func:`repro.kernels.qgemm.batch_group`).
+  clip and a truncating cast as the epilogue. Each image is its own GEMM,
+  so a row of a batch is bitwise that image's batch-1 answer.
 * ``QLinearConv:qdirect_dw`` — depthwise convolution as nine (KH*KW)
   int16 tap multiplies accumulated exactly in int32. uint8 loads and
   int16 products halve the memory traffic of the float32 direct kernel,
@@ -147,39 +146,26 @@ def qlinear_conv_gemm(
                 batch, x.shape[1], kh, kw, params.out_h, params.out_w),
             windows.transpose(0, 1, 4, 5, 2, 3))
     # One-augmented float32 columns: the constant last row is written once
-    # when the arena is born and multiplies w_aug's appended c column. A
-    # batched workload fuses `group` images into each GEMM so BLAS sees
-    # wide products instead of `batch` narrow ones; the remainder group
-    # (if any) simply keys a second, smaller arena pair.
-    group = batch_group(k, tiles, batch)
+    # when the arena is born and multiplies w_aug's appended c column.
+    # One GEMM per image, never several images in one wide GEMM: BLAS may
+    # round a column differently at another operand width, and then a row
+    # would depend on its batch and its companions.
+    def fresh_columns() -> np.ndarray:
+        buffer = np.empty((k + 1, tiles), dtype=np.float32)
+        buffer[k] = 1.0
+        return buffer
 
-    def fresh_columns(width: int):
-        def build() -> np.ndarray:
-            buffer = np.empty((k + 1, width), dtype=np.float32)
-            buffer[k] = 1.0
-            return buffer
-        return build
-
+    colsf = ctx.cached(
+        ("qscratch", "colsf", node.name, (k + 1, tiles), "<f4"), fresh_columns)
+    g = scratch(ctx, "acc", node.name, (out_channels, tiles), np.float32)
     out = np.empty(
         (batch, out_channels, params.out_h, params.out_w), dtype=np.uint8)
     flat = out.reshape(batch, out_channels, tiles)
-    for n0 in range(0, batch, group):
-        n1 = min(batch, n0 + group)
-        span = n1 - n0
-        width = span * tiles
-        colsf = ctx.cached(
-            ("qscratch", "colsf", node.name, (k + 1, width), "<f4"),
-            fresh_columns(width))
-        g = scratch(ctx, "acc", node.name, (out_channels, width), np.float32)
-        # Strided u8 -> f32 widening copy regroups (span, k, tiles) columns
-        # into the (k, span*tiles) GEMM operand in a single pass.
-        np.copyto(colsf[:k].reshape(k, span, tiles),
-                  columns[n0:n1].transpose(1, 0, 2))
+    for image in range(batch):
+        np.copyto(colsf[:k], columns[image])    # u8 -> f32 widening copy
         ctx.matmul(pack.w_aug, colsf, out=g)
         np.clip(g, pack.lo, pack.hi, out=g)
-        np.copyto(flat[n0:n1],
-                  g.reshape(out_channels, span, tiles).transpose(1, 0, 2),
-                  casting="unsafe")
+        np.copyto(flat[image], g, casting="unsafe")
     return [out]
 
 

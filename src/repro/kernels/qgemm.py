@@ -27,9 +27,10 @@ everything *around* the GEMM instead:
   ``clip(trunc(g*m + c), lo, hi)`` epilogue for callers that cannot
   augment their GEMM.
 * **Batch fusion** (:func:`batch_group`): at batch inference, several
-  images' column blocks are regrouped into one wide GEMM operand (within
-  a cache-friendly byte budget), amortising BLAS packing and Python
-  dispatch that a per-image loop pays ``batch`` times.
+  images' accumulators are regrouped into one wide elementwise epilogue
+  pass (within a cache-friendly byte budget), dividing the per-pass
+  Python dispatch by the group size. Elementwise passes round each value
+  alone, so grouping never changes a bit; GEMMs stay one per image.
 
 Rounding note: folding ``+0.5`` into ``c`` and truncating rounds halves
 up, where the exact reference (:mod:`repro.quant.qops`) rounds halves to
@@ -68,14 +69,15 @@ def block_tiles(k: int, out_channels: int, tiles: int) -> int:
 
 
 def batch_group(k: int, tiles: int, batch: int) -> int:
-    """How many images to fuse into one GEMM at batch inference.
+    """How many images to fuse into one pass over ``(k + 1, tiles)`` blocks.
 
-    A batched workload turns ``batch`` narrow ``(k, tiles)`` GEMMs into
-    wide ``(k, group*tiles)`` ones — BLAS packing amortises and the
-    per-call Python overhead divides by the group size, which is where
-    the quantized path's batch-32 throughput comes from. The group is
-    capped so the float32 column block stays around :data:`_BLOCK_BYTES`
-    (one image minimum: a single large image already saturates BLAS).
+    A batched workload turns ``batch`` narrow passes into wide
+    ``group*tiles`` ones, so the per-call Python overhead divides by the
+    group size. The group is capped so the float32 block stays around
+    :data:`_BLOCK_BYTES` (one image minimum). Only elementwise work may
+    be grouped (the depthwise epilogue calls this with ``k = 0``): a GEMM
+    over several images can round a column differently than the same
+    image's GEMM alone, so GEMMs stay one per image.
     """
     if batch <= 1:
         return 1

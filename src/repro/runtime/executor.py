@@ -267,26 +267,26 @@ class Executor:
         set (calibration/debugging), in which case every intermediate is
         retained and returned alongside the outputs.
 
-        ``deadline_ms`` (per-call, falling back to the config's value)
-        bounds the run in wall-clock time: a monotonic deadline is checked
-        between nodes, and — together with ``config.node_timeout_ms`` —
-        violations raise :class:`~repro.errors.DeadlineExceededError`
-        carrying the partial per-layer timeline. Kernels are not preempted
-        mid-call, so both checks are soft: expiry is detected at the next
-        node boundary.
+        ``deadline_ms`` bounds the run in wall-clock time: a monotonic
+        deadline is checked between nodes, and expiry raises
+        :class:`~repro.errors.DeadlineExceededError` carrying the partial
+        per-layer timeline. Kernels are not preempted mid-call, so the
+        check is soft: expiry is detected at the next node boundary.
+
+        Raises:
+            ValueError: ``deadline_ms`` is not positive.
         """
-        if deadline_ms is None:
-            deadline_ms = self.config.deadline_ms
-        timeout_ms = self.config.node_timeout_ms
-        watchdog = deadline_ms is not None or timeout_ms is not None
-        started_run = time.monotonic() if watchdog else 0.0
-        deadline = (started_run + deadline_ms / 1e3
-                    if deadline_ms is not None else None)
+        deadline = None
+        if deadline_ms is not None:
+            if deadline_ms <= 0:
+                raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
+            started_run = time.monotonic()
+            deadline = started_run + deadline_ms / 1e3
         values = self._bind_inputs(feeds)
         timings: list[NodeTiming] = []
-        # The watchdog always collects timings: the partial timeline is
+        # A deadline always collects timings: the partial timeline is
         # what makes an expired run diagnosable.
-        collect = collect_timings or watchdog
+        collect = collect_timings or deadline is not None
         release = {} if keep_values else self.plan.release_after
         for position, entry in enumerate(self.schedule):
             node = entry.node
@@ -310,19 +310,6 @@ class Executor:
                 seconds = time.perf_counter() - started
                 timings.append(NodeTiming(
                     node=node, impl=chosen, seconds=seconds))
-                if timeout_ms is not None and seconds * 1e3 > timeout_ms:
-                    now = time.monotonic()
-                    raise DeadlineExceededError(
-                        f"node {node.name!r} ({node.op_type}) took "
-                        f"{seconds * 1e3:.2f} ms, over the per-node soft "
-                        f"timeout of {timeout_ms:g} ms "
-                        f"({position + 1}/{len(self.schedule)} nodes "
-                        f"completed)",
-                        partial_timings=tuple(timings),
-                        completed_nodes=position + 1,
-                        total_nodes=len(self.schedule),
-                        elapsed_s=(now - started_run) if watchdog else seconds,
-                        deadline_s=timeout_ms / 1e3)
             for name, array in zip(node.outputs, outputs):
                 values[name] = array
             for dead in release.get(entry.index, ()):

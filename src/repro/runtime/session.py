@@ -140,7 +140,7 @@ class InferenceSession:
         those only asserts an expectation — a disagreement with the
         fingerprint is an :class:`~repro.errors.EngineError`, never a
         silent re-prepare. Every other ``RuntimeConfig`` field (numerics,
-        fallback, fault plans, deadlines, memory budgets) is a run-time
+        fallback, fault plans, memory budgets) is a run-time
         knob, free to differ, overridden exactly as on ``__init__``; the
         memory-budget admission check runs as it would on a cold prepare.
 
@@ -238,8 +238,7 @@ class InferenceSession:
             deadline_ms: float | None = None) -> dict[str, np.ndarray]:
         """Execute once; returns ``{output_name: array}``.
 
-        ``deadline_ms`` overrides the config's per-run wall-clock budget
-        for this call; expiry raises
+        ``deadline_ms`` bounds this run's wall-clock time; expiry raises
         :class:`~repro.errors.DeadlineExceededError` with the partial
         per-layer timeline attached.
         """

@@ -22,13 +22,9 @@ service that degrades gracefully under load and under backend failure:
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker
 from repro.serve.chaos import run_chaos_bench
 from repro.serve.loadgen import LoadReport, run_load
-from repro.serve.pool import PoolRobustnessReport, SessionPool
+from repro.serve.pool import SessionPool
 from repro.serve.queue import AdmissionQueue
-from repro.serve.service import (
-    InferenceService,
-    ServeRobustnessReport,
-    ServiceStats,
-)
+from repro.serve.service import InferenceService, ServiceStats
 from repro.serve.supervisor import (
     ProcessWorkerPool,
     SupervisorStats,
@@ -53,11 +49,9 @@ __all__ = [
     "InferenceService",
     "LoadReport",
     "PendingResponse",
-    "PoolRobustnessReport",
     "ProcessWorkerPool",
     "Rejected",
     "ServeRequest",
-    "ServeRobustnessReport",
     "ServiceStats",
     "SessionPool",
     "SupervisorStats",

@@ -161,8 +161,8 @@ def run_chaos_bench(
     # restart/recovery behaviour being measured.
     service_kwargs = dict(
         worker_mode="process", queue_capacity=max(8, workers * batch * 2),
-        batch_window_ms=2.0, breaker_threshold=max(20, workers * 10),
-        breaker_cooldown_s=0.2, jitter_seed=seed)
+        breaker_threshold=max(20, workers * 10), breaker_cooldown_s=0.2,
+        jitter_seed=seed)
     scenarios = []
 
     # -- scenario 1: kill K of N workers mid-load ---------------------------

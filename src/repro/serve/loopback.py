@@ -19,8 +19,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.runtime.executor import RobustnessReport
-
 #: Model-name sentinel that builds a LoopbackSession instead of a graph.
 LOOPBACK_MODEL = "@loopback"
 
@@ -35,28 +33,22 @@ class LoopbackSession:
     """Session double: ``out = input * 2`` after ``delay_s`` of "work".
 
     Implements the slice of ``InferenceSession`` the serving layer uses
-    (``run`` with a ``deadline_ms`` keyword, ``robustness_report``, and a
-    ``graph`` shim exposing the input shape) so it can stand behind both
-    the threaded pool and a process worker without special-casing.
+    (``run`` with a ``deadline_ms`` keyword, and a ``graph`` shim exposing
+    the input shape) so it can stand behind both the threaded pool and a
+    process worker without special-casing.
     """
 
     def __init__(self, backend: str = "orpheus", batch: int = 1,
                  delay_s: float = 0.0) -> None:
         self.backend = backend
         self.delay_s = delay_s
-        self.runs = 0
         shape = (batch, *LOOPBACK_SAMPLE_SHAPE)
         self.graph = SimpleNamespace(
             inputs=[SimpleNamespace(name=LOOPBACK_INPUT, shape=shape)],
             input_names=[LOOPBACK_INPUT])
 
     def run(self, feeds: dict, deadline_ms: float | None = None) -> dict:
-        self.runs += 1
         if self.delay_s:
             time.sleep(self.delay_s)
         batch = np.asarray(next(iter(feeds.values())))
         return {LOOPBACK_OUTPUT: batch * 2.0}
-
-    def robustness_report(self) -> RobustnessReport:
-        return RobustnessReport(
-            runs=self.runs, fallback_events=(), injected_faults=())

@@ -23,15 +23,14 @@ Thread model: one worker owns its sessions (one per bucket) per backend,
 and they are only ever run by that worker's thread. Sessions share
 *read-only* state (the nodes, initializer arrays, frozen plans);
 everything mutable — fallback logs, kernel caches — is per session, which
-is what makes the pool safe without locking the hot path. The per-backend
-fault plans are instantiated per worker (and shared by that worker's
+is what makes the pool safe without locking the hot path. The primary's
+fault plan is instantiated per worker (and shared by that worker's
 buckets) for the same reason: a
 :class:`~repro.runtime.faults.FaultPlan` carries a stateful RNG.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Mapping
 from typing import Any
 
@@ -83,30 +82,6 @@ class _BucketSessions:
             injected_faults=reports[0].injected_faults)
 
 
-@dataclasses.dataclass(frozen=True)
-class PoolRobustnessReport:
-    """Pool-wide aggregation of every worker session's robustness report."""
-
-    runs: int
-    fallback_events: int
-    recovered: int
-    exhausted: int
-    injected_faults: int
-    by_backend: dict[str, dict[str, int]]
-
-    def summary(self) -> str:
-        lines = [f"pool robustness: {self.runs} run(s), "
-                 f"{self.fallback_events} fallback event(s) "
-                 f"({self.recovered} recovered, {self.exhausted} exhausted), "
-                 f"{self.injected_faults} injected fault(s)"]
-        for backend, counts in sorted(self.by_backend.items()):
-            lines.append(
-                f"  {backend:14s} runs={counts['runs']} "
-                f"fallbacks={counts['fallback_events']} "
-                f"injected={counts['injected_faults']}")
-        return "\n".join(lines)
-
-
 class SessionPool:
     """N worker sessions per backend, sharing one loaded copy of the model.
 
@@ -124,17 +99,19 @@ class SessionPool:
         engine_cache: optional :class:`~repro.engine.cache.EngineCache`
             (or its directory, ``str`` or ``os.PathLike``); hits skip
             compilation entirely.
-        fault_specs: backend name -> fault-spec string
-            (:func:`~repro.runtime.faults.parse_fault_plan` mini-language);
-            each worker session gets its *own* plan instance, seeded
+        fault_spec: fault-spec string
+            (:func:`~repro.runtime.faults.parse_fault_plan` mini-language)
+            for the primary backend, ``backends[0]``, as
+            :class:`~repro.serve.supervisor.WorkerSupervisor` takes it;
+            each worker gets its *own* plan instance, seeded
             ``fault_seed + worker_index`` for determinism without sharing.
-        session_kwargs: extra per-session run-time knobs (``deadline_ms``,
-            ``node_timeout_ms``, ``memory_budget_bytes``,
-            ``check_numerics``, ``kernel_fallback``) — the PR 3 guardrails
-            inherited by every worker.
+        session_kwargs: extra per-session run-time knobs
+            (``memory_budget_bytes``, ``check_numerics``,
+            ``kernel_fallback``) inherited by every worker. A run's
+            deadline is not one of them: the service passes it per call.
         session_factory: test seam — ``factory(backend, worker_index)``
-            returning a session-like object (``run``/``robustness_report``)
-            replaces the whole build path.
+            returning a session-like object (``run``) replaces the whole
+            build path.
 
     Like :class:`~repro.serve.supervisor.ProcessWorkerPool` it states
     ``worker_mode``, ``sample_shape``, ``buckets``, :meth:`quarantined`,
@@ -159,7 +136,7 @@ class SessionPool:
         seed: int = 0,
         optimize: bool = True,
         engine_cache: Any = None,
-        fault_specs: Mapping[str, str] | None = None,
+        fault_spec: str | None = None,
         fault_seed: int = 0,
         session_kwargs: Mapping[str, Any] | None = None,
         session_factory: Callable[[str, int], Any] | None = None,
@@ -174,7 +151,7 @@ class SessionPool:
         self.batch = batch
         self.model_name = model if isinstance(model, str) else getattr(
             model, "name", "<graph>")
-        self._fault_specs = dict(fault_specs or {})
+        self._fault_spec = fault_spec
         self._fault_seed = fault_seed
         self._session_kwargs = dict(session_kwargs or {})
         self.engine_hits: dict[str, bool] = {}
@@ -254,10 +231,9 @@ class SessionPool:
 
     def _worker_kwargs(self, backend: str, index: int) -> dict[str, Any]:
         kwargs = dict(self._session_kwargs)
-        spec = self._fault_specs.get(backend)
-        if spec:
+        if self._fault_spec and backend == self.backends[0]:
             kwargs["fault_plan"] = parse_fault_plan(
-                spec, seed=self._fault_seed + index)
+                self._fault_spec, seed=self._fault_seed + index)
         return kwargs
 
     # -- access ----------------------------------------------------------------
@@ -282,30 +258,3 @@ class SessionPool:
 
     def close(self) -> None:
         """Sessions hold nothing but memory: nothing to shut down."""
-
-    # -- health ----------------------------------------------------------------
-
-    def robustness_report(self) -> PoolRobustnessReport:
-        """Aggregate every worker session's robustness report pool-wide."""
-        runs = fallbacks = recovered = exhausted = injected = 0
-        by_backend: dict[str, dict[str, int]] = {}
-        for backend, group in self._sessions.items():
-            counts = {"runs": 0, "fallback_events": 0, "injected_faults": 0}
-            for session in group:
-                report = getattr(session, "robustness_report", None)
-                if report is None:
-                    continue
-                result: RobustnessReport = report()
-                counts["runs"] += result.runs
-                counts["fallback_events"] += len(result.fallback_events)
-                counts["injected_faults"] += len(result.injected_faults)
-                recovered += len(result.recovered)
-                exhausted += len(result.exhausted)
-            runs += counts["runs"]
-            fallbacks += counts["fallback_events"]
-            injected += counts["injected_faults"]
-            by_backend[backend] = counts
-        return PoolRobustnessReport(
-            runs=runs, fallback_events=fallbacks, recovered=recovered,
-            exhausted=exhausted, injected_faults=injected,
-            by_backend=by_backend)

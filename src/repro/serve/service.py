@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import OrpheusError, PoisonRequestError
 from repro.serve.breaker import BreakerSnapshot, CircuitBreaker
-from repro.serve.pool import PoolRobustnessReport, SessionPool
+from repro.serve.pool import SessionPool
 from repro.serve.queue import AdmissionQueue
 from repro.serve.types import (
     Completed,
@@ -42,6 +42,10 @@ from repro.serve.types import (
     Rejected,
     ServeRequest,
 )
+
+#: How long a batch that already holds two or more requests waits to fill:
+#: the latency budget of dynamic batching. A lone request never waits.
+BATCH_WINDOW_MS = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,34 +95,6 @@ class ServiceStats:
         return document
 
 
-@dataclasses.dataclass(frozen=True)
-class ServeRobustnessReport:
-    """Pool-wide robustness rollup: what degraded, and how it was contained."""
-
-    pool: PoolRobustnessReport
-    sheds: dict[str, int]
-    breaker_trips: int
-    breaker_recoveries: int
-    reroutes: int
-    deadline_misses: int
-    failed_requests: int
-
-    def summary(self) -> str:
-        shed_total = sum(self.sheds.values())
-        lines = [
-            f"serve robustness: {shed_total} shed, "
-            f"{self.breaker_trips} breaker trip(s), "
-            f"{self.breaker_recoveries} recover(ies), "
-            f"{self.reroutes} rerouted batch(es), "
-            f"{self.deadline_misses} deadline miss(es), "
-            f"{self.failed_requests} failed request(s)",
-        ]
-        for reason, count in sorted(self.sheds.items()):
-            lines.append(f"  shed[{reason}] x{count}")
-        lines.append(self.pool.summary())
-        return "\n".join(lines)
-
-
 class InferenceService:
     """Async inference over a warm session pool, with admission control.
 
@@ -138,9 +114,6 @@ class InferenceService:
             both modes.
         queue_capacity: bound on queued requests; arrivals beyond it are
             shed ``queue-full``.
-        batch_window_ms: how long a batch that already holds two or more
-            requests waits to fill — the latency budget of dynamic
-            batching. A lone request never waits.
         default_deadline_ms: deadline applied to requests submitted
             without one (``None`` = unbounded).
         breaker_threshold / breaker_cooldown_s: circuit-breaker tuning,
@@ -156,7 +129,6 @@ class InferenceService:
         pool: SessionPool | None = None,
         worker_mode: str = "thread",
         queue_capacity: int = 64,
-        batch_window_ms: float = 2.0,
         default_deadline_ms: float | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 1.0,
@@ -184,7 +156,6 @@ class InferenceService:
         else:
             self.pool = SessionPool(model, **pool_kwargs)
         self.worker_mode = self.pool.worker_mode
-        self.batch_window_ms = batch_window_ms
         self.default_deadline_ms = default_deadline_ms
         self.queue = AdmissionQueue(
             capacity=queue_capacity, workers=self.pool.workers,
@@ -269,8 +240,7 @@ class InferenceService:
 
     def _worker_loop(self, index: int) -> None:
         while not self._stop.is_set():
-            batch = self.queue.take_batch(
-                self.pool.batch, self.batch_window_ms)
+            batch = self.queue.take_batch(self.pool.batch, BATCH_WINDOW_MS)
             if not batch:
                 continue
             with self._lock:
@@ -540,19 +510,6 @@ class InferenceService:
                 stopped=self._stopped,
                 outstanding=self._accepted - self._resolved,
             )
-
-    def robustness_report(self) -> ServeRobustnessReport:
-        """Sheds, trips, fallbacks, and deadline misses — pool-wide."""
-        stats = self.stats()
-        return ServeRobustnessReport(
-            pool=self.pool.robustness_report(),
-            sheds=stats.rejected,
-            breaker_trips=sum(b.trips for b in stats.breakers),
-            breaker_recoveries=sum(b.recoveries for b in stats.breakers),
-            reroutes=stats.reroutes,
-            deadline_misses=stats.deadline_misses,
-            failed_requests=stats.failed,
-        )
 
     def health(self) -> dict:
         """JSON-ready health document for the CLI and the smoke job."""

@@ -750,21 +750,3 @@ class ProcessWorkerPool:
 
     def __len__(self) -> int:
         return len(self._sessions)
-
-    def robustness_report(self):
-        """Kernel-level telemetry stays inside the worker processes.
-
-        Process isolation trades in-process introspection for
-        containment; supervision-level telemetry (deaths, restarts,
-        quarantine) lives in ``supervisor.stats()`` instead.
-        """
-        from repro.serve.pool import PoolRobustnessReport
-
-        return PoolRobustnessReport(
-            runs=0, fallback_events=0, recovered=0, exhausted=0,
-            injected_faults=0,
-            by_backend={
-                backend: {"runs": 0, "fallback_events": 0,
-                          "injected_faults": 0}
-                for backend in self.backends
-            })

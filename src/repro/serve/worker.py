@@ -90,11 +90,8 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
             "engine_hits": {},
         }
     # The real path reuses SessionPool's build machinery with workers=1:
-    # engine-cache warm start, batch buckets, per-backend fault plans —
+    # engine-cache warm start, batch buckets, the primary's fault plan —
     # one code path for both worker modes.
-    fault_specs = None
-    if spec.get("fault_spec"):
-        fault_specs = {backends[0]: spec["fault_spec"]}
     pool = SessionPool(
         model,
         backends=backends,
@@ -104,7 +101,7 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
         seed=int(spec.get("seed", 0)),
         optimize=bool(spec.get("optimize", True)),
         engine_cache=spec.get("engine_cache"),
-        fault_specs=fault_specs,
+        fault_spec=spec.get("fault_spec"),
         fault_seed=int(spec.get("fault_seed", 0)),
         session_kwargs=spec.get("session_kwargs") or None,
     )

@@ -35,6 +35,16 @@ class TestServeProcessMode:
         assert {int(w) for w in stats["runs_by_width"]} <= {1, 2}
         assert sum(int(w) * n for w, n in stats["runs_by_width"].items()) \
             == stats["batched_requests"] + stats["padded_rows"]
+        # The robustness keys are the stats document, re-read: one ledger.
+        breakers = stats["breakers"]
+        assert document["robustness"] == {
+            "sheds": stats["rejected"],
+            "breaker_trips": sum(b["trips"] for b in breakers),
+            "breaker_recoveries": sum(b["recoveries"] for b in breakers),
+            "reroutes": stats["reroutes"],
+            "deadline_misses": stats["deadline_misses"],
+            "failed_requests": stats["failed"],
+        }
 
 
 def test_serve_text_summary_counts_rows(capsys):
@@ -45,6 +55,7 @@ def test_serve_text_summary_counts_rows(capsys):
     assert code == 0, out
     assert "  batches by width 1x" in out
     assert ", padded rows " in out
+    assert "  robustness: " in out and " breaker trip(s), " in out
 
 
 class TestServeChaosVerb:

@@ -1,5 +1,7 @@
 """RuntimeConfig: defaults, validation, replace."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import RuntimeConfig
@@ -17,6 +19,12 @@ class TestRuntimeConfig:
         assert config.threads == 1
         assert config.optimize
         assert not config.validate_kernels
+
+    def test_fields_are_the_sessions_knobs_and_no_deadline(self):
+        # A run's deadline is an argument of each call, never config.
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "threads", "optimize", "validate_kernels", "kernel_fallback",
+            "check_numerics", "fault_plan", "memory_budget_bytes"]
 
     def test_replace_creates_new_object(self):
         base = RuntimeConfig()

@@ -24,8 +24,6 @@ _VALUES = {
     "kernel_fallback": False,
     "check_numerics": True,
     "fault_plan": FaultPlan([FaultSpec(mode="raise", op_type="Softmax")]),
-    "deadline_ms": 60_000.0,
-    "node_timeout_ms": 30_000.0,
     "memory_budget_bytes": 1 << 30,
 }
 #: Every field but ``threads``, which has no second legal value.
@@ -63,10 +61,10 @@ class TestInferenceSession:
         assert session.config == base
 
     def test_keyword_beats_base_config(self):
-        session = InferenceSession(
-            tiny_classifier(), config=RuntimeConfig(deadline_ms=1e3),
-            deadline_ms=2e3)
-        assert session.config.deadline_ms == 2e3
+        base = RuntimeConfig(memory_budget_bytes=1 << 30)
+        session = InferenceSession(tiny_classifier(), config=base,
+                                   memory_budget_bytes=1 << 31)
+        assert session.config.memory_budget_bytes == 1 << 31
 
 
 class TestFromEngine:
@@ -104,6 +102,8 @@ class TestRejected:
         {"bogus": None},            # the name is checked, not the value
         {"budget_mode": "degrade"},
         {"memory_planning": False},
+        {"deadline_ms": 1e3},       # a run's deadline is per call
+        {"node_timeout_ms": 1e3},
     ])
     def test_unknown_or_retired_keyword(self, engine, keyword):
         with pytest.raises(TypeError):
@@ -113,7 +113,8 @@ class TestRejected:
 
     @pytest.mark.parametrize("field", [
         {"memory_planning": False}, {"backend": "x"},
-        {"budget_mode": "reject"},
+        {"budget_mode": "reject"}, {"deadline_ms": 1e3},
+        {"node_timeout_ms": 1e3},
     ])
     def test_retired_config_field(self, field):
         with pytest.raises(TypeError):

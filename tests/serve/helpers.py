@@ -2,8 +2,7 @@
 
 A :class:`FakeSession` stands in for ``InferenceSession`` through the
 ``session_factory`` seam of :class:`~repro.serve.pool.SessionPool`: it
-implements ``run`` / ``robustness_report`` with scriptable latency and
-failure behaviour, so service tests exercise admission, batching, breaker,
+implements ``run`` with scriptable latency and failure behaviour, so service tests exercise admission, batching, breaker,
 and drain logic without compiling a model (milliseconds, not seconds).
 """
 
@@ -15,7 +14,6 @@ import time
 import numpy as np
 
 from repro.errors import FallbackExhaustedError
-from repro.runtime.executor import RobustnessReport
 
 
 class FailurePlan:
@@ -58,12 +56,10 @@ class FakeSession:
         self.failures = failures
         self.gate = gate
         self.started = threading.Event()
-        self.runs = 0
         self.run_deadlines: list[float | None] = []
         self.batch_shapes: list[tuple[int, ...]] = []
 
     def run(self, feeds: dict, deadline_ms: float | None = None) -> dict:
-        self.runs += 1
         self.run_deadlines.append(deadline_ms)
         self.batch_shapes.append(
             tuple(np.asarray(next(iter(feeds.values()))).shape))
@@ -77,10 +73,6 @@ class FakeSession:
                 f"injected: {self.backend} worker {self.index}")
         batch = np.asarray(next(iter(feeds.values())))
         return {"out": batch * 2.0}
-
-    def robustness_report(self) -> RobustnessReport:
-        return RobustnessReport(
-            runs=self.runs, fallback_events=(), injected_faults=())
 
 
 def make_factory(behaviour: dict | None = None):

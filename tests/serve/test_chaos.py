@@ -11,6 +11,7 @@ import types
 
 import pytest
 
+from repro.serve import service as service_mod
 from repro.serve.chaos import calibrate_saturation_rps, run_chaos_bench
 from repro.serve.pool import SessionPool
 from repro.serve.service import InferenceService
@@ -78,7 +79,7 @@ def test_kill_bounds_validated():
         run_chaos_bench(model="@loopback", workers=2, kill=3)
 
 
-def test_calibration_times_full_batches():
+def test_calibration_times_full_batches(monkeypatch):
     """Saturation is full batches, so that is what calibration must time.
 
     Structural, no clock read: with requests warmed one at a time every
@@ -96,7 +97,8 @@ def test_calibration_times_full_batches():
 
     pool = SessionPool("fake", backends=("a",), workers=1, batch=4,
                        session_factory=with_graph)
-    with InferenceService(pool=pool, batch_window_ms=500.0) as service:
+    monkeypatch.setattr(service_mod, "BATCH_WINDOW_MS", 500.0)
+    with InferenceService(pool=pool) as service:
         rps = calibrate_saturation_rps(service)
         widths = [shape[0] for shape in factory.sessions[0].batch_shapes]
         assert service.queue.observations == len(widths)

@@ -205,7 +205,7 @@ class TestFaultPlans:
     def test_a_workers_buckets_share_its_one_fault_plan(self):
         pool = SessionPool(
             tiny_classifier(batch=4), workers=2, batch=4,
-            fault_specs={"orpheus": "raise:op=Conv:max=2"}, fault_seed=7)
+            fault_spec="raise:op=Conv:max=2", fault_seed=7)
         first, second = pool.sessions("orpheus")
         plans = {id(s._executor.config.fault_plan)
                  for s in first.by_width.values()}
@@ -213,54 +213,27 @@ class TestFaultPlans:
         assert id(second._executor.config.fault_plan) not in plans
         for width in (1, 4, 2):
             first.run({"input": np.zeros((width, 3, 8, 8), dtype=np.float32)})
-        report = pool.robustness_report()
-        assert report.runs == 3                 # every width, once each
-        assert report.injected_faults == 2      # the plan's, not 3 copies
-        assert report.fallback_events == 2
+        report = first.robustness_report()
+        assert report.runs == 3                     # every width, once each
+        assert len(report.injected_faults) == 2     # the plan's, not 3 copies
+        assert len(report.fallback_events) == 2
 
     def test_each_worker_gets_its_own_seeded_plan(self):
         pool = SessionPool(
             tiny_classifier(), backends=("orpheus",), workers=2, batch=1,
-            fault_specs={"orpheus": "raise:op=Conv:max=1"}, fault_seed=7)
+            fault_spec="raise:op=Conv:max=1", fault_seed=7)
         plans = [session._executor.config.fault_plan
                  for session in pool.sessions("orpheus")]
         assert plans[0] is not None
         assert plans[0] is not plans[1]  # stateful RNGs must not be shared
 
     def test_fault_spec_only_applies_to_named_backend(self):
-        factory_calls = []
-
-        def factory(backend, index):
-            factory_calls.append((backend, index))
-            return FakeSession(backend, index)
-
-        SessionPool("fake", backends=("a", "b"), workers=1,
-                    fault_specs={"a": "raise:op=Conv:max=1"},
-                    session_factory=factory)
-        # the factory seam bypasses fault wiring; this asserts the pool
-        # still instantiated every (backend, worker) pair exactly once
-        assert factory_calls == [("a", 0), ("b", 0)]
-
-
-class TestRobustnessRollup:
-    def test_aggregates_runs_across_backends_and_workers(self):
-        factory = make_factory()
-        pool = SessionPool("fake", backends=("a", "b"), workers=2,
-                           session_factory=factory)
-        feeds = {"input": np.zeros((1, 4), dtype=np.float32)}
-        pool.session("a", 0).run(feeds)
-        pool.session("a", 1).run(feeds)
-        pool.session("b", 0).run(feeds)
-        report = pool.robustness_report()
-        assert report.runs == 3
-        assert report.by_backend["a"]["runs"] == 2
-        assert report.by_backend["b"]["runs"] == 1
-        assert "pool robustness" in report.summary()
-
-    def test_sessions_without_reports_are_tolerated(self):
-        class Bare:
-            pass
-
-        pool = SessionPool("fake", backends=("a",), workers=1,
-                           session_factory=lambda backend, index: Bare())
-        assert pool.robustness_report().runs == 0
+        # The spec names no backend: it faults the one named first, as a
+        # process worker's does, and leaves the fallback chain clean.
+        pool = SessionPool(
+            tiny_classifier(), backends=("orpheus", "direct"), workers=1,
+            fault_spec="raise:op=Conv:max=1")
+        (primary,) = pool.sessions("orpheus")
+        (fallback,) = pool.sessions("direct")
+        assert primary._executor.config.fault_plan is not None
+        assert fallback._executor.config.fault_plan is None

@@ -12,6 +12,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.serve import service as service_mod
 from repro.serve.pool import SessionPool
 from repro.serve.service import InferenceService
 from repro.serve.types import Completed, Failed, Rejected
@@ -76,10 +77,11 @@ class TestRoundtrip:
 
 
 class TestBatching:
-    def test_lone_request_is_not_held_for_the_window(self):
+    def test_lone_request_is_not_held_for_the_window(self, monkeypatch):
         # Nothing else is queued, so the request goes at once: a minute-long
         # window never delays it.
-        with make_service(batch=4, batch_window_ms=60_000) as service:
+        monkeypatch.setattr(service_mod, "BATCH_WINDOW_MS", 60_000.0)
+        with make_service(batch=4) as service:
             outcome = service.submit(sample(5.0)).result(timeout=5.0)
             stats = service.stats()
         assert isinstance(outcome, Completed)
@@ -199,10 +201,11 @@ class TestBreakerRouting:
                         for _ in range(4)]
         assert all(isinstance(o, Completed) for o in outcomes)
         assert {o.backend for o in outcomes} == {"b"}
-        report = service.robustness_report()
-        assert report.breaker_trips == 1       # a tripped after 2 failures
-        assert report.reroutes == 4            # every batch served off-chain
-        state = {s.backend: s.state for s in service.stats().breakers}
+        stats = service.stats()
+        trips = {s.backend: s.trips for s in stats.breakers}
+        assert trips == {"a": 1, "b": 0}    # a tripped after 2 failures
+        assert stats.reroutes == 4          # every batch served off-chain
+        state = {s.backend: s.state for s in stats.breakers}
         assert state["a"] == "open"
         assert state["b"] == "closed"
 
@@ -217,11 +220,12 @@ class TestBreakerRouting:
             time.sleep(0.08)                            # cooldown elapses
             probe = service.submit(sample()).result(timeout=5.0)
             after = service.submit(sample()).result(timeout=5.0)
-            report = service.robustness_report()
+            breaker = service.stats().breakers[0]
         assert probe.backend == "a"      # half-open probe hit the primary
         assert after.backend == "a"      # ...and recovery stuck
-        assert report.breaker_trips >= 1
-        assert report.breaker_recoveries == 1
+        assert breaker.backend == "a"
+        assert breaker.trips >= 1
+        assert breaker.recoveries == 1
 
     def test_all_backends_down_is_failed_then_breaker_open(self):
         behaviour = {"a": {"failures": FailurePlan(fail_first=100)}}
@@ -341,10 +345,3 @@ class TestStats:
         json.dumps(document)  # no numpy scalars, no dataclass leftovers
         assert document["completed"] == 1
         assert isinstance(document["breakers"], list)
-
-    def test_robustness_summary_mentions_sheds_and_trips(self):
-        with make_service() as service:
-            service.submit(sample()).result(timeout=5.0)
-            text = service.robustness_report().summary()
-        assert "serve robustness" in text
-        assert "pool robustness" in text

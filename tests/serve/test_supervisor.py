@@ -222,9 +222,6 @@ class TestPoolFacade:
             assert sessions[0].accepts_request_ids
             out = sessions[1].run(feeds_for(3.0))
             assert out["out"][0, 0] == 6.0
-            report = pool.robustness_report()
-            assert report.runs == 0
-            assert set(report.by_backend) == {"orpheus"}
 
 
 class TestBuckets:
