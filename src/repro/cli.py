@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Any
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="run the inference service under a self-generated "
                       "load and report health/robustness")
     _serve_pool_flags(serve)
-    serve.add_argument("--rps", type=float, default=4.0,
+    serve.add_argument("--rps", type=_positive(float), default=4.0,
                        help="offered load while the service runs")
     serve.add_argument("--clients", type=int, default=2,
                        help="concurrent load-generator clients")
@@ -170,11 +171,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_chaos.add_argument("model", nargs="?", default="wrn-40-2",
                              help="zoo model name, or '@loopback' for the "
                                   "millisecond-startup diagnostic model")
-    serve_chaos.add_argument("--workers", type=int, default=4,
+    serve_chaos.add_argument("--workers", type=_positive(int), default=4,
                              help="process workers in the pool")
     serve_chaos.add_argument("--kill", type=int, default=2,
                              help="workers to SIGKILL mid-load")
-    serve_chaos.add_argument("--batch", type=int, default=2,
+    serve_chaos.add_argument("--batch", type=_positive(int), default=2,
                              help="max dynamic batch size")
     serve_chaos.add_argument("--image-size", type=int, default=8,
                              help="input resolution for real models")
@@ -182,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="seconds of load in the kill scenario")
     serve_chaos.add_argument("--clients", type=int, default=4)
     serve_chaos.add_argument("--deadline-ms", type=float, default=2000.0)
-    serve_chaos.add_argument("--rps", type=float, default=None,
+    serve_chaos.add_argument("--rps", type=_positive(float), default=None,
                              help="override the calibrated offered rate")
     serve_chaos.add_argument("--recovery-window-s", type=float,
                              default=10.0,
@@ -259,16 +260,16 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
                              "down it (avoid 'reference' here — its "
                              "naive kernels are orders of magnitude "
                              "slower than every other backend)")
-    parser.add_argument("--workers", type=int, default=2,
+    parser.add_argument("--workers", type=_positive(int), default=2,
                         help="worker sessions per backend")
     parser.add_argument("--worker-mode", choices=("thread", "process"),
                         default="thread",
                         help="'process' isolates every worker in its own "
                              "OS process (crash containment, heartbeats, "
                              "poison-request quarantine)")
-    parser.add_argument("--batch", type=int, default=4,
+    parser.add_argument("--batch", type=_positive(int), default=4,
                         help="max dynamic batch size")
-    parser.add_argument("--queue-capacity", type=int, default=None,
+    parser.add_argument("--queue-capacity", type=_positive(int), default=None,
                         help="bounded request queue size (default: "
                              "8 * workers * batch)")
     parser.add_argument("--image-size", type=int, default=None)
@@ -337,6 +338,17 @@ def _open_journal(args: argparse.Namespace):
         return None
     from repro.bench.journal import RunJournal
     return RunJournal(args.journal, resume=args.resume)
+
+
+def _positive(kind: type) -> Any:
+    """argparse ``type=`` for a count or rate above zero: else exit 2."""
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def _guardrail_flags(parser: argparse.ArgumentParser) -> None:
@@ -582,22 +594,14 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     from repro.onnx import save_model
     from repro.passes import default_pipeline
     from repro.quant import calibrate, quantize_graph
+    from repro.quant.auto import synthetic_calibration_feeds
 
     graph = _load_graph(args.model, seed=args.seed)
     # Quantize the unfused simplification so the result stays ONNX-clean
     # (the fused `activation` attribute is framework-internal).
     optimized = default_pipeline(fuse=False).run(graph)
-    batches = []
-    for index in range(args.batches):
-        feeds = {}
-        for info in optimized.inputs:
-            shape = tuple(1 if dim == -1 else dim for dim in info.shape)
-            from repro.bench.workloads import synthetic_image_batch
-            feeds[info.name] = (
-                synthetic_image_batch(shape, seed=args.seed + index)
-                if len(shape) == 4
-                else np.zeros(shape, dtype=info.dtype.np))
-        batches.append(feeds)
+    batches = synthetic_calibration_feeds(
+        optimized, batches=args.batches, seed=args.seed)
     ranges = calibrate(optimized, batches, observer=args.observer)
     quantized, report = quantize_graph(optimized, ranges)
     print(report)
@@ -739,7 +743,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import OrpheusError
     from repro.serve import InferenceService, run_load
 
-    capacity = args.queue_capacity or 8 * args.workers * args.batch
+    capacity = (8 * args.workers * args.batch if args.queue_capacity is None
+                else args.queue_capacity)
     service = None
     previous_handlers = {}
 

@@ -196,9 +196,10 @@ class WorkerCrashError(OrpheusError):
 class PoisonRequestError(OrpheusError):
     """A request is quarantined: it already killed too many workers.
 
-    A request whose worker dies is retried at most
-    ``quarantine_threshold`` times; past that the supervisor refuses to
-    dispatch it again (cycling the pool forever is the alternative). The
+    Once a request id has been in flight at
+    :data:`repro.serve.supervisor.QUARANTINE_THRESHOLD` (2) worker deaths,
+    the supervisor refuses to dispatch it again (cycling the pool forever
+    is the alternative). The
     service converts this into a structured ``Rejected`` with reason
     ``"quarantined"``.
 

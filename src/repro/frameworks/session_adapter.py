@@ -19,9 +19,10 @@ class SessionModel(PreparedModel):
     """A `PreparedModel` backed by an `InferenceSession`.
 
     ``per_run_overhead_s`` models constant framework dispatch cost that our
-    shared executor cannot express (e.g. a Python-API boundary crossing);
-    the built-in simulations keep it at zero — differences come from the
-    kernels — but third-party adapters may use it.
+    shared executor cannot express (e.g. a Python-API boundary crossing).
+    Of the built-in simulations only PyTorch sets it, to 40 µs per node
+    (eager dispatch, see ``PyTorchAdapter.prepare``); the others keep it
+    at zero, so their differences come from the kernels.
     """
 
     def __init__(self, session: InferenceSession,

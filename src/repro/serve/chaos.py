@@ -14,9 +14,10 @@ each checking one acceptance criterion of process-isolated serving
 * **poison-quarantine** — a ``crash:node=poison-*`` fault makes any
   worker die the moment it picks up the poison request. Resubmitting the
   same request id must be quarantined after at most
-  ``quarantine_threshold`` (= 2) worker deaths — rejected with the
-  structured reason ``"quarantined"`` instead of cycling the pool — and
-  innocent requests must keep completing afterwards.
+  :data:`~repro.serve.supervisor.QUARANTINE_THRESHOLD` (= 2) worker
+  deaths — rejected with the structured reason ``"quarantined"`` instead
+  of cycling the pool — and innocent requests must keep completing
+  afterwards.
 * **hang-heartbeat** — a ``hang:node=hang-*`` fault makes the worker
   stop heartbeating and block forever. The supervisor must detect the
   silence (heartbeat loss or request deadline), kill the worker, fail
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.serve.loadgen import run_load
 from repro.serve.service import InferenceService
+from repro.serve.supervisor import QUARANTINE_THRESHOLD
 from repro.serve.types import Completed, Failed, Rejected
 
 DEFAULT_MODEL = "wrn-40-2"
@@ -148,8 +150,7 @@ def run_chaos_bench(
 
     is_loopback = model == "@loopback"
     pool_kwargs = dict(
-        workers=workers, batch=batch, seed=seed, engine_cache=engine_cache,
-        backoff_base_s=0.05, backoff_cap_s=1.0)
+        workers=workers, batch=batch, seed=seed, engine_cache=engine_cache)
     if not is_loopback:
         pool_kwargs["image_size"] = image_size
     else:
@@ -236,7 +237,7 @@ def run_chaos_bench(
         crash_failures = 0
         quarantine_seen = False
         attempts = 0
-        for attempt in range(supervisor.quarantine_threshold + 3):
+        for attempt in range(QUARANTINE_THRESHOLD + 3):
             attempts += 1
             pending = service.submit(sample, deadline_ms=5000.0,
                                      request_id="poison-1")
@@ -264,7 +265,7 @@ def run_chaos_bench(
             checks={
                 "quarantined": quarantine_seen,
                 "within_threshold_deaths":
-                    crash_failures <= supervisor.quarantine_threshold,
+                    crash_failures <= QUARANTINE_THRESHOLD,
                 "supervisor_lists_poison":
                     "poison-1" in stats.quarantined,
                 "innocents_unaffected": innocents_ok
@@ -273,9 +274,9 @@ def run_chaos_bench(
             },
             attempts=attempts,
             crash_failures=crash_failures,
-            quarantine_threshold=supervisor.quarantine_threshold,
+            quarantine_threshold=QUARANTINE_THRESHOLD,
             notes="a request that kills its worker "
-                  f"{supervisor.quarantine_threshold}x is refused as "
+                  f"{QUARANTINE_THRESHOLD}x is refused as "
                   "poison; innocent traffic keeps completing"))
 
     # -- scenario 3: hang -> heartbeat loss -> contained restart -----------

@@ -98,7 +98,8 @@ class SessionPool:
             holds it.
         engine_cache: optional :class:`~repro.engine.cache.EngineCache`
             (or its directory, ``str`` or ``os.PathLike``); hits skip
-            compilation entirely.
+            compilation entirely. Engines are always compiled with the
+            pass pipeline on (``optimize=True``).
         fault_spec: fault-spec string
             (:func:`~repro.runtime.faults.parse_fault_plan` mini-language)
             for the primary backend, ``backends[0]``, as
@@ -134,7 +135,6 @@ class SessionPool:
         batch: int = 1,
         image_size: int | None = None,
         seed: int = 0,
-        optimize: bool = True,
         engine_cache: Any = None,
         fault_spec: str | None = None,
         fault_seed: int = 0,
@@ -175,9 +175,8 @@ class SessionPool:
                     for _ in range(workers)
                 ]
         else:
-            self._build(model, batch=batch,
-                        image_size=image_size, seed=seed, optimize=optimize,
-                        engine_cache=engine_cache)
+            self._build(model, batch=batch, image_size=image_size,
+                        seed=seed, engine_cache=engine_cache)
         # Per-sample input shape. Every real session carries its graph;
         # a session_factory fake may not, and then the shape is unknown.
         graph = getattr(self.session(self.backends[0], 0), "graph", None)
@@ -187,7 +186,7 @@ class SessionPool:
     # -- construction ----------------------------------------------------------
 
     def _build(self, model: Any, batch: int,
-               image_size: int | None, seed: int, optimize: bool,
+               image_size: int | None, seed: int,
                engine_cache: Any) -> None:
         from repro.engine.cache import EngineCache
         from repro.engine.compiler import compile_graph, rebatch
@@ -206,11 +205,10 @@ class SessionPool:
             if engine_cache is not None:
                 engine, hit = engine_cache.load_or_compile(
                     graph, model=self.model_name, backend=backend,
-                    optimize=optimize, batch=batch,
-                    image_size=image_size, seed=seed)
+                    batch=batch, image_size=image_size, seed=seed)
             else:
                 engine = compile_graph(
-                    graph, backend=backend, optimize=optimize,
+                    graph, backend=backend,
                     metadata={"model": self.model_name, "pool": "serve"})
                 hit = False
             self.engine_hits[backend] = hit

@@ -34,15 +34,20 @@ import time
 
 from repro.serve.types import PendingResponse, Rejected
 
+#: Weight of the newest batch time: ~5 batches move the EWMA to a new level.
+EWMA_ALPHA = 0.2
+#: The EWMA's seed, a guess the first few observed batches wash out.
+INITIAL_BATCH_S = 0.05
+#: Retry hints stretch by a seeded factor in [1, 1 + this]: no retry stampede.
+RETRY_JITTER_FRAC = 0.25
+
 
 class AdmissionQueue:
     """Thread-safe bounded FIFO of :class:`PendingResponse` with admission.
 
-    ``retry_jitter_frac`` spreads ``retry_after_s`` hints by a bounded
-    random factor in ``[1, 1 + frac]`` so that a burst of simultaneous
-    rejections does not come back as a synchronized retry stampede. The
-    jitter stream is seeded (``jitter_seed``) so tests and benchmarks see
-    a deterministic sequence of hints.
+    Rejection hints carry :data:`RETRY_JITTER_FRAC` jitter. The jitter
+    stream is seeded (``jitter_seed``) so tests and benchmarks see a
+    deterministic sequence of hints.
     """
 
     def __init__(
@@ -50,31 +55,22 @@ class AdmissionQueue:
         capacity: int = 64,
         workers: int = 1,
         batch: int = 1,
-        ewma_alpha: float = 0.2,
-        initial_service_s: float = 0.05,
-        retry_jitter_frac: float = 0.25,
         jitter_seed: int = 0,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 <= retry_jitter_frac <= 1.0:
-            raise ValueError(
-                f"retry_jitter_frac must be in [0, 1], got {retry_jitter_frac}")
         self.capacity = capacity
         self.workers = max(1, workers)
         self.batch = max(1, batch)
-        self._alpha = ewma_alpha
         # EWMA of one *batch* execution's wall time, at whatever width
-        # traffic produces; seeded with a guess that the first few
-        # observations quickly wash out.
-        self._ewma_batch_s = initial_service_s   # guarded-by: _lock
+        # traffic produces.
+        self._ewma_batch_s = INITIAL_BATCH_S     # guarded-by: _lock
         self._observations = 0                   # guarded-by: _lock
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._items: collections.deque[PendingResponse] = (  # guarded-by: _lock
             collections.deque())
         self._closed = False                     # guarded-by: _lock
-        self._jitter_frac = retry_jitter_frac
         # shed() is called both under self._lock (try_admit) and without
         # it from dispatcher threads, so its state gets its own lock
         # (order: _lock -> _shed_lock; dispatchers take only the latter).
@@ -157,8 +153,8 @@ class AdmissionQueue:
         """
         with self._shed_lock:
             self.sheds[reason] = self.sheds.get(reason, 0) + 1
-            if retry_after_s is not None and self._jitter_frac > 0.0:
-                retry_after_s *= 1.0 + self._jitter_frac \
+            if retry_after_s is not None:
+                retry_after_s *= 1.0 + RETRY_JITTER_FRAC \
                     * self._jitter_rng.random()
         return Rejected(id=request_id, reason=reason,
                         retry_after_s=retry_after_s, message=message)
@@ -213,7 +209,7 @@ class AdmissionQueue:
                 float("inf"), float("-inf")) or seconds < 0.0:
             return
         with self._lock:
-            self._ewma_batch_s += self._alpha * (seconds - self._ewma_batch_s)
+            self._ewma_batch_s += EWMA_ALPHA * (seconds - self._ewma_batch_s)
             self._observations += 1
 
     def shed_counts(self) -> dict[str, int]:

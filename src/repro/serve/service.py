@@ -118,8 +118,8 @@ class InferenceService:
             without one (``None`` = unbounded).
         breaker_threshold / breaker_cooldown_s: circuit-breaker tuning,
             per backend.
-        retry_jitter_frac / jitter_seed: bounded, seeded jitter applied
-            to ``retry_after`` hints (see :class:`AdmissionQueue`).
+        jitter_seed: seeds the bounded jitter on ``retry_after`` hints
+            (:data:`repro.serve.queue.RETRY_JITTER_FRAC`).
     """
 
     def __init__(
@@ -132,7 +132,6 @@ class InferenceService:
         default_deadline_ms: float | None = None,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 1.0,
-        retry_jitter_frac: float = 0.25,
         jitter_seed: int = 0,
         **pool_kwargs: Any,
     ) -> None:
@@ -159,8 +158,7 @@ class InferenceService:
         self.default_deadline_ms = default_deadline_ms
         self.queue = AdmissionQueue(
             capacity=queue_capacity, workers=self.pool.workers,
-            batch=self.pool.batch, retry_jitter_frac=retry_jitter_frac,
-            jitter_seed=jitter_seed)
+            batch=self.pool.batch, jitter_seed=jitter_seed)
         self.breakers = {
             name: CircuitBreaker(name, failure_threshold=breaker_threshold,
                                  cooldown_s=breaker_cooldown_s)

@@ -20,11 +20,11 @@ Containment contract, in order of the machinery below:
   turns that into a breaker failure and a reroute or a ``Failed``
   outcome. Nothing is silently dropped, ever.
 * **Recovery** — dead workers restart with exponential backoff, under a
-  restart-storm budget (at most ``restart_budget`` restarts per rolling
-  ``restart_window_s``); a slot that blows the budget is *disabled* and
-  reported, instead of burning CPU in a crash loop.
+  restart-storm budget (at most :data:`RESTART_BUDGET` restarts per
+  rolling :data:`RESTART_WINDOW_S`); a slot that blows the budget is
+  *disabled* and reported, instead of burning CPU in a crash loop.
 * **Quarantine** — a request id observed in the in-flight batch of
-  ``quarantine_threshold`` worker deaths is a *poison request*: further
+  :data:`QUARANTINE_THRESHOLD` worker deaths is a *poison request*: further
   dispatches are refused with :class:`~repro.errors.PoisonRequestError`
   (the service sheds it ``quarantined``) instead of sacrificing a third
   worker to it.
@@ -54,6 +54,19 @@ from repro.serve.protocol import pack_arrays, read_frame, unpack_arrays, \
 #: deadline check fires at the next node boundary) still arrives as the
 #: structured DeadlineExceededError instead of costing a worker.
 DEADLINE_GRACE_S = 1.0
+
+#: First restart delay; each consecutive death doubles it (``* 2**(d-1)``).
+BACKOFF_BASE_S = 0.05
+#: Restart delay ceiling, reached at the 7th consecutive death of a slot.
+BACKOFF_CAP_S = 2.0
+#: Restarts per :data:`RESTART_WINDOW_S`; past it the slot is disabled.
+RESTART_BUDGET = 8
+#: Rolling window, in seconds, that :data:`RESTART_BUDGET` counts over.
+RESTART_WINDOW_S = 30.0
+#: Deaths a request id may be in flight for: one is luck, two is poison.
+QUARANTINE_THRESHOLD = 2
+#: Bound on a spawn plus session rebuild, which may compile an engine cold.
+SPAWN_TIMEOUT_S = 120.0
 
 _STARTING = "starting"
 _READY = "ready"
@@ -143,26 +156,21 @@ class WorkerSupervisor:
             session) — workers rebuild it themselves; graphs are never
             pickled.
         backends / workers / batch / image_size / seed /
-            optimize / engine_cache / fault_spec / fault_seed /
-            session_kwargs: forwarded to every worker's init spec (see
+            engine_cache / fault_spec / fault_seed / session_kwargs /
+            loopback_delay_s: forwarded to every worker's init spec (see
             :mod:`repro.serve.worker`). ``engine_cache`` is a directory
             (``str`` or ``os.PathLike``) or an ``EngineCache``; workers
             are handed its directory so all share the artifact.
         threads: must be 1 (:class:`~repro.config.RuntimeConfig`); checked
             before any process spawns.
-        heartbeat_interval_s: how often workers beat.
         heartbeat_timeout_s: silence after which a worker is declared
-            hung and killed.
+            hung and killed (workers beat every
+            :data:`repro.serve.worker.HEARTBEAT_INTERVAL_S`).
         request_timeout_s: wait bound for requests without deadlines
             (one with a deadline gets it plus :data:`DEADLINE_GRACE_S`).
-        backoff_base_s / backoff_cap_s: exponential restart backoff
-            (``base * 2**(deaths-1)``, capped).
-        restart_budget / restart_window_s: restart-storm budget — more
-            than ``restart_budget`` restarts inside a rolling window
-            disables the slot instead of restarting it again.
-        quarantine_threshold: worker deaths a request id may appear
-            in-flight for before it is quarantined as poison.
-        spawn_timeout_s: bound on initial spawn + session rebuild.
+
+    Backoff, restart budget, quarantine and spawn bound are the module's
+    constants (:data:`BACKOFF_BASE_S` ... :data:`SPAWN_TIMEOUT_S`).
     """
 
     def __init__(
@@ -175,21 +183,13 @@ class WorkerSupervisor:
         threads: int = 1,
         image_size: int | None = None,
         seed: int = 0,
-        optimize: bool = True,
         engine_cache: Any = None,
         fault_spec: str | None = None,
         fault_seed: int = 0,
         session_kwargs: dict | None = None,
         loopback_delay_s: float = 0.0,
-        heartbeat_interval_s: float = 0.05,
         heartbeat_timeout_s: float = 1.0,
         request_timeout_s: float = 60.0,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        restart_budget: int = 8,
-        restart_window_s: float = 30.0,
-        quarantine_threshold: int = 2,
-        spawn_timeout_s: float = 120.0,
     ) -> None:
         RuntimeConfig(threads=threads)  # any other value raises here
         if workers < 1:
@@ -198,22 +198,12 @@ class WorkerSupervisor:
             raise ValueError(
                 "process workers rebuild their model from its name; pass a "
                 "zoo model name (or '@loopback'), not a graph object")
-        if quarantine_threshold < 1:
-            raise ValueError(
-                f"quarantine_threshold must be >= 1, got {quarantine_threshold}")
         self.model_name = model
         self.backends = tuple(backends)
         self.workers = workers
         self.batch = batch
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.restart_budget = restart_budget
-        self.restart_window_s = restart_window_s
-        self.quarantine_threshold = quarantine_threshold
-        self.spawn_timeout_s = spawn_timeout_s
         if engine_cache is not None:
             # Workers get the directory: a path crosses the process
             # boundary, and every worker then shares the one artifact.
@@ -225,12 +215,10 @@ class WorkerSupervisor:
             "batch": batch,
             "image_size": image_size,
             "seed": seed,
-            "optimize": optimize,
             "engine_cache": engine_cache,
             "fault_spec": fault_spec,
             "session_kwargs": dict(session_kwargs or {}),
             "loopback_delay_s": loopback_delay_s,
-            "heartbeat_interval_s": heartbeat_interval_s,
         }
         self._fault_seed = fault_seed
         self._lock = threading.Lock()
@@ -295,7 +283,7 @@ class WorkerSupervisor:
         reader.start()
 
     def _await_initial_hellos(self) -> None:
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         for handle in self._handles:
             while True:
                 with self._lock:
@@ -315,7 +303,7 @@ class WorkerSupervisor:
                     self.close()
                     raise WorkerCrashError(
                         f"worker {handle.index} did not come up within "
-                        f"{self.spawn_timeout_s:.0f}s",
+                        f"{SPAWN_TIMEOUT_S:.0f}s",
                         worker=handle.index, reason="spawn-timeout")
                 time.sleep(0.005)
 
@@ -373,7 +361,7 @@ class WorkerSupervisor:
             self._reap(handle, generation, reason="protocol-error")
 
     def _monitor_loop(self) -> None:
-        poll_s = max(0.01, self.heartbeat_interval_s / 2)
+        poll_s = max(0.01, worker_mod.HEARTBEAT_INTERVAL_S / 2)
         while True:
             with self._lock:
                 if self._closed:
@@ -397,7 +385,7 @@ class WorkerSupervisor:
                     self._reap(handle, generation, reason=None)
                     continue
                 if state == _STARTING:
-                    if now - last_beat > self.spawn_timeout_s:
+                    if now - last_beat > SPAWN_TIMEOUT_S:
                         proc.kill()
                         self._reap(handle, generation, reason="spawn-timeout")
                     continue
@@ -428,22 +416,22 @@ class WorkerSupervisor:
                 for rid in slot.ids:
                     count = self._death_counts.get(rid, 0) + 1
                     self._death_counts[rid] = count
-                    if count >= self.quarantine_threshold:
+                    if count >= QUARANTINE_THRESHOLD:
                         self._quarantined.add(rid)
                         quarantined_now.append(rid)
             now = time.monotonic()
             handle.restart_times = [
                 t for t in handle.restart_times
-                if now - t <= self.restart_window_s]
-            if len(handle.restart_times) >= self.restart_budget:
+                if now - t <= RESTART_WINDOW_S]
+            if len(handle.restart_times) >= RESTART_BUDGET:
                 handle.state = _DISABLED
             else:
                 handle.restart_times.append(now)
                 handle.restarts += 1
                 self._restarts_total += 1
                 backoff = min(
-                    self.backoff_cap_s,
-                    self.backoff_base_s
+                    BACKOFF_CAP_S,
+                    BACKOFF_BASE_S
                     * (2 ** max(0, handle.consecutive_deaths - 1)))
                 handle.restart_at = now + backoff
                 handle.state = _RESTARTING

@@ -24,7 +24,7 @@ Lifecycle on stdout:
   shape, batch buckets (the widths a ``run`` frame may carry — the
   worker holds one prepared plan per width, see :mod:`repro.serve.pool`),
   engine-cache hits.
-* ``beat`` — heartbeats from a side thread every ``heartbeat_interval_s``,
+* ``beat`` — heartbeats from a side thread every :data:`HEARTBEAT_INTERVAL_S`,
   carrying the id of the request currently executing (if any). The
   supervisor kills a worker whose beats stop.
 * ``ok`` / ``err`` — one reply per ``run`` frame, correlated by ``seq``.
@@ -66,21 +66,24 @@ EXIT_CRASH = 70        # injected ``crash`` fault (stands in for a segfault)
 EXIT_OOM = 137         # what the kernel OOM-killer's SIGKILL looks like
 EXIT_INIT_FAILED = 3   # session build failed; details went out as an err frame
 
+#: Seconds between beats: a 1 s ``heartbeat_timeout_s`` is twenty missed beats.
+HEARTBEAT_INTERVAL_S = 0.05
+
 #: Bytes the ``oom`` fault mode actually allocates before dying — enough
 #: to be an allocation, bounded enough to never endanger the host.
 _OOM_ALLOC_BYTES = 32 << 20
 
 
 def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
-    """``(sessions_by_backend, hello_extras)`` for the init spec."""
-    backends = tuple(spec.get("backends") or ("orpheus",))
-    batch = int(spec.get("batch", 1))
-    model = spec.get("model")
+    """``(sessions_by_backend, hello_extras)``; a missing spec key raises."""
+    backends = tuple(spec["backends"])
+    batch = spec["batch"]
+    model = spec["model"]
     if model == LOOPBACK_MODEL:
         sessions = {
             backend: LoopbackSession(
                 backend=backend, batch=batch,
-                delay_s=float(spec.get("loopback_delay_s", 0.0)))
+                delay_s=spec["loopback_delay_s"])
             for backend in backends
         }
         return sessions, {
@@ -97,13 +100,12 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
         backends=backends,
         workers=1,
         batch=batch,
-        image_size=spec.get("image_size"),
-        seed=int(spec.get("seed", 0)),
-        optimize=bool(spec.get("optimize", True)),
-        engine_cache=spec.get("engine_cache"),
-        fault_spec=spec.get("fault_spec"),
-        fault_seed=int(spec.get("fault_seed", 0)),
-        session_kwargs=spec.get("session_kwargs") or None,
+        image_size=spec["image_size"],
+        seed=spec["seed"],
+        engine_cache=spec["engine_cache"],
+        fault_spec=spec["fault_spec"],
+        fault_seed=spec["fault_seed"],
+        session_kwargs=spec["session_kwargs"],
     )
     sessions = {backend: pool.session(backend, 0) for backend in backends}
     return sessions, {
@@ -117,19 +119,17 @@ def _build_sessions(spec: dict[str, Any]) -> tuple[dict[str, Any], dict]:
 class _Heartbeat(threading.Thread):
     """Emit ``beat`` frames until stopped — or silenced by a hang fault."""
 
-    def __init__(self, out: BinaryIO, write_lock: threading.Lock,
-                 interval_s: float) -> None:
+    def __init__(self, out: BinaryIO, write_lock: threading.Lock) -> None:
         super().__init__(name="worker-heartbeat", daemon=True)
         self.out = out
         self.write_lock = write_lock
-        self.interval_s = interval_s
         self.stop = threading.Event()
         self.silenced = threading.Event()
         self.busy_with: str | None = None
         self._seq = 0
 
     def run(self) -> None:
-        while not self.stop.wait(self.interval_s):
+        while not self.stop.wait(HEARTBEAT_INTERVAL_S):
             if self.silenced.is_set():
                 continue
             self._seq += 1
@@ -176,23 +176,21 @@ def serve_forever(stdin: BinaryIO, stdout: BinaryIO) -> int:
         raise WorkerProtocolError(
             f"expected init frame, got {header.get('kind')!r}")
     spec = header.get("spec") or {}
-    heartbeat = _Heartbeat(
-        stdout, write_lock,
-        interval_s=float(spec.get("heartbeat_interval_s", 0.1)))
+    heartbeat = _Heartbeat(stdout, write_lock)
     try:
         sessions, extras = _build_sessions(spec)
+        fault_plan = None
+        if spec["fault_spec"]:
+            plan = parse_fault_plan(spec["fault_spec"],
+                                    seed=spec["fault_seed"])
+            if plan.has_process_specs():
+                fault_plan = plan
     except Exception as exc:  # noqa: BLE001 - report, then die visibly
         with write_lock:
             write_frame(stdout, {
                 "kind": "err", "seq": -1, "fatal": True,
                 "error_type": type(exc).__name__, "message": str(exc)})
         return EXIT_INIT_FAILED
-    fault_plan = None
-    if spec.get("fault_spec"):
-        plan = parse_fault_plan(
-            spec["fault_spec"], seed=int(spec.get("fault_seed", 0)))
-        if plan.has_process_specs():
-            fault_plan = plan
     with write_lock:
         write_frame(stdout, {"kind": "hello", "pid": os.getpid(), **extras})
     heartbeat.start()

@@ -82,6 +82,27 @@ class TestServeChaosVerb:
             "error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "@loopback", "--workers", "0"],
+    ["serve", "@loopback", "--batch", "0"],
+    ["serve", "@loopback", "--queue-capacity", "-1"],
+    ["serve", "@loopback", "--queue-capacity", "0"],
+    ["serve", "@loopback", "--rps", "0"],
+    ["serve-chaos", "@loopback", "--workers", "0"],
+    ["serve-chaos", "@loopback", "--batch", "0"],
+    ["serve-chaos", "@loopback", "--rps", "0"],
+], ids=lambda argv: f"{argv[0]} {argv[2]} {argv[3]}")
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    """A count or rate that is not positive exits 2 from argparse, naming
+    the flag, before any pool is built; a zero capacity is not the
+    default in disguise."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--duration", "0.2", "--json"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[2] in err and "must be > 0" in err
+
+
 class TestGracefulDrain:
     @pytest.mark.parametrize("signum,name", [
         (signal.SIGTERM, "SIGTERM"),

@@ -54,7 +54,7 @@ class TestServiceSurface:
         (lambda: SessionPool("@loopback"), "thread", (4,), False),
         pytest.param(
             lambda: ProcessWorkerPool(WorkerSupervisor(
-                "@loopback", workers=1, heartbeat_interval_s=0.02)),
+                "@loopback", workers=1)),
             "process", (4,), True, marks=pytest.mark.slow),
     ], ids=["factory", "loopback", "process"])
     def test_both_pool_kinds_state_what_they_are(

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.serve import queue as queue_mod
 from repro.serve.queue import AdmissionQueue
 from repro.serve.types import PendingResponse, Rejected, ServeRequest
 
@@ -31,14 +32,15 @@ class TestAdmission:
     def test_overload_sheds_up_front_when_wait_exceeds_deadline(self):
         # EWMA seeded at 50 ms: a 10 ms deadline can never be met, so the
         # request must be shed at admission, not admitted to expire.
-        queue = AdmissionQueue(capacity=64, initial_service_s=0.05)
+        assert queue_mod.INITIAL_BATCH_S == 0.05
+        queue = AdmissionQueue(capacity=64)
         rejection = queue.try_admit(make_pending(deadline_ms=10.0))
         assert rejection is not None
         assert rejection.reason == "overload"
         assert "deadline" in rejection.message
 
     def test_loose_deadline_is_admitted(self):
-        queue = AdmissionQueue(capacity=64, initial_service_s=0.05)
+        queue = AdmissionQueue(capacity=64)
         assert queue.try_admit(make_pending(deadline_ms=500.0)) is None
 
     def test_draining_sheds_everything(self):
@@ -144,17 +146,24 @@ class TestBatching:
         assert [p.request.id for p in batch] == ["first", "second", "late"]
 
 
+def ewma(monkeypatch, alpha, initial_s):
+    """Set the queue's EWMA constants for one test."""
+    monkeypatch.setattr(queue_mod, "EWMA_ALPHA", alpha)
+    monkeypatch.setattr(queue_mod, "INITIAL_BATCH_S", initial_s)
+
+
 class TestBookkeeping:
-    def test_ewma_moves_toward_observations(self):
-        queue = AdmissionQueue(ewma_alpha=0.5, initial_service_s=0.1)
+    def test_ewma_moves_toward_observations(self, monkeypatch):
+        ewma(monkeypatch, 0.5, 0.1)
+        queue = AdmissionQueue()
         queue.observe_batch(0.3)
         assert queue.ewma_batch_s == pytest.approx(0.2)
         queue.observe_batch(0.3)
         assert queue.ewma_batch_s == pytest.approx(0.25)
 
-    def test_estimated_wait_scales_with_depth(self):
-        queue = AdmissionQueue(capacity=64, workers=2, batch=2,
-                               initial_service_s=0.1)
+    def test_estimated_wait_scales_with_depth(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "INITIAL_BATCH_S", 0.1)
+        queue = AdmissionQueue(capacity=64, workers=2, batch=2)
         empty = queue.estimated_wait_s()
         assert empty == pytest.approx(0.1)  # own batch only
         for index in range(8):
@@ -162,28 +171,32 @@ class TestBookkeeping:
         # 8 queued / (2 workers * batch 2) = 2 batch-rounds ahead + own
         assert queue.estimated_wait_s() == pytest.approx(0.3)
 
-    def test_ewma_cold_start_uses_the_seed_estimate(self):
-        queue = AdmissionQueue(initial_service_s=0.07)
+    def test_ewma_cold_start_uses_the_seed_estimate(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "INITIAL_BATCH_S", 0.07)
+        queue = AdmissionQueue()
         assert queue.observations == 0
         assert queue.ewma_batch_s == pytest.approx(0.07)
         assert queue.estimated_wait_s() == pytest.approx(0.07)
 
-    def test_ewma_single_sample(self):
-        queue = AdmissionQueue(ewma_alpha=0.2, initial_service_s=0.1)
+    def test_ewma_single_sample(self, monkeypatch):
+        ewma(monkeypatch, 0.2, 0.1)
+        queue = AdmissionQueue()
         queue.observe_batch(0.2)
         assert queue.observations == 1
         assert queue.ewma_batch_s == pytest.approx(0.1 + 0.2 * (0.2 - 0.1))
 
-    def test_ewma_ignores_clock_going_backwards(self):
+    def test_ewma_ignores_clock_going_backwards(self, monkeypatch):
         # A perf_counter pair straddling a VM suspend can yield a negative
         # duration; it must not poison the admission estimate.
-        queue = AdmissionQueue(ewma_alpha=0.5, initial_service_s=0.1)
+        ewma(monkeypatch, 0.5, 0.1)
+        queue = AdmissionQueue()
         queue.observe_batch(-1.0)
         assert queue.observations == 0
         assert queue.ewma_batch_s == pytest.approx(0.1)
 
-    def test_ewma_ignores_non_finite_durations(self):
-        queue = AdmissionQueue(ewma_alpha=0.5, initial_service_s=0.1)
+    def test_ewma_ignores_non_finite_durations(self, monkeypatch):
+        ewma(monkeypatch, 0.5, 0.1)
+        queue = AdmissionQueue()
         queue.observe_batch(float("nan"))
         queue.observe_batch(float("inf"))
         queue.observe_batch(float("-inf"))
@@ -207,15 +220,17 @@ class TestBookkeeping:
 
 class TestRetryJitter:
     def test_retry_after_jitter_is_bounded(self):
-        queue = AdmissionQueue(retry_jitter_frac=0.25, jitter_seed=1)
+        assert queue_mod.RETRY_JITTER_FRAC == 0.25
+        queue = AdmissionQueue(jitter_seed=1)
         base = 2.0
         for _ in range(50):
             rejection = queue.shed("r", "queue-full", base, "full")
             assert base <= rejection.retry_after_s <= base * 1.25
 
-    def test_same_seed_same_hint_sequence(self):
-        queue_a = AdmissionQueue(retry_jitter_frac=0.5, jitter_seed=42)
-        queue_b = AdmissionQueue(retry_jitter_frac=0.5, jitter_seed=42)
+    def test_same_seed_same_hint_sequence(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "RETRY_JITTER_FRAC", 0.5)
+        queue_a = AdmissionQueue(jitter_seed=42)
+        queue_b = AdmissionQueue(jitter_seed=42)
         seq_a = [queue_a.shed("r", "queue-full", 1.0, "x").retry_after_s
                  for _ in range(10)]
         seq_b = [queue_b.shed("r", "queue-full", 1.0, "x").retry_after_s
@@ -223,26 +238,22 @@ class TestRetryJitter:
         assert seq_a == seq_b
         assert len(set(seq_a)) > 1  # it actually jitters
 
-    def test_different_seed_different_sequence(self):
-        queue_a = AdmissionQueue(retry_jitter_frac=0.5, jitter_seed=1)
-        queue_b = AdmissionQueue(retry_jitter_frac=0.5, jitter_seed=2)
+    def test_different_seed_different_sequence(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "RETRY_JITTER_FRAC", 0.5)
+        queue_a = AdmissionQueue(jitter_seed=1)
+        queue_b = AdmissionQueue(jitter_seed=2)
         seq_a = [queue_a.shed("r", "queue-full", 1.0, "x").retry_after_s
                  for _ in range(10)]
         seq_b = [queue_b.shed("r", "queue-full", 1.0, "x").retry_after_s
                  for _ in range(10)]
         assert seq_a != seq_b
 
-    def test_zero_frac_disables_jitter(self):
-        queue = AdmissionQueue(retry_jitter_frac=0.0)
+    def test_zero_frac_disables_jitter(self, monkeypatch):
+        monkeypatch.setattr(queue_mod, "RETRY_JITTER_FRAC", 0.0)
+        queue = AdmissionQueue()
         rejection = queue.shed("r", "queue-full", 3.0, "full")
         assert rejection.retry_after_s == 3.0
 
     def test_none_retry_hint_stays_none(self):
-        queue = AdmissionQueue(retry_jitter_frac=0.25)
+        queue = AdmissionQueue()
         assert queue.shed("r", "stopped", None, "bye").retry_after_s is None
-
-    def test_frac_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="retry_jitter_frac"):
-            AdmissionQueue(retry_jitter_frac=1.5)
-        with pytest.raises(ValueError, match="retry_jitter_frac"):
-            AdmissionQueue(retry_jitter_frac=-0.1)

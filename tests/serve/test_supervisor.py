@@ -1,8 +1,10 @@
 """WorkerSupervisor tests against real child processes (@loopback model).
 
-These spawn genuine interpreters, so every supervisor is built with small
-heartbeat intervals and torn down promptly; each test stays well under a
-second of steady-state time plus spawn cost.
+These spawn genuine interpreters, so every supervisor is torn down
+promptly and restarts back off briefly; each test stays well under a
+second of steady-state time plus spawn cost. Supervisor policy is module
+constants, set per test with ``monkeypatch``; the heartbeat interval is
+read by the child process, so it stays at its real 0.05 s.
 """
 
 import time
@@ -10,26 +12,22 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import (
-    BackendError,
-    PoisonRequestError,
-    WorkerCrashError,
-)
+from repro.errors import PoisonRequestError, WorkerCrashError
+from repro.serve import supervisor as supervisor_mod
 from repro.serve.supervisor import ProcessWorkerPool, WorkerSupervisor
 
 pytestmark = pytest.mark.slow
 
 
+@pytest.fixture(autouse=True)
+def quick_policy(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_CAP_S", 0.05)
+    monkeypatch.setattr(supervisor_mod, "SPAWN_TIMEOUT_S", 60.0)
+
+
 def make_supervisor(**overrides):
-    kwargs = dict(
-        workers=1,
-        batch=1,
-        heartbeat_interval_s=0.02,
-        heartbeat_timeout_s=1.0,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.05,
-        spawn_timeout_s=60.0,
-    )
+    kwargs = dict(workers=1, batch=1, heartbeat_timeout_s=1.0)
     kwargs.update(overrides)
     return WorkerSupervisor("@loopback", **kwargs)
 
@@ -107,9 +105,10 @@ class TestCrashContainment:
                                  request_ids=("fine-1",))
             assert out["out"][0, 0] == 2.0
 
-    def test_run_while_restarting_is_structural(self):
-        with make_supervisor(backoff_base_s=0.5,
-                             backoff_cap_s=0.5) as supervisor:
+    def test_run_while_restarting_is_structural(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE_S", 0.5)
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_CAP_S", 0.5)
+        with make_supervisor() as supervisor:
             supervisor.kill_worker(0)
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -138,11 +137,11 @@ class TestCrashContainment:
                 + deaths.get("request-timeout", 0) >= 1
             assert await_alive(supervisor, 1)
 
-    def test_restart_storm_disables_the_slot(self):
-        with make_supervisor(fault_spec="crash:node=kill-*",
-                             quarantine_threshold=10,
-                             restart_budget=2,
-                             restart_window_s=60.0) as supervisor:
+    def test_restart_storm_disables_the_slot(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "QUARANTINE_THRESHOLD", 10)
+        monkeypatch.setattr(supervisor_mod, "RESTART_BUDGET", 2)
+        monkeypatch.setattr(supervisor_mod, "RESTART_WINDOW_S", 60.0)
+        with make_supervisor(fault_spec="crash:node=kill-*") as supervisor:
             for attempt in range(3):
                 assert await_alive(supervisor, 1)
                 with pytest.raises(WorkerCrashError):
@@ -163,8 +162,8 @@ class TestCrashContainment:
 
 class TestQuarantine:
     def test_poison_request_quarantined_within_threshold(self):
-        with make_supervisor(fault_spec="crash:node=poison-*",
-                             quarantine_threshold=2) as supervisor:
+        assert supervisor_mod.QUARANTINE_THRESHOLD == 2
+        with make_supervisor(fault_spec="crash:node=poison-*") as supervisor:
             deaths = 0
             for _ in range(2):
                 with pytest.raises(WorkerCrashError):
@@ -195,16 +194,16 @@ class TestLifecycle:
             supervisor.run(0, "orpheus", feeds_for())
         assert info.value.reason == "closed"
 
-    def test_kill_worker_on_dead_process_returns_none(self):
-        with make_supervisor(backoff_base_s=1.0,
-                             backoff_cap_s=1.0) as supervisor:
+    def test_kill_worker_on_dead_process_returns_none(self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE_S", 1.0)
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_CAP_S", 1.0)
+        with make_supervisor() as supervisor:
             assert supervisor.kill_worker(0) is not None
             assert supervisor.kill_worker(0) is None
 
     def test_init_failure_raises_instead_of_hanging(self):
         with pytest.raises(WorkerCrashError) as info:
-            WorkerSupervisor("definitely-not-a-model",
-                             workers=1, spawn_timeout_s=60.0)
+            WorkerSupervisor("definitely-not-a-model", workers=1)
         assert info.value.reason == "init-failed"
 
 
@@ -228,7 +227,6 @@ class TestBuckets:
     def test_process_pool_states_the_thread_pools_buckets(self, monkeypatch):
         """Both pool kinds derive the same plans for the same model, and a
         lone request crosses the pipe as one row, not a padded four."""
-        from repro.serve import supervisor as supervisor_mod
         from repro.serve.pool import SessionPool
         from repro.serve.service import InferenceService
 
@@ -241,8 +239,7 @@ class TestBuckets:
             return pack(arrays)
 
         monkeypatch.setattr(supervisor_mod, "pack_arrays", recording_pack)
-        with WorkerSupervisor("wrn-40-2", spawn_timeout_s=60.0,
-                              **knobs) as supervisor:
+        with WorkerSupervisor("wrn-40-2", **knobs) as supervisor:
             pool = ProcessWorkerPool(supervisor)
             assert pool.buckets == SessionPool("wrn-40-2", **knobs).buckets \
                 == (1, 2, 4)
@@ -269,8 +266,7 @@ class TestEngineCachePath:
                      engine_cache=cache_dir)
         if kind == "thread":
             return SessionPool("wrn-40-2", **knobs).engine_hits
-        with WorkerSupervisor("wrn-40-2", spawn_timeout_s=60.0,
-                              **knobs) as supervisor:
+        with WorkerSupervisor("wrn-40-2", **knobs) as supervisor:
             return dict(supervisor.engine_hits)
 
     @pytest.mark.parametrize("kind", ["thread", "process"])
