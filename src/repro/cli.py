@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _serve_pool_flags(serve)
     serve.add_argument("--rps", type=_positive(float), default=4.0,
                        help="offered load while the service runs")
-    serve.add_argument("--clients", type=int, default=2,
+    serve.add_argument("--clients", type=_positive(int), default=2,
                        help="concurrent load-generator clients")
     serve.add_argument("--duration", type=float, default=3.0,
                        help="seconds to keep the service under load")
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="input resolution for real models")
     serve_chaos.add_argument("--duration", type=float, default=3.0,
                              help="seconds of load in the kill scenario")
-    serve_chaos.add_argument("--clients", type=int, default=4)
+    serve_chaos.add_argument("--clients", type=_positive(int), default=4)
     serve_chaos.add_argument("--deadline-ms", type=float, default=2000.0)
     serve_chaos.add_argument("--rps", type=_positive(float), default=None,
                              help="override the calibrated offered rate")
@@ -274,10 +274,11 @@ def _serve_pool_flags(parser: argparse.ArgumentParser) -> None:
                              "8 * workers * batch)")
     parser.add_argument("--image-size", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--breaker-threshold", type=int, default=3,
+    parser.add_argument("--breaker-threshold", type=_positive(int), default=3,
                         help="consecutive failures before a backend's "
                              "breaker trips open")
-    parser.add_argument("--breaker-cooldown-s", type=float, default=1.0,
+    parser.add_argument("--breaker-cooldown-s", default=1.0,
+                        type=_sign_checked(float, zero_ok=True),
                         help="seconds an open breaker waits before its "
                              "half-open probe")
     parser.add_argument("--engine-cache", metavar="DIR", default=None,
@@ -342,10 +343,18 @@ def _open_journal(args: argparse.Namespace):
 
 def _positive(kind: type) -> Any:
     """argparse ``type=`` for a count or rate above zero: else exit 2."""
+    return _sign_checked(kind, zero_ok=False)
+
+
+def _sign_checked(kind: type, zero_ok: bool) -> Any:
+    """argparse ``type=`` for a number above zero, or at it if ``zero_ok``:
+    anything else exits 2 naming the flag and the rule."""
+    rule = ">= 0" if zero_ok else "> 0"
+
     def parse(text: str) -> Any:
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
     return parse

@@ -20,58 +20,45 @@ from typing import Any
 
 
 class _FileLock:
-    """Best-effort cross-process lock via an ``O_EXCL`` lock file.
+    """Best-effort cross-process lock: an ``flock`` on ``<path>.lock``.
 
-    Not reentrant. A lock older than ``stale_s`` is presumed abandoned
-    (crashed writer) and broken; a writer that cannot acquire within
-    ``timeout_s`` proceeds *without* the lock — for a cache, a redundant
-    compile beats a deadlocked benchmark.
+    Not reentrant. The kernel holds the lock, so a holder that exits,
+    however it exits (SIGKILL included), releases it, and a live holder
+    keeps it for as long as it runs. A waiter that cannot take it within
+    ``timeout_s`` proceeds *without* it: for a cache, a redundant compile
+    beats a deadlocked benchmark. The lock file itself stays behind; it
+    is only a name to lock.
     """
 
-    def __init__(self, path: str, timeout_s: float = 5.0,
-                 stale_s: float = 30.0) -> None:
+    def __init__(self, path: str, timeout_s: float = 5.0) -> None:
         self.path = path + ".lock"
         self.timeout_s = timeout_s
-        self.stale_s = stale_s
-        self._held = False
+        self._fd: int | None = None
 
     def __enter__(self) -> "_FileLock":
+        import fcntl  # POSIX only, as is the serve layer's SIGKILL
+
         deadline = time.monotonic() + self.timeout_s
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+        try:
+            while True:
                 try:
-                    # Wall clock on purpose: mtime is epoch time, so the
-                    # monotonic clock cannot age it. A backwards NTP step
-                    # makes `age` negative — abs() keeps an abandoned lock
-                    # from being pinned "fresh" forever by such a step.
-                    age = abs(time.time()  # lint: disable=ORL003
-                              - os.path.getmtime(self.path))
-                except OSError:
-                    continue  # holder released between open and stat; retry
-                if age > self.stale_s:
-                    try:
-                        os.unlink(self.path)  # break the abandoned lock
-                    except OSError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    return self  # proceed unlocked; see class docstring
-                time.sleep(0.01)
-                continue
-            os.write(fd, str(os.getpid()).encode("ascii"))
-            os.close(fd)
-            self._held = True
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if time.monotonic() > deadline:
+                        return self  # proceed unlocked; see class docstring
+                    time.sleep(0.01)
+            self._fd = fd
             return self
+        finally:
+            if self._fd != fd:
+                os.close(fd)  # not held: the descriptor is of no use
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._held:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-            self._held = False
+        if self._fd is not None:
+            os.close(self._fd)  # closing the descriptor drops the flock
+            self._fd = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,8 +164,8 @@ class EngineCache:
         # once pool-wide instead of N times concurrently. Generous bounds
         # — a real compile can take a while, and on lock timeout we
         # degrade to a redundant compile, never to a stall or an error.
-        self.prepare_dir()
-        with _FileLock(entry.path, timeout_s=120.0, stale_s=600.0):
+        os.makedirs(self.directory, exist_ok=True)
+        with _FileLock(entry.path, timeout_s=120.0):
             if entry.exists:
                 # Another process compiled it while we waited for the lock.
                 engine = try_load(warn=False)
@@ -218,14 +205,3 @@ class EngineCache:
         session = InferenceSession.from_engine(
             engine, backend=backend, **session_kwargs)
         return session, hit
-
-    def prepare_dir(self) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-
-    def entries(self) -> list[str]:
-        try:
-            return sorted(
-                name for name in os.listdir(self.directory)
-                if name.endswith(".oeng"))
-        except OSError:
-            return []

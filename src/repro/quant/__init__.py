@@ -1,12 +1,7 @@
 """Post-training int8 quantization (extension beyond the paper's evaluation)."""
 
 from repro.quant import qops  # noqa: F401  (registers quantized kernels)
-from repro.quant.auto import (
-    auto_quantize,
-    calibration_cache_stats,
-    clear_calibration_cache,
-    synthetic_calibration_feeds,
-)
+from repro.quant.auto import auto_quantize, synthetic_calibration_feeds
 from repro.quant.observers import (
     MinMaxObserver,
     PercentileObserver,
@@ -24,8 +19,6 @@ __all__ = [
     "activation_params",
     "auto_quantize",
     "calibrate",
-    "calibration_cache_stats",
-    "clear_calibration_cache",
     "synthetic_calibration_feeds",
     "quantize_graph",
     "weight_params_per_channel",

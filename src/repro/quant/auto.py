@@ -6,21 +6,12 @@
 backend carries ``quantize=True`` (the built-in ``int8`` backend): it
 calibrates the *optimised* float graph on deterministic synthetic batches
 shaped like the graph's inputs, then applies the QDQ transform of
-:mod:`repro.quant.quantize`.
-
-Calibration is the expensive half (it runs full float inference per
-batch), and serving cold-starts the same model repeatedly — so observed
-ranges are memoised in a process-wide cache keyed by the graph's digest
-plus every calibration knob. The cache is shared mutable state touched by
-concurrent session preparations (the serve pool prepares workers in
-parallel), hence the ``# guarded-by:`` discipline checked by the ORL
-concurrency lint.
+:mod:`repro.quant.quantize`. Nothing is memoised: calibration is
+deterministic, so the same graph and knobs give the same ranges on every
+call, and each lowering pays for its own.
 """
 
 from __future__ import annotations
-
-import threading
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -30,57 +21,6 @@ from repro.quant.quantize import QuantizationReport, calibrate, quantize_graph
 
 #: Default number of synthetic calibration batches.
 DEFAULT_CALIBRATION_BATCHES = 4
-
-
-class _CalibrationCache:
-    """Process-wide memo of calibrated ranges, keyed by graph digest."""
-
-    def __init__(self, capacity: int = 32) -> None:
-        self._lock = threading.Lock()
-        self._capacity = capacity
-        self._entries = {}  # guarded-by: _lock
-        self._hits = 0      # guarded-by: _lock
-        self._misses = 0    # guarded-by: _lock
-
-    def get(self, key: tuple) -> dict[str, QuantParams] | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._hits += 1
-            return dict(entry)
-
-    def put(self, key: tuple, ranges: Mapping[str, QuantParams]) -> None:
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= self._capacity:
-                # Drop the oldest insertion: calibration is deterministic,
-                # so eviction only costs a recomputation, never correctness.
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = dict(ranges)
-
-    def stats(self) -> tuple[int, int, int]:
-        """(entries, hits, misses) — for tests and diagnostics."""
-        with self._lock:
-            return len(self._entries), self._hits, self._misses
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-
-_CACHE = _CalibrationCache()
-
-
-def calibration_cache_stats() -> tuple[int, int, int]:
-    """(entries, hits, misses) of the process-wide calibration cache."""
-    return _CACHE.stats()
-
-
-def clear_calibration_cache() -> None:
-    _CACHE.clear()
 
 
 def synthetic_calibration_feeds(
@@ -116,20 +56,10 @@ def calibrated_ranges(
     batches: int = DEFAULT_CALIBRATION_BATCHES,
     seed: int = 0,
 ) -> dict[str, QuantParams]:
-    """Calibrate ``graph`` on synthetic feeds, memoised by graph digest."""
-    # Imported lazily: the engine package imports repro.__version__, which
-    # is still initialising when repro/__init__ registers the quant ops.
-    from repro.engine.fingerprint import graph_digest
-
-    key = (graph_digest(graph), observer, batches, seed)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    ranges = calibrate(
+    """Calibrate ``graph`` on synthetic feeds (deterministic per knobs)."""
+    return calibrate(
         graph, synthetic_calibration_feeds(graph, batches=batches, seed=seed),
         observer=observer)
-    _CACHE.put(key, ranges)
-    return ranges
 
 
 def auto_quantize(

@@ -8,9 +8,9 @@ Here arrivals are scheduled on a fixed clock at the requested rate across
 keep arriving and admission control has to answer for every one of them.
 
 The report closes the books: ``offered`` must equal completed + rejected +
-failed + timed out, and ``silent_drops`` (requests that never reached a
-terminal outcome) must be zero — the invariant the acceptance criteria
-and the CI smoke job assert.
+failed, and ``silent_drops`` (requests still without a terminal outcome
+when the report is built) must be zero — the invariant the acceptance
+criteria and the CI smoke job assert.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from repro.serve.service import InferenceService
-from repro.serve.types import Completed, Failed, Rejected
+from repro.serve.types import Completed, Failed, PendingResponse, Rejected
 
 
 #: How long a client waits for each admitted request's outcome before
@@ -50,7 +50,7 @@ class LoadReport:
     completed: int
     rejected: dict[str, int]
     failed: int
-    timed_out: int           # no terminal outcome within the wait bound
+    timed_out: int           # no outcome within the client's wait bound
     duration_s: float
     target_rps: float
     latencies_ms: tuple[float, ...]     # accepted-and-completed only
@@ -65,7 +65,7 @@ class LoadReport:
     def silent_drops(self) -> int:
         """Requests that vanished without a structured outcome (must be 0)."""
         return self.offered - self.completed - self.total_rejected \
-            - self.failed - self.timed_out
+            - self.failed
 
     @property
     def achieved_rps(self) -> float:
@@ -116,13 +116,14 @@ def run_load(
     times are fixed up front (uniform spacing with a small seeded jitter),
     so the offered load does not adapt to the service's behaviour. Each
     submitter then waits for its requests' outcomes; a request with no
-    outcome after :data:`RESULT_TIMEOUT_S` counts as ``timed_out`` (and
-    shows up in ``silent_drops`` accounting only if the service *also*
-    never resolves it).
+    outcome after :data:`RESULT_TIMEOUT_S` counts as ``timed_out``. Once
+    the clients have joined, such a request is counted by the outcome it
+    got since, or, still unresolved, is a silent drop.
     """
     if rps <= 0:
         raise ValueError(f"rps must be > 0, got {rps}")
-    clients = max(1, clients)
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
     rng = np.random.default_rng(seed)
     if sample is None:
         shape = service.sample_shape or (4,)
@@ -141,6 +142,20 @@ def run_load(
     per_backend: dict[str, int] = {}
     counters = {"completed": 0, "failed": 0, "timed_out": 0, "offered": 0,
                 "late": 0}
+    overdue: list[PendingResponse] = []
+
+    def record(result: Completed | Rejected | Failed) -> None:
+        with lock:
+            if isinstance(result, Completed):
+                counters["completed"] += 1
+                counters["late"] += int(result.late)
+                latencies.append(result.latency_ms)
+                per_backend[result.backend] = \
+                    per_backend.get(result.backend, 0) + 1
+            elif isinstance(result, Rejected):
+                rejected[result.reason] = rejected.get(result.reason, 0) + 1
+            elif isinstance(result, Failed):
+                counters["failed"] += 1
 
     def client(index: int) -> None:
         start = time.monotonic() + 0.01
@@ -156,27 +171,17 @@ def run_load(
                 sample, deadline_ms=deadline_ms,
                 request_id=f"c{index}-{n}")
             if isinstance(outcome, Rejected):
-                with lock:
-                    rejected[outcome.reason] = \
-                        rejected.get(outcome.reason, 0) + 1
+                record(outcome)
                 continue
             pendings.append(outcome)
         for pending in pendings:
             result = pending.result(timeout=RESULT_TIMEOUT_S)
-            with lock:
-                if result is None:
+            if result is None:
+                with lock:
                     counters["timed_out"] += 1
-                elif isinstance(result, Completed):
-                    counters["completed"] += 1
-                    counters["late"] += int(result.late)
-                    latencies.append(result.latency_ms)
-                    per_backend[result.backend] = \
-                        per_backend.get(result.backend, 0) + 1
-                elif isinstance(result, Rejected):
-                    rejected[result.reason] = \
-                        rejected.get(result.reason, 0) + 1
-                elif isinstance(result, Failed):
-                    counters["failed"] += 1
+                    overdue.append(pending)
+            else:
+                record(result)
 
     started = time.monotonic()
     threads = [
@@ -188,6 +193,10 @@ def run_load(
     for thread in threads:
         thread.join()
     elapsed = time.monotonic() - started
+    for pending in overdue:
+        result = pending.result(timeout=0)
+        if result is not None:
+            record(result)
     return LoadReport(
         offered=counters["offered"],
         completed=counters["completed"],

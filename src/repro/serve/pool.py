@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.config import RuntimeConfig
 from repro.errors import EngineError, ShapeInferenceError
-from repro.runtime.executor import RobustnessReport
 from repro.runtime.faults import parse_fault_plan
 
 
@@ -70,16 +69,6 @@ class _BucketSessions:
         shape = np.shape(next(iter(feeds.values()), ()))
         session = self.by_width.get(shape[0] if shape else 0, self._widest)
         return session.run(feeds, deadline_ms=deadline_ms)
-
-    def robustness_report(self) -> RobustnessReport:
-        """One roll-up per worker: every width's runs and fallbacks, and
-        the injected faults of the one plan the widths share."""
-        reports = [s.robustness_report() for s in self.by_width.values()]
-        return RobustnessReport(
-            runs=sum(r.runs for r in reports),
-            fallback_events=tuple(
-                e for r in reports for e in r.fallback_events),
-            injected_faults=reports[0].injected_faults)
 
 
 class SessionPool:
@@ -239,12 +228,6 @@ class SessionPool:
     def session(self, backend: str, worker: int) -> Any:
         """The session owned by ``worker`` for ``backend``."""
         return self._sessions[backend][worker]
-
-    def sessions(self, backend: str) -> list[Any]:
-        return list(self._sessions[backend])
-
-    def __len__(self) -> int:
-        return sum(len(group) for group in self._sessions.values())
 
     def quarantined(self, request_ids: Any) -> set[str]:
         """No request can kill a thread worker, so none is quarantined."""

@@ -80,13 +80,13 @@ class AdmissionQueue:
 
     # -- admission -------------------------------------------------------------
 
-    def estimated_wait_s(self, depth: int | None = None) -> float:
-        """Expected queueing delay for a new arrival at the current depth.
+    def _drain_s(self, depth: int) -> float:  # requires-lock: _lock
+        """Time for ``depth`` queued requests to drain, in EWMA batches.
 
-        ``depth / (workers * batch)`` batches are ahead of the new arrival,
-        plus its own batch; each costs one EWMA batch time. Deliberately a
-        coarse model — it only needs to be right about *saturation*, where
-        the queue is deep and the estimate is dominated by depth.
+        ``depth / (workers * batch)`` batches are ahead, each costing one
+        EWMA batch time; a new arrival waits that plus its own batch.
+        Deliberately a coarse model — it only needs to be right about
+        *saturation*, where the queue is deep and depth dominates.
 
         The EWMA is one batch execution *at whatever width traffic
         produces* (the service pads a batch to its bucket, not to
@@ -99,12 +99,7 @@ class AdmissionQueue:
         too cheap, until about five wide observations have moved the
         average.
         """
-        with self._lock:
-            if depth is None:
-                depth = len(self._items)
-            ewma = self._ewma_batch_s
-        batches_ahead = depth / (self.workers * self.batch)
-        return (batches_ahead + 1.0) * ewma
+        return depth / (self.workers * self.batch) * self._ewma_batch_s
 
     def try_admit(
         self, pending: PendingResponse, draining: bool = False,
@@ -125,14 +120,11 @@ class AdmissionQueue:
                                  "service is draining; no new work accepted")
             depth = len(self._items)
             if depth >= self.capacity:
-                drain_s = (depth / (self.workers * self.batch)) \
-                    * self._ewma_batch_s
                 return self.shed(
-                    request.id, "queue-full", drain_s,
+                    request.id, "queue-full", self._drain_s(depth),
                     f"queue at capacity ({self.capacity})")
             if request.deadline_ms is not None:
-                wait_s = ((depth / (self.workers * self.batch)) + 1.0) \
-                    * self._ewma_batch_s
+                wait_s = self._drain_s(depth) + self._ewma_batch_s
                 if wait_s * 1e3 > request.deadline_ms:
                     return self.shed(
                         request.id, "overload",
@@ -198,7 +190,7 @@ class AdmissionQueue:
         """Feed one batch execution's wall time into the EWMA.
 
         Whatever its width: the average follows the widths traffic
-        produces (see :meth:`estimated_wait_s`).
+        produces (see :meth:`_drain_s`).
 
         Non-finite or negative durations are discarded: a clock that
         steps backwards between two ``perf_counter`` reads (VM suspend,

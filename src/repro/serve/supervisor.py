@@ -106,7 +106,6 @@ class _Handle:
         self.reader: threading.Thread | None = None
         self.last_beat = 0.0
         self.started_at = 0.0
-        self.hello: dict | None = None
         self.init_error: str | None = None
         self.inflight: _Slot | None = None
         self.request_lock = threading.Lock()   # serializes run() callers
@@ -260,7 +259,6 @@ class WorkerSupervisor:
             generation = handle.generation
             handle.proc = proc
             handle.state = _STARTING
-            handle.hello = None
             handle.init_error = None
             handle.seq = 0
             handle.started_at = time.monotonic()
@@ -326,7 +324,6 @@ class WorkerSupervisor:
                     with self._lock:
                         if handle.generation != generation:
                             continue
-                        handle.hello = header
                         handle.state = _READY
                         handle.last_beat = time.monotonic()
                         self.input_name = header.get(
@@ -723,10 +720,6 @@ class ProcessWorkerPool:
     def session(self, backend: str, worker: int) -> _WorkerSession:
         return self._sessions[(backend, worker)]
 
-    def sessions(self, backend: str) -> list[_WorkerSession]:
-        return [self._sessions[(backend, worker)]
-                for worker in range(self.workers)]
-
     def quarantined(self, request_ids) -> set[str]:
         return self.supervisor.quarantined(request_ids)
 
@@ -735,6 +728,3 @@ class ProcessWorkerPool:
 
     def close(self) -> None:
         self.supervisor.close()
-
-    def __len__(self) -> int:
-        return len(self._sessions)

@@ -97,8 +97,7 @@ class TestServePoolAcceptsInt8:
         from tests.conftest import tiny_classifier
         pool = SessionPool(tiny_classifier(), backends=("int8",),
                            workers=2, batch=1)
-        sessions = pool.sessions("int8")
-        assert len(sessions) == 2
+        sessions = [pool.session("int8", w) for w in range(pool.workers)]
         x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
         outs = [s.run({"input": x}) for s in sessions]
         for name in outs[0]:

@@ -9,7 +9,8 @@ resolve, and memory budgets the engine's own plan cannot satisfy.
 
 import dataclasses
 import os
-import time
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,12 +22,18 @@ from repro.errors import EngineError, EngineFallbackWarning, MemoryBudgetError
 from repro.runtime.session import InferenceSession
 from tests.conftest import tiny_classifier
 
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
 
 @pytest.fixture
 def engine_path(tmp_path):
     path = tmp_path / "tiny.oeng"
     compile_to_file(tiny_classifier(), path, backend="orpheus", threads=1)
     return path
+
+
+def _entries(cache):
+    return sorted(n for n in os.listdir(cache.directory) if n.endswith(".oeng"))
 
 
 def _feed(session):
@@ -135,7 +142,7 @@ class TestEngineCacheSession:
         first, hit = cache.session(
             tiny_classifier(), model="tiny", backend="orpheus")
         assert not hit
-        assert len(cache.entries()) == 1
+        assert len(_entries(cache)) == 1
         second, hit = cache.session(
             tiny_classifier(), model="tiny", backend="orpheus")
         assert hit
@@ -151,12 +158,12 @@ class TestEngineCacheSession:
         _, hit = cache.session(
             tiny_classifier(), model="tiny", backend="orpheus", optimize=False)
         assert not hit
-        assert len(cache.entries()) == 2
+        assert len(_entries(cache)) == 2
 
     def test_corrupt_entry_degrades_and_heals(self, tmp_path):
         cache = EngineCache(tmp_path / "engines")
         cache.session(tiny_classifier(), model="tiny", backend="orpheus")
-        (name,) = cache.entries()
+        (name,) = _entries(cache)
         victim = tmp_path / "engines" / name
         victim.write_bytes(b"garbage")
         with pytest.warns(EngineFallbackWarning) as caught:
@@ -178,7 +185,7 @@ class TestEngineCacheSession:
         cache = EngineCache(tmp_path / "engines")
         entry = cache.entry(model="tiny", backend="orpheus",
                             optimize=True, batch=1, image_size=None, seed=0)
-        cache.prepare_dir()
+        os.makedirs(cache.directory)
         compile_to_file(tiny_classifier(seed=1, image=16, channels=8),
                         entry.path, backend="orpheus", threads=1)
         with pytest.warns(EngineFallbackWarning, match="model mismatch"):
@@ -199,7 +206,7 @@ class TestEngineCacheSession:
         cache = EngineCache(tmp_path / "engines")
         engine, _ = cache.load_or_compile(
             tiny_classifier(), model="tiny", backend="orpheus")
-        (name,) = cache.entries()
+        (name,) = _entries(cache)
         save_engine(dataclasses.replace(
             engine, fingerprint={**engine.fingerprint, "threads": 2}),
             tmp_path / "engines" / name)
@@ -233,19 +240,34 @@ class TestFileLock:
         with _FileLock(path):
             # A second compiler with a tiny budget gives up on the lock but
             # still proceeds — a redundant compile beats a deadlock.
-            # Not held means it left by the timeout path: waiting out
-            # stale_s instead would have broken the lock and taken it.
-            contender = _FileLock(path, timeout_s=0.05, stale_s=60.0)
+            contender = _FileLock(path, timeout_s=0.05)
             with contender:
-                assert not contender._held
+                assert contender._fd is None
 
-    def test_stale_lock_is_broken(self, tmp_path):
+    def test_killed_holder_releases_the_lock(self, tmp_path):
+        """A compiler SIGKILLed inside the lock leaves its lock file
+        behind, but not the lock: the next taker holds it at once."""
         path = str(tmp_path / "entry.oeng")
-        lock_path = path + ".lock"
-        with open(lock_path, "w", encoding="utf-8") as handle:
-            handle.write("12345")
-        ancient = time.time() - 3600
-        os.utime(lock_path, (ancient, ancient))
-        with _FileLock(path, timeout_s=0.5, stale_s=30.0) as lock:
-            assert lock._held  # abandoned lock was swept aside
-        assert not os.path.exists(lock_path)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.engine.cache import _FileLock\n"
+             "_FileLock(sys.argv[1]).__enter__()\n"
+             "print('held', flush=True)\n"
+             "time.sleep(600)\n",
+             path],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": _SRC})
+        try:
+            assert holder.stdout.readline().strip() == "held"
+            with _FileLock(path, timeout_s=0.05) as contender:
+                assert contender._fd is None    # the holder really holds it
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        assert os.path.exists(path + ".lock")
+        # The dead holder's lock must be free now, not merely outwaited:
+        # a taker that times out proceeds unlocked, with _fd None.
+        with _FileLock(path, timeout_s=2.0) as lock:
+            assert lock._fd is not None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import select
 import signal
 import subprocess
@@ -91,16 +92,21 @@ class TestServeChaosVerb:
     ["serve-chaos", "@loopback", "--workers", "0"],
     ["serve-chaos", "@loopback", "--batch", "0"],
     ["serve-chaos", "@loopback", "--rps", "0"],
+    ["serve", "@loopback", "--breaker-threshold", "0"],
+    ["serve", "@loopback", "--breaker-cooldown-s", "-1"],
+    ["serve", "@loopback", "--clients", "0"],
+    ["serve-chaos", "@loopback", "--clients", "0"],
 ], ids=lambda argv: f"{argv[0]} {argv[2]} {argv[3]}")
 def test_bad_numbers_are_usage_errors(argv, capsys):
-    """A count or rate that is not positive exits 2 from argparse, naming
-    the flag, before any pool is built; a zero capacity is not the
-    default in disguise."""
+    """A count or rate that is not positive (a cooldown that is negative)
+    exits 2 from argparse, naming the flag, before any pool is built; a
+    zero capacity is not the default in disguise."""
     with pytest.raises(SystemExit) as info:
         main([*argv, "--duration", "0.2", "--json"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert argv[2] in err and "must be > 0" in err
+    assert argv[2] in err
+    assert re.search(rf"must be >=? 0, got {re.escape(argv[3])}$", err, re.M)
 
 
 class TestGracefulDrain:

@@ -1,57 +1,10 @@
-"""Automatic quantization and the process-wide calibration cache."""
+"""Automatic quantization: synthetic calibration feeds and the transform."""
 
 import numpy as np
-import pytest
 
 import repro.quant  # noqa: F401  (registers quantized kernels)
-from repro.quant.auto import (
-    _CalibrationCache,
-    auto_quantize,
-    calibration_cache_stats,
-    calibrated_ranges,
-    clear_calibration_cache,
-    synthetic_calibration_feeds,
-)
+from repro.quant.auto import auto_quantize, synthetic_calibration_feeds
 from tests.conftest import tiny_classifier
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_calibration_cache()
-    yield
-    clear_calibration_cache()
-
-
-class TestCalibrationCache:
-    def test_second_calibration_hits(self):
-        graph = tiny_classifier()
-        first = calibrated_ranges(graph)
-        second = calibrated_ranges(graph)
-        assert first == second
-        entries, hits, misses = calibration_cache_stats()
-        assert (entries, hits, misses) == (1, 1, 1)
-
-    def test_knobs_key_the_cache(self):
-        graph = tiny_classifier()
-        calibrated_ranges(graph, batches=2)
-        calibrated_ranges(graph, batches=3)
-        entries, hits, misses = calibration_cache_stats()
-        assert entries == 2 and hits == 0 and misses == 2
-
-    def test_capacity_evicts_oldest(self):
-        cache = _CalibrationCache(capacity=2)
-        cache.put(("a",), {})
-        cache.put(("b",), {})
-        cache.put(("c",), {})
-        assert cache.get(("a",)) is None      # evicted
-        assert cache.get(("b",)) is not None  # kept
-        assert cache.get(("c",)) is not None
-
-    def test_get_returns_a_copy(self):
-        cache = _CalibrationCache()
-        cache.put(("k",), {"v": 1})
-        cache.get(("k",))["poisoned"] = True
-        assert cache.get(("k",)) == {"v": 1}
 
 
 class TestSyntheticFeeds:

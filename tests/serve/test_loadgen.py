@@ -9,7 +9,7 @@ from repro.serve import loadgen
 from repro.serve.loadgen import percentile, run_load
 from repro.serve.pool import SessionPool
 from repro.serve.service import InferenceService
-from repro.serve.types import Rejected
+from repro.serve.types import Completed, PendingResponse, Rejected, ServeRequest
 from tests.serve.helpers import make_factory
 
 
@@ -74,8 +74,9 @@ class TestRunLoad:
         assert report.offered > 0
         assert report.completed > 0
         assert report.silent_drops == 0
+        assert report.timed_out == 0
         assert report.offered == (report.completed + report.total_rejected
-                                  + report.failed + report.timed_out)
+                                  + report.failed)
         assert len(report.latencies_ms) == report.completed
         assert sum(report.per_backend.values()) == report.completed
 
@@ -98,6 +99,11 @@ class TestRunLoad:
                 service, rps=10.0, duration_s=0.2, clients=1,
                 sample=np.ones((4,), dtype=np.float32), seed=3)
         assert report.silent_drops == 0
+
+    def test_clients_must_be_positive(self):
+        with make_service() as service:
+            with pytest.raises(ValueError, match="clients"):
+                run_load(service, rps=10.0, duration_s=0.1, clients=0)
 
     def test_same_seed_gives_same_first_arrival_offsets(self, monkeypatch):
         clock = _FrozenClock()
@@ -144,3 +150,48 @@ class TestRunLoad:
         assert document["silent_drops"] == 0
         assert document["offered"] == report.offered
         assert set(document["latency_ms"]) == {"p50", "p90", "p99", "max"}
+
+
+class _Unanswered:
+    """Admits every request and never answers one."""
+
+    sample_shape = (4,)
+
+    def __init__(self, pending=PendingResponse):
+        self._pending = pending
+
+    def submit(self, sample, deadline_ms=None, request_id=None):
+        return self._pending(ServeRequest(
+            id=request_id, sample=sample, deadline_ms=deadline_ms,
+            submitted_at=0.0))
+
+
+class _AnsweredJustAfterTheWait(PendingResponse):
+    """Its outcome arrives the moment the client stops waiting for it."""
+
+    def result(self, timeout=None):
+        outcome = super().result(timeout)
+        if outcome is None:
+            self.resolve(Completed(id=self.request.id, output=np.zeros(1),
+                                   latency_ms=1.0, backend="a",
+                                   batch_size=1))
+        return outcome
+
+
+class TestUnansweredRequests:
+    def test_a_request_never_answered_is_a_silent_drop(self, monkeypatch):
+        monkeypatch.setattr(loadgen, "RESULT_TIMEOUT_S", 0.01)
+        report = run_load(_Unanswered(), rps=20.0, duration_s=0.2,
+                          clients=1)
+        assert report.offered == report.timed_out == 4
+        assert report.silent_drops == 4
+        assert report.to_dict()["silent_drops"] == 4
+
+    def test_an_answer_after_the_wait_counts_by_its_outcome(
+            self, monkeypatch):
+        monkeypatch.setattr(loadgen, "RESULT_TIMEOUT_S", 0.01)
+        report = run_load(_Unanswered(_AnsweredJustAfterTheWait),
+                          rps=20.0, duration_s=0.2, clients=1)
+        assert report.offered == report.timed_out == 4
+        assert report.completed == 4
+        assert report.silent_drops == 0

@@ -27,11 +27,11 @@ class TestConstruction:
         factory = make_factory()
         pool = SessionPool("fake", backends=("a", "b"), workers=3,
                            session_factory=factory)
-        assert len(pool) == 6
         assert len(factory.sessions) == 6
         assert pool.session("a", 0) is not pool.session("a", 1)
         assert pool.session("b", 2).backend == "b"
-        assert pool.sessions("a") == factory.sessions[:3]
+        assert [pool.session("a", w) for w in range(pool.workers)] \
+            == factory.sessions[:3]
 
 
 class _Forwarding:
@@ -84,7 +84,7 @@ class TestWarmPath:
         """The headline property: N sessions, one weight set."""
         pool = SessionPool(tiny_classifier(), backends=("orpheus",),
                            workers=3, batch=1)
-        sessions = pool.sessions("orpheus")
+        sessions = [pool.session("orpheus", w) for w in range(pool.workers)]
         assert len(sessions) == 3
         first = sessions[0].graph
         for session in sessions[1:]:
@@ -100,7 +100,8 @@ class TestWarmPath:
         assert pool.buckets == (1, 2, 4)
         weights = pool.session("orpheus", 0).graph.initializers
         assert weights
-        for worker in pool.sessions("orpheus"):
+        for worker in (pool.session("orpheus", w)
+                       for w in range(pool.workers)):
             assert sorted(worker.by_width) == [1, 2, 4]
             for width, session in worker.by_width.items():
                 assert session.graph.inputs[0].shape[0] == width
@@ -206,24 +207,25 @@ class TestFaultPlans:
         pool = SessionPool(
             tiny_classifier(batch=4), workers=2, batch=4,
             fault_spec="raise:op=Conv:max=2", fault_seed=7)
-        first, second = pool.sessions("orpheus")
+        first, second = (pool.session("orpheus", w) for w in (0, 1))
         plans = {id(s._executor.config.fault_plan)
                  for s in first.by_width.values()}
         assert len(plans) == 1
         assert id(second._executor.config.fault_plan) not in plans
         for width in (1, 4, 2):
             first.run({"input": np.zeros((width, 3, 8, 8), dtype=np.float32)})
-        report = first.robustness_report()
-        assert report.runs == 3                     # every width, once each
-        assert len(report.injected_faults) == 2     # the plan's, not 3 copies
-        assert len(report.fallback_events) == 2
+        reports = [s.robustness_report() for s in first.by_width.values()]
+        assert sum(r.runs for r in reports) == 3    # every width, once each
+        assert sum(len(r.fallback_events) for r in reports) == 2
+        plan = first._executor.config.fault_plan
+        assert len(plan.events) == 2                # one plan's, not 3 copies
 
     def test_each_worker_gets_its_own_seeded_plan(self):
         pool = SessionPool(
             tiny_classifier(), backends=("orpheus",), workers=2, batch=1,
             fault_spec="raise:op=Conv:max=1", fault_seed=7)
-        plans = [session._executor.config.fault_plan
-                 for session in pool.sessions("orpheus")]
+        plans = [pool.session("orpheus", w)._executor.config.fault_plan
+                 for w in range(pool.workers)]
         assert plans[0] is not None
         assert plans[0] is not plans[1]  # stateful RNGs must not be shared
 
@@ -233,7 +235,7 @@ class TestFaultPlans:
         pool = SessionPool(
             tiny_classifier(), backends=("orpheus", "direct"), workers=1,
             fault_spec="raise:op=Conv:max=1")
-        (primary,) = pool.sessions("orpheus")
-        (fallback,) = pool.sessions("direct")
+        primary = pool.session("orpheus", 0)
+        fallback = pool.session("direct", 0)
         assert primary._executor.config.fault_plan is not None
         assert fallback._executor.config.fault_plan is None

@@ -163,20 +163,33 @@ class TestBookkeeping:
 
     def test_estimated_wait_scales_with_depth(self, monkeypatch):
         monkeypatch.setattr(queue_mod, "INITIAL_BATCH_S", 0.1)
-        queue = AdmissionQueue(capacity=64, workers=2, batch=2)
-        empty = queue.estimated_wait_s()
-        assert empty == pytest.approx(0.1)  # own batch only
+        monkeypatch.setattr(queue_mod, "RETRY_JITTER_FRAC", 0.0)
+        queue = AdmissionQueue(capacity=8, workers=2, batch=2)
+        # An overload hint is the estimated wait minus the deadline.
+        empty = queue.try_admit(make_pending("e", deadline_ms=1e-6))
+        assert empty.retry_after_s == pytest.approx(0.1)  # own batch only
+        for index in range(8):
+            assert queue.try_admit(make_pending(f"r{index}")) is None
+        # 8 queued / (2 workers * batch 2) = 2 batch-rounds to drain ...
+        full = queue.try_admit(make_pending("f"))
+        assert full.reason == "queue-full"
+        assert full.retry_after_s == pytest.approx(0.2)
+        # ... and a new arrival waits those plus its own batch
+        queue = AdmissionQueue(capacity=9, workers=2, batch=2)
         for index in range(8):
             queue.try_admit(make_pending(f"r{index}"))
-        # 8 queued / (2 workers * batch 2) = 2 batch-rounds ahead + own
-        assert queue.estimated_wait_s() == pytest.approx(0.3)
+        deep = queue.try_admit(make_pending("d", deadline_ms=1e-6))
+        assert deep.reason == "overload"
+        assert deep.retry_after_s == pytest.approx(0.3)
 
     def test_ewma_cold_start_uses_the_seed_estimate(self, monkeypatch):
         monkeypatch.setattr(queue_mod, "INITIAL_BATCH_S", 0.07)
+        monkeypatch.setattr(queue_mod, "RETRY_JITTER_FRAC", 0.0)
         queue = AdmissionQueue()
         assert queue.observations == 0
         assert queue.ewma_batch_s == pytest.approx(0.07)
-        assert queue.estimated_wait_s() == pytest.approx(0.07)
+        rejection = queue.try_admit(make_pending(deadline_ms=1e-6))
+        assert rejection.retry_after_s == pytest.approx(0.07)
 
     def test_ewma_single_sample(self, monkeypatch):
         ewma(monkeypatch, 0.2, 0.1)

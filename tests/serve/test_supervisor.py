@@ -211,12 +211,12 @@ class TestPoolFacade:
     def test_process_pool_quacks_like_session_pool(self):
         with make_supervisor(workers=2) as supervisor:
             pool = ProcessWorkerPool(supervisor)
-            assert len(pool) == 2
+            assert pool.workers == 2
             assert pool.input_name == "input"
             assert pool.sample_shape == (4,)
             assert pool.model_name == "@loopback"
-            sessions = pool.sessions("orpheus")
-            assert len(sessions) == 2
+            sessions = [pool.session("orpheus", w)
+                        for w in range(pool.workers)]
             assert pool.session("orpheus", 0) is sessions[0]
             assert sessions[0].accepts_request_ids
             out = sessions[1].run(feeds_for(3.0))
