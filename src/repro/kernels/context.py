@@ -84,7 +84,9 @@ class ExecutionContext:
 
         Every kernel that lowers its input (``im2col``, ``direct_dw``)
         carves its padded planes and columns from this one buffer instead
-        of allocating them per call or per node. Sharing it is sound
+        of allocating them per call or per node (``im2col``'s planes are
+        row-padded: per channel a zero head, the image as one run and a
+        zero tail, read with row pitch ``W``). Sharing it is sound
         because every call writes each element it reads before reading
         it, so nothing carries over from the previous call; it assumes one
         runner per context at a time, like every other cache entry.

@@ -9,14 +9,20 @@ counts / feature maps).
 
 Two variants are registered:
 
-* ``im2col`` — writes only its output. Per image, the zero-padded planes
+* ``im2col`` — writes only its output. Per image, the row-padded planes
   and the column matrix are carved from the context's one workspace
   (:meth:`~repro.kernels.context.ExecutionContext.workspace`, shared with
-  ``direct_dw``), and one strided copy of a tap view fills the columns;
-  BLAS writes the product straight into the output; bias, fused residual
-  and fused activation are applied in place to that image's slice while it
-  is still in cache. A 1x1 stride-1 conv multiplies the input itself.
-  Steady-state calls allocate nothing but the output.
+  ``direct_dw``). A row-padded plane is one flat run per channel: a zero
+  head, the image copied in as one contiguous run and a zero tail, read
+  with row pitch ``W``, so taps above and below the image read zeros. One
+  strided copy of a tap view fills the columns, and a few cached *edge
+  masks* then zero the columns whose taps fall left or right of the
+  image (those read the neighbouring row). A stride-1 conv whose output
+  is as wide as its input copies each tap as one plane-long run. BLAS
+  writes the product straight into the output; bias, fused residual and
+  fused activation are applied in place to that image's slice while it
+  is still in cache. An unpadded 1x1 stride-1 conv multiplies the input
+  itself. Steady-state calls allocate nothing but the output.
 * ``im2col_loops`` — the same math with a freshly padded input and a
   freshly allocated, loop-built lowering of the whole batch per group, and
   the epilogue as passes over the finished output: the memory-traffic
@@ -43,52 +49,75 @@ from repro.kernels.context import ExecutionContext
 from repro.kernels.registry import kernel
 
 
-def _taps(source: np.ndarray, params: ConvParams) -> np.ndarray:
+def _taps(source: np.ndarray, params: ConvParams,
+          strides: tuple[int, int, int]) -> np.ndarray:
     """``(C, KH, KW, OH, OW)`` strided view of every kernel tap of one
-    (already padded) ``(C, H, W)`` image: the column block, uncopied."""
+    image: the column block, uncopied. ``strides`` are the source's
+    channel, row and column steps in bytes; over row-padded planes the row
+    step is ``W`` floats, so padded position ``(py, px)`` sits at flat
+    ``py * W + px``."""
     kh, kw = params.kernel
     sh, sw = params.strides
     dh, dw = params.dilations
-    s_c, s_h, s_w = source.strides
+    s_c, s_h, s_w = strides
     return np.lib.stride_tricks.as_strided(
-        source, (source.shape[0], kh, kw, params.out_h, params.out_w),
+        source, (params.in_channels, kh, kw, params.out_h, params.out_w),
         (s_c, dh * s_h, dw * s_w, sh * s_h, sw * s_w), writeable=False)
 
 
-def _workspace_views(buffer: np.ndarray, params: ConvParams, cut: int,
-                     lowered: bool):
-    """``(borders, interior, taps, cols, matrix)`` carved from one workspace.
+def _edge_masks(cols: np.ndarray, params: ConvParams) -> tuple:
+    """Column views whose taps lie left or right of the image.
 
-    ``borders`` are the padded planes' zero strips and ``interior`` the
-    window each image is copied into (``()`` and None when unpadded);
-    ``taps`` is :func:`_taps` over the planes (None when unpadded, where it
-    must view each image itself) and ``cols`` the column block it is
-    copied into (None when not lowered). ``matrix`` is the ``(C*KH*KW,
-    OH*OW)`` operand the GEMM reads: the columns, else the planes, else
-    None (the image itself).
+    Over row-padded planes those taps read the neighbouring row's pixels
+    instead of zeros: for each ``kx``, the first ``ceil((l - kx*dw)/sw)``
+    output columns and those from ``ceil((W + l - kx*dw)/sw)`` on. Empty
+    when the conv has no left or right pad.
+    """
+    left = params.pads[1]
+    sw, dw = params.strides[1], params.dilations[1]
+    out_w = params.out_w
+    masks = []
+    for kx in range(params.kernel[1]):
+        first = min(out_w, max(0, -(-(left - kx * dw) // sw)))
+        last = max(first, min(out_w, -(-(params.in_w + left - kx * dw) // sw)))
+        if first:
+            masks.append(cols[:, :, kx, :, :first])
+        if last < out_w:
+            masks.append(cols[:, :, kx, :, last:])
+    return tuple(masks)
+
+
+def _workspace_views(buffer: np.ndarray, params: ConvParams, plane: int):
+    """``(borders, interior, taps, cols, masks, matrix)`` carved from one
+    workspace.
+
+    With pads, each channel's row-padded plane is one flat run of
+    ``plane = l + (t+H+b)*W + r`` floats: a zero head (``borders[0]``),
+    the image (``interior``, one contiguous run) and a zero tail
+    (``borders[1]``). ``taps`` is :func:`_taps` over the planes with row
+    pitch ``W`` (None when unpadded, where it must view each image
+    itself); ``cols`` is the column block it is copied into and ``masks``
+    the column views :func:`_edge_masks` zeroes afterwards. ``matrix`` is
+    the ``(C*KH*KW, OH*OW)`` operand the GEMM reads.
     """
     channels, in_h, in_w = params.in_channels, params.in_h, params.in_w
-    top, left, bottom, right = params.pads
+    top, left, _, _ = params.pads
     kh, kw = params.kernel
+    cut = channels * plane
+    borders, interior, taps = (), None, None
+    if plane:
+        planes = buffer[:cut].reshape(channels, plane)
+        start, stop = left + top * in_w, left + (top + in_h) * in_w
+        borders = tuple(strip for strip in (planes[:, :start], planes[:, stop:])
+                        if strip.size)
+        interior = planes[:, start:stop].reshape(channels, in_h, in_w)
+        step = planes.strides[1]
+        taps = _taps(planes, params, (planes.strides[0], in_w * step, step))
     pixels = params.out_h * params.out_w
-    borders, interior, taps, cols, matrix = (), None, None, None, None
-    if cut:
-        planes = buffer[:cut].reshape(
-            channels, in_h + top + bottom, in_w + left + right)
-        rows = planes[:, top:top + in_h]
-        strips = (planes[:, :top], planes[:, top + in_h:],
-                  rows[:, :, :left], rows[:, :, left + in_w:])
-        borders = tuple(strip for strip in strips if strip.size)
-        interior = rows[:, :, left:left + in_w]
-        if lowered:
-            taps = _taps(planes, params)
-        else:
-            matrix = planes.reshape(channels, pixels)
-    if lowered:
-        cols = buffer[cut:cut + channels * kh * kw * pixels].reshape(
-            channels, kh, kw, params.out_h, params.out_w)
-        matrix = cols.reshape(channels * kh * kw, pixels)
-    return borders, interior, taps, cols, matrix
+    cols = buffer[cut:cut + channels * kh * kw * pixels].reshape(
+        channels, kh, kw, params.out_h, params.out_w)
+    return (borders, interior, taps, cols, _edge_masks(cols, params),
+            cols.reshape(channels * kh * kw, pixels))
 
 
 @kernel("Conv", "im2col", priority=100)
@@ -97,17 +126,20 @@ def conv_im2col(
 ) -> list[np.ndarray]:
     """im2col + GEMM convolution (the Orpheus default).
 
-    Per image: the input is copied into the workspace's padded planes
-    (only the border is zeroed, the interior is overwritten), one strided
-    copy of the ``(C, KH, KW, OH, OW)`` tap view fills the column block,
-    and ``W.reshape(O, C*KH*KW) @ cols`` lands in ``out[n]``. Group ``g``
-    multiplies its slice of the weight by rows ``g*K/G .. (g+1)*K/G`` of
-    that one lowering, which are exactly its channels' taps. The weight is
-    used as stored: bias is a separate in-place add rather than a row of
-    ones, which would need a second, augmented copy of every conv weight.
-    The planes, columns and tap view are built once per workspace buffer
-    (:meth:`~repro.kernels.context.ExecutionContext.workspace_views`), the
-    geometry once per context.
+    Per image: the input is copied into the workspace's row-padded planes
+    as one run per channel (the zero head and tail are refilled once per
+    call), one strided copy of the ``(C, KH, KW, OH, OW)`` tap view fills
+    the column block, the edge masks zero the columns whose taps fall
+    left or right of the image, and ``W.reshape(O, C*KH*KW) @ cols`` lands
+    in ``out[n]``. A stride-1 conv whose output is as wide as its input
+    copies each tap as one plane-long run. Group ``g`` multiplies its
+    slice of the weight by rows ``g*K/G .. (g+1)*K/G`` of that one
+    lowering, which are exactly its channels' taps. The weight is used as
+    stored: bias is a separate in-place add rather than a row of ones,
+    which would need a second, augmented copy of every conv weight. The
+    planes, columns, masks and tap view are built once per workspace
+    buffer (:meth:`~repro.kernels.context.ExecutionContext.workspace_views`),
+    the geometry once per context.
     """
     x, weight, bias, residual = conv_operands(inputs)
     params, activation = conv_geometry(node, x.shape, weight.shape, ctx)
@@ -116,14 +148,17 @@ def conv_im2col(
     channels = params.in_channels
     out_h, out_w = params.out_h, params.out_w
     rows, pixels = channels * kh * kw, out_h * out_w
-    lowered = (kh, kw, *params.strides) != (1, 1, 1, 1)
+    lowered = (kh, kw, *params.strides, *params.pads) != (1, 1, 1, 1, 0, 0, 0, 0)
 
-    cut = (channels * (params.in_h + top + bottom) * (params.in_w + left + right)
-           if any(params.pads) else 0)
-    borders, interior, taps, cols, matrix = ctx.workspace_views(
-        ("im2col", node.name, x.shape, weight.shape),
-        cut + (rows * pixels if lowered else 0), x.dtype,
-        lambda buffer: _workspace_views(buffer, params, cut, lowered))
+    if lowered:
+        plane = (left + (top + params.in_h + bottom) * params.in_w + right
+                 if any(params.pads) else 0)
+        borders, interior, taps, cols, masks, matrix = ctx.workspace_views(
+            ("im2col", node.name, x.shape, weight.shape),
+            channels * plane + rows * pixels, x.dtype,
+            lambda buffer: _workspace_views(buffer, params, plane))
+        for strip in borders:
+            strip.fill(0)
 
     group = params.group
     out_channels = params.out_channels
@@ -131,13 +166,16 @@ def conv_im2col(
     w_matrix = weight.reshape(out_channels, k_g)
     out = np.empty((params.batch, out_channels, out_h, out_w), dtype=x.dtype)
     for n in range(params.batch):
-        if interior is not None:
-            for strip in borders:
-                strip.fill(0)
-            np.copyto(interior, x[n])
-        if cols is not None:
-            np.copyto(cols, taps if taps is not None else _taps(x[n], params))
-        source = matrix if matrix is not None else x[n].reshape(rows, pixels)
+        if lowered:
+            if interior is not None:
+                np.copyto(interior, x[n])
+            np.copyto(cols, taps if taps is not None
+                      else _taps(x[n], params, x[n].strides))
+            for mask in masks:
+                mask.fill(0)
+            source = matrix
+        else:
+            source = x[n].reshape(rows, pixels)
         result = out[n].reshape(out_channels, pixels)
         for g in range(group):
             ctx.matmul(w_matrix[g * o_g:(g + 1) * o_g],

@@ -52,17 +52,20 @@ class _BucketSessions:
     What ``pool.session(backend, worker)`` returns for a real model. It
     runs the session whose width is the feed's leading dimension; a feed
     of no bucket's width goes to the pool-batch session, which raises the
-    ``ExecutionError`` a lone session raises for a mis-shaped input. Every
-    other attribute is the pool-batch session's, so the worker still reads
-    as the one session it used to be (``graph``, plans, config).
+    ``ExecutionError`` a lone session raises for a mis-shaped input.
+    ``graph`` is the pool-batch session's. Nothing per-run is forwarded: a
+    ledger such as ``robustness_report()`` lives on each of ``by_width``'s
+    sessions, and asking the set for one raises ``AttributeError`` rather
+    than answering for the widest plan alone.
     """
 
     def __init__(self, by_width: dict[int, Any]) -> None:
         self.by_width = by_width
         self._widest = by_width[max(by_width)]
 
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._widest, name)
+    @property
+    def graph(self) -> Any:
+        return self._widest.graph
 
     def run(self, feeds: Mapping[str, Any],
             deadline_ms: float | None = None) -> dict[str, np.ndarray]:

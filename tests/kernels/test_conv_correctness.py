@@ -283,7 +283,8 @@ class TestDirectDwBlocking:
     group_kind=st.sampled_from(["1", "2", "C"]),
     channels=st.integers(1, 3),          # per group, except group == C
     out_per_group=st.integers(1, 2),
-    kernel=st.sampled_from([(1, 1), (3, 3), (5, 5), (3, 5), (7, 7)]),
+    kernel=st.sampled_from([(1, 1), (3, 3), (5, 5), (3, 5), (7, 7),
+                            (1, 7), (7, 1)]),
     strides=st.tuples(st.integers(1, 2), st.integers(1, 2)),
     dilations=st.tuples(st.integers(1, 2), st.integers(1, 2)),
     pads=st.tuples(*[st.integers(0, 2)] * 4),     # top, left, bottom, right
@@ -300,10 +301,15 @@ def test_im2col_geometry_battery(batch, group_kind, channels, out_per_group,
                                  with_residual):
     """Generated geometry against the loop reference, on BLAS and on the
     rerouted blocked GEMM the DarkNet simulation uses, with and without a
-    fused residual (whose bias slot is then empty when there is no bias).
+    fused residual (whose bias slot is then empty when there is no bias);
+    and bitwise equal to ``im2col_loops`` on the same GEMM.
 
     ``slack == (0, 0)`` is the smallest legal input (``OH == OW == 1``
-    unless the pads alone exceed the dilated kernel).
+    unless the pads alone exceed the dilated kernel). Row-padded planes
+    read a neighbouring row's pixel for every tap left or right of the
+    image until the edge masks zero it: a tolerance check would let a
+    missed or misplaced mask through, bitwise equality does not. A padded
+    1x1 is lowered too.
     """
     from repro.kernels.gemm import gemm_blocked
     group = {"1": 1, "2": 2, "C": channels}[group_kind]
@@ -325,8 +331,13 @@ def test_im2col_geometry_battery(batch, group_kind, channels, out_per_group,
         extra_attrs={"activation": activation} if activation else None)
     if with_residual:
         _add_residual(inputs, node, rng)
-    ctx = ExecutionContext(gemm=gemm_blocked if blocked else None)
-    conv_reference_check("im2col", inputs, node, ctx=ctx)
+    gemm = gemm_blocked if blocked else None
+    conv_reference_check("im2col", inputs, node,
+                         ctx=ExecutionContext(gemm=gemm))
+    lowered, looped = (REGISTRY.get("Conv", name).fn(
+        list(inputs), node, ExecutionContext(gemm=gemm))[0]
+        for name in ("im2col", "im2col_loops"))
+    assert lowered.tobytes() == looped.tobytes()
 
 
 def _add_residual(inputs, node, rng):

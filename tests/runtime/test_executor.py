@@ -207,9 +207,10 @@ class TestDepthwisePinnedBytes:
             return [key for key in cache if key[0] == tag]
 
         # The largest request is the im2col stem (3x3/2, pads 1 at 224): its
-        # padded image and its columns. No depthwise block asks for more
-        # than _BLOCK_FLOATS.
-        stem = 3 * 226 * 226 + 27 * 112 * 112
+        # row-padded planes (a one-float head, 226 rows of pitch 224 and a
+        # one-float tail per channel) and its columns. No depthwise block
+        # asks for more than _BLOCK_FLOATS.
+        stem = 3 * (1 + 226 * 224 + 1) + 27 * 112 * 112
         assert stem > _BLOCK_FLOATS
         [workspace] = keys("workspace")
         assert workspace == ("workspace", "<f4")

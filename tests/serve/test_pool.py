@@ -1,5 +1,7 @@
 """Session pool: shared weights, engine-cache reuse, per-worker fault plans."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,22 @@ class TestBuckets:
         assert [worker.by_width[w].robustness_report().runs
                 for w in (1, 2, 4)] == [1, 1, 1]
 
+    def test_the_bucket_set_answers_for_no_single_plan(self):
+        # One run at each width: a per-run ledger asked of the set would
+        # have reported the widest plan's 1 run of 3.
+        pool = SessionPool(tiny_classifier(batch=4), workers=1, batch=4)
+        worker = pool.session("orpheus", 0)
+        for width in (1, 2, 4):
+            worker.run({"input": np.zeros((width, 3, 8, 8), dtype=np.float32)})
+        with pytest.raises(AttributeError):
+            worker.robustness_report()
+        for name in ("memory_plan", "kernel_plan", "_executor",
+                     "accepts_request_ids"):
+            assert not hasattr(worker, name)
+        assert worker.graph is worker.by_width[4].graph
+        assert sum(s.robustness_report().runs
+                   for s in worker.by_width.values()) == 3
+
     def test_a_width_that_is_no_bucket_is_an_execution_error(self):
         pool = SessionPool(tiny_classifier(batch=4), workers=1, batch=4)
         with pytest.raises(ExecutionError, match="expected shape"):
@@ -202,6 +220,13 @@ class TestBuckets:
                     "memory_budget_bytes": (peaks[1] + peaks[4]) // 2})
 
 
+def _fault_plan(worker):
+    """The one fault plan a real worker's bucket sessions share."""
+    [plan] = {id(s._executor.config.fault_plan): s._executor.config.fault_plan
+              for s in worker.by_width.values()}.values()
+    return plan
+
+
 class TestFaultPlans:
     def test_a_workers_buckets_share_its_one_fault_plan(self):
         pool = SessionPool(
@@ -211,20 +236,19 @@ class TestFaultPlans:
         plans = {id(s._executor.config.fault_plan)
                  for s in first.by_width.values()}
         assert len(plans) == 1
-        assert id(second._executor.config.fault_plan) not in plans
+        assert id(_fault_plan(second)) not in plans
         for width in (1, 4, 2):
             first.run({"input": np.zeros((width, 3, 8, 8), dtype=np.float32)})
         reports = [s.robustness_report() for s in first.by_width.values()]
         assert sum(r.runs for r in reports) == 3    # every width, once each
         assert sum(len(r.fallback_events) for r in reports) == 2
-        plan = first._executor.config.fault_plan
-        assert len(plan.events) == 2                # one plan's, not 3 copies
+        assert len(_fault_plan(first).events) == 2  # one plan's, not 3 copies
 
     def test_each_worker_gets_its_own_seeded_plan(self):
         pool = SessionPool(
             tiny_classifier(), backends=("orpheus",), workers=2, batch=1,
             fault_spec="raise:op=Conv:max=1", fault_seed=7)
-        plans = [pool.session("orpheus", w)._executor.config.fault_plan
+        plans = [_fault_plan(pool.session("orpheus", w))
                  for w in range(pool.workers)]
         assert plans[0] is not None
         assert plans[0] is not plans[1]  # stateful RNGs must not be shared
@@ -237,5 +261,88 @@ class TestFaultPlans:
             fault_spec="raise:op=Conv:max=1")
         primary = pool.session("orpheus", 0)
         fallback = pool.session("direct", 0)
-        assert primary._executor.config.fault_plan is not None
-        assert fallback._executor.config.fault_plan is None
+        assert _fault_plan(primary) is not None
+        assert _fault_plan(fallback) is None
+
+
+class _Gated(_Forwarding):
+    """A pool whose sessions hold every run until ``gate`` opens, so the
+    requests submitted behind a held one queue up into one batch."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.gate, self.started = threading.Event(), threading.Event()
+
+    def session(self, backend, worker):
+        return _GatedSession(self._inner.session(backend, worker), self)
+
+
+class _GatedSession:
+    def __init__(self, inner, pool):
+        self._inner, self._pool = inner, pool
+        self.accepts_request_ids = getattr(inner, "accepts_request_ids", False)
+
+    def run(self, feeds, deadline_ms=None, **kwargs):
+        self._pool.started.set()
+        assert self._pool.gate.wait(timeout=60.0)
+        return self._inner.run(feeds, deadline_ms=deadline_ms, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def wrn_pool():
+    """The thread pool whose batch-1 plan is every served row's reference
+    (a process worker builds the same pool: same name, batch and seed)."""
+    return SessionPool("wrn-40-2", batch=4)
+
+
+class TestOneAnswerPerRequest:
+    """A served output does not depend on its batch bucket: a lone request
+    and one inside a full batch of 4 each get bitwise what the pool's
+    batch-1 ``rebatch`` plan gives their image run directly."""
+
+    @staticmethod
+    def serve_alone_then_full_batch(pool, images):
+        """``images[0]`` alone (holding the dispatcher), then the other four
+        queued behind it, taken as one batch of 4."""
+        gated = _Gated(pool)
+        with InferenceService(pool=gated) as service:
+            alone = service.submit(images[0])
+            assert gated.started.wait(timeout=60.0)
+            batch = [service.submit(image) for image in images[1:]]
+            gated.gate.set()
+            outcomes = [p.result(timeout=60.0) for p in (alone, *batch)]
+            stats = service.stats()
+        assert [o.batch_size for o in outcomes] == [1, 4, 4, 4, 4]
+        assert stats.runs_by_width == {1: 1, 4: 1}
+        return [o.output for o in outcomes]
+
+    @staticmethod
+    def expected(reference_pool, images):
+        plan = reference_pool.session("orpheus", 0).by_width[1]
+        name = reference_pool.input_name
+        return [next(iter(plan.run({name: image[None]}).values()))[0]
+                for image in images]
+
+    @staticmethod
+    def images(pool):
+        rng = np.random.default_rng(15)
+        return [rng.standard_normal(pool.sample_shape).astype(np.float32)
+                for _ in range(5)]
+
+    def test_thread_mode(self, wrn_pool):
+        images = self.images(wrn_pool)
+        served = self.serve_alone_then_full_batch(wrn_pool, images)
+        for got, want in zip(served, self.expected(wrn_pool, images)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.slow
+    def test_process_mode(self, wrn_pool):
+        images = self.images(wrn_pool)
+        pool = ProcessWorkerPool(WorkerSupervisor(
+            "wrn-40-2", workers=1, batch=4))
+        try:
+            served = self.serve_alone_then_full_batch(pool, images)
+        finally:
+            pool.close()
+        for got, want in zip(served, self.expected(wrn_pool, images)):
+            assert got.tobytes() == want.tobytes()
